@@ -58,7 +58,7 @@ from .structure import (
     verify_good_configuration,
     verify_kprime_configuration,
 )
-from .torus_series import TorusLabel, gr_torus_class
+from .torus_series import TorusLabel, gr_torus_class, parse_tori
 
 
 class UsageError(Exception):
@@ -96,28 +96,20 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _parse_tori(text: str) -> list[tuple[TorusLabel, int]]:
+def _parse_tori(text: str) -> tuple[tuple[TorusLabel, int], ...]:
     tori = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            label_text, cover_text = token.split(":", 1)
-            try:
-                cover = int(cover_text)
-            except ValueError:
-                raise UsageError(f"bad cover multiplicity in torus token {token!r}") from None
-        else:
-            label_text, cover = token, 1
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        label, colon, cover = token.partition(":")
         try:
-            label = TorusLabel.parse(label_text)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        tori.append((label, cover))
+            tori.append((label, int(cover)) if colon else label)
+        except ValueError:
+            raise UsageError(f"bad cover multiplicity in torus token {token!r}") from None
     if not tori:
         raise UsageError("--tori needs at least one label")
-    return tori
+    try:
+        return parse_tori(tori)
+    except ModelFileError as exc:
+        raise UsageError(exc.message) from None
 
 
 def _parse_component(text: str) -> tuple[str, int, int]:
@@ -166,109 +158,69 @@ def _cmd_presets(args) -> list[str]:
     return list(PRESET_NAMES)
 
 
-def _cmd_k(args) -> list[str]:
+def _reduce(model: ManifoldModel, A: HClass, args) -> dict[str, str]:
+    good_part, strips = reduce_multicovers(model, A)
+    strip_text = ",".join(f"{format_class(E)}:{m}" for E, m in strips)
+    return {"good": format_class(good_part), "strips": strip_text, "shown": strip_text or "none"}
+
+
+def _classify(model: ManifoldModel, A: HClass, args) -> dict[str, str]:
+    verdict = classify_negative(A)
+    if verdict.witness is None:
+        return {"kind": verdict.kind, "human": "", "records": ""}
+    g, c, sq = verdict.witness
+    return {
+        "kind": verdict.kind,
+        "human": f" (g={g}, c1={c}, square={sq})",
+        "records": f"\nclassify({format_class(A)}).witness={g},{c},{sq}",
+    }
+
+
+def _cone(model: ManifoldModel, A: HClass, args) -> dict[str, str]:
+    return {"in": _bool(in_forward_cone(A, strict=args.strict)), "strict": _bool(args.strict)}
+
+
+# Per-class commands: command -> (value of one class, human format,
+# records format).  A format sees the class as s, the value as v and the
+# flags as a; a newline in it starts another output line.
+_PER_CLASS: dict[str, tuple[Callable, str, str]] = {
+    "k": (lambda m, A, a: k(A), "k({s}) = {v}", "k({s})={v}"),
+    "kprime": (lambda m, A, a: k_prime(m, A), "k'({s}) = {v}", "kprime({s})={v}"),
+    "genus": (
+        lambda m, A, a: genus_embedded(A), "genus_embedded({s}) = {v}", "genus({s})={v}"
+    ),
+    "dim": (
+        lambda m, A, a: moduli_dimension(A, a.genus),
+        "dim({s}, g={a.genus}) = {v}",
+        "dim({s};g={a.genus})={v}",
+    ),
+    "good": (lambda m, A, a: _bool(is_good_class(m, A)), "good({s}) = {v}", "good({s})={v}"),
+    "reduce": (
+        _reduce,
+        "reduce({s}) = {v[good]}; strips: {v[shown]}",
+        "reduce({s}).good={v[good]}\nreduce({s}).strips={v[strips]}",
+    ),
+    "classify-neg": (
+        _classify,
+        "classify_negative({s}) = {v[kind]}{v[human]}",
+        "classify({s})={v[kind]}{v[records]}",
+    ),
+    "cone": (
+        _cone,
+        "in_forward_cone({s}, strict={v[strict]}) = {v[in]}",
+        "cone({s};strict={v[strict]})={v[in]}",
+    ),
+}
+
+
+def _cmd_per_class(args) -> list[str]:
     model = _load_manifold(args.manifold)
+    value, human, records = _PER_CLASS[args.command]
+    fmt = records if args.format == "records" else human
     lines = []
     for A in _classes(model, args):
-        s = format_class(A)
-        v = k(A)
-        lines.append(f"k({s})={v}" if args.format == "records" else f"k({s}) = {v}")
-    return lines
-
-
-def _cmd_kprime(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        v = k_prime(model, A)
-        lines.append(f"kprime({s})={v}" if args.format == "records" else f"k'({s}) = {v}")
-    return lines
-
-
-def _cmd_genus(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        v = genus_embedded(A)
-        lines.append(
-            f"genus({s})={v}" if args.format == "records" else f"genus_embedded({s}) = {v}"
-        )
-    return lines
-
-
-def _cmd_dim(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    g = args.genus
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        v = moduli_dimension(A, g)
-        lines.append(
-            f"dim({s};g={g})={v}" if args.format == "records" else f"dim({s}, g={g}) = {v}"
-        )
-    return lines
-
-
-def _cmd_good(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        v = _bool(is_good_class(model, A))
-        lines.append(f"good({s})={v}" if args.format == "records" else f"good({s}) = {v}")
-    return lines
-
-
-def _cmd_reduce(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        good_part, strips = reduce_multicovers(model, A)
-        strip_text = ",".join(f"{format_class(E)}:{m}" for E, m in strips)
-        if args.format == "records":
-            lines.append(f"reduce({s}).good={format_class(good_part)}")
-            lines.append(f"reduce({s}).strips={strip_text}")
-        else:
-            shown = strip_text if strip_text else "none"
-            lines.append(f"reduce({s}) = {format_class(good_part)}; strips: {shown}")
-    return lines
-
-
-def _cmd_classify_neg(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        verdict = classify_negative(A)
-        if args.format == "records":
-            lines.append(f"classify({s})={verdict.kind}")
-            if verdict.witness is not None:
-                g, c, sq = verdict.witness
-                lines.append(f"classify({s}).witness={g},{c},{sq}")
-        else:
-            text = f"classify_negative({s}) = {verdict.kind}"
-            if verdict.witness is not None:
-                g, c, sq = verdict.witness
-                text += f" (g={g}, c1={c}, square={sq})"
-            lines.append(text)
-    return lines
-
-
-def _cmd_cone(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        v = _bool(in_forward_cone(A, strict=args.strict))
-        flag = _bool(args.strict)
-        lines.append(
-            f"cone({s};strict={flag})={v}"
-            if args.format == "records"
-            else f"in_forward_cone({s}, strict={flag}) = {v}"
-        )
+        text = fmt.format(s=format_class(A), v=value(model, A, args), a=args)
+        lines.extend(text.split("\n"))
     return lines
 
 
@@ -417,15 +369,15 @@ def build_parser() -> _Parser:
         return p
 
     new("presets", _cmd_presets, "list available preset models", model=False)
-    new("k", _cmd_k, "point budget k(A)")
-    new("kprime", _cmd_kprime, "corrected point budget k'(A)")
-    new("genus", _cmd_genus, "adjunction genus of an embedded representative")
-    p = new("dim", _cmd_dim, "moduli dimension at a given genus")
+    new("k", _cmd_per_class, "point budget k(A)")
+    new("kprime", _cmd_per_class, "corrected point budget k'(A)")
+    new("genus", _cmd_per_class, "adjunction genus of an embedded representative")
+    p = new("dim", _cmd_per_class, "moduli dimension at a given genus")
     p.add_argument("--genus", type=int, default=0)
-    new("good", _cmd_good, "is the class good (no forced exceptional multi-covers)")
-    new("reduce", _cmd_reduce, "strip multiply covered exceptional spheres")
-    new("classify-neg", _cmd_classify_neg, "classify a negative-square class")
-    p = new("cone", _cmd_cone, "forward-cone membership")
+    new("good", _cmd_per_class, "is the class good (no forced exceptional multi-covers)")
+    new("reduce", _cmd_per_class, "strip multiply covered exceptional spheres")
+    new("classify-neg", _cmd_per_class, "classify a negative-square class")
+    p = new("cone", _cmd_per_class, "forward-cone membership")
     p.add_argument("--strict", action="store_true")
     new("lightcone", _cmd_lightcone, "light-cone pairing check on two classes")
     p = new("decomp", _cmd_decomp, "enumerate decompositions of a class")

@@ -2,7 +2,7 @@
 
 DomainError covers violations of mathematical preconditions (the CLI maps
 these to exit code 1); ValueError subclasses cover malformed input such as
-unparseable class expressions or invalid model files (CLI exit code 2).
+unparseable class expressions or invalid model data (CLI exit code 2).
 """
 
 from __future__ import annotations
@@ -54,14 +54,26 @@ class UnknownPresetError(ValueError):
 
 
 class ModelFileError(ValueError):
-    """A manifold model file failed validation.
+    """Model data failed validation.
 
-    `path` locates the offending value inside the document ("$.gram[1][0]").
+    `path` locates the offending value ("$.gram[1][0]").  The constructors
+    of IntersectionLattice and ManifoldModel raise it with paths that use
+    the model file's field names, so load_model passes most of them on
+    unchanged; `message` is the text after the path.
     """
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+
+def _int(value, path: str) -> int:
+    """value itself when it is an int; bools, floats and strings are
+    rejected, never converted."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ModelFileError(path, "expected an integer")
 
 
 class ReductionConsistencyWarning(UserWarning):

@@ -18,11 +18,6 @@ Each extra fiber-sum copy inserts one N_minus_P piece, so the open piece
 for V(n) carries 1-n, and capping with D2xT2 gives the closed count 2-n.
 Doubling the cap reproduces the two-section count of the trivial torus
 bundle: glue(D2xT2, D2xT2) = 2.
-
-All other boundary-compatible classes of the open pieces have vanishing
-counts (doubling V1_minus_NF yields the K3 surface, whose invariants all
-vanish); pieces track that statement as a single boolean flag, which is
-as fine-grained as the ledger ever needs.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ class Piece:
     boundary_count: int
     fiber_gr: int
     notes: tuple[str, ...] = ()
-    nonfiber_vanishes: bool = True
 
     def __post_init__(self) -> None:
         if self.boundary_count < 0:
@@ -87,7 +81,6 @@ def glue(a: Piece, b: Piece) -> Piece:
         boundary_count=a.boundary_count + b.boundary_count - 2,
         fiber_gr=fiber,
         notes=a.notes + b.notes + (note,),
-        nonfiber_vanishes=a.nonfiber_vanishes and b.nonfiber_vanishes,
     )
 
 

@@ -17,6 +17,14 @@ A ManifoldModel bundles a lattice with the finite data the counting
 formulas consume: the stored exceptional classes, a minimality flag, and
 the three count tables (Gr0 values for square-positive classes, torus
 labels for square-zero rays, connected rational-curve counts).
+
+The two constructors own every rule a model must satisfy; load_model only
+maps JSON onto them.  A violation raises ModelFileError whose path names
+the argument in model-file terms: "$.K" for canonical, "$.b2plus" for
+b2plus_override, "$.sphere_table[i].count" for the value of the i-th
+table item and "$.torus_table[i].tori[j].cover" for the j-th torus of
+the i-th torus_table item.  Numbers are taken as given, never converted:
+integers must be ints, and areas ints, Fractions or "p"/"p/q" strings.
 """
 
 from __future__ import annotations
@@ -25,27 +33,34 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ClassParseError,
     LatticeMismatchError,
+    ModelFileError,
     UnknownPresetError,
+    _int,
 )
-from .torus_series import TorusLabel
+from .torus_series import TorusLabel, parse_tori
 
-_SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
 _TERM_RE = re.compile(r"([+-]?)(\d*)\*?([A-Za-z_][A-Za-z_0-9]*)")
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"not an exact rational: {x!r}")
+def _rational(value, path: str) -> Fraction:
+    """An exact rational given as an int, a Fraction, or the text "p" or "p/q"."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ModelFileError(path, "expected an integer or a 'p/q' string")
+    if _RATIONAL_RE.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # q = 0, or past int()'s digit limit
+            pass
+    raise ModelFileError(path, f"not an exact rational: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,35 +77,45 @@ class IntersectionLattice:
     def __post_init__(self) -> None:
         basis = tuple(self.basis)
         if not basis:
-            raise ValueError("lattice rank must be positive")
-        for sym in basis:
-            if not _SYMBOL_RE.match(sym):
-                raise ValueError(f"bad basis symbol {sym!r}")
+            raise ModelFileError("$.basis", "expected a nonempty symbol list")
+        for i, sym in enumerate(basis):
+            if not (isinstance(sym, str) and _SYMBOL_RE.fullmatch(sym)):
+                raise ModelFileError(f"$.basis[{i}]", f"bad symbol {sym!r}")
         if len(set(basis)) != len(basis):
-            raise ValueError("basis symbols must be distinct")
+            raise ModelFileError("$.basis", "symbols must be distinct")
         n = len(basis)
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
-        if len(gram) != n or any(len(row) != n for row in gram):
-            raise ValueError(f"gram matrix must be {n}x{n}")
+        gram = tuple(self.gram)
+        if len(gram) != n:
+            raise ModelFileError("$.gram", f"expected {n} rows")
+        for i, row in enumerate(gram):
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                raise ModelFileError(f"$.gram[{i}]", f"expected {n} entries")
+            for j, x in enumerate(row):
+                _int(x, f"$.gram[{i}][{j}]")
+        gram = tuple(tuple(row) for row in gram)
         for i in range(n):
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:
-                    raise ValueError(f"gram matrix is not symmetric at ({i},{j})")
-        canonical = tuple(int(x) for x in self.canonical)
+                    raise ModelFileError(f"$.gram[{j}][{i}]", "gram matrix must be symmetric")
+        canonical = tuple(self.canonical)
         if len(canonical) != n:
-            raise ValueError("canonical class has wrong length")
+            raise ModelFileError("$.K", f"expected {n} coordinates")
+        for i, x in enumerate(canonical):
+            _int(x, f"$.K[{i}]")
+        area = tuple(self.area)
+        if len(area) != n:
+            raise ModelFileError("$.area", f"expected {n} entries")
+        area = tuple(_rational(x, f"$.area[{i}]") for i, x in enumerate(area))
+        if self.b2plus_override is not None and _int(self.b2plus_override, "$.b2plus") < 0:
+            raise ModelFileError("$.b2plus", "must be non-negative")
         # K characteristic mod 2 keeps every k(A) an integer.
         for i in range(n):
             k_dot_ei = sum(canonical[r] * gram[r][i] for r in range(n))
             if (gram[i][i] - k_dot_ei) % 2 != 0:
-                raise ValueError(
-                    f"canonical class is not characteristic mod 2 at basis vector {basis[i]}"
+                raise ModelFileError(
+                    "$.K",
+                    f"canonical class is not characteristic mod 2 at basis vector {basis[i]}",
                 )
-        area = tuple(_as_fraction(x) for x in self.area)
-        if len(area) != n:
-            raise ValueError("area vector has wrong length")
-        if self.b2plus_override is not None and self.b2plus_override < 0:
-            raise ValueError("b2plus override must be non-negative")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "canonical", canonical)
@@ -286,7 +311,10 @@ def parse_class(lattice: IntersectionLattice, expr: str) -> HClass:
         sign, digits, sym = m.groups()
         if not first and sign == "":
             raise ClassParseError(f"missing +/- before {sym!r} in {expr!r}")
-        coeff = int(digits) if digits else 1
+        try:
+            coeff = int(digits) if digits else 1
+        except ValueError:  # past int()'s digit limit
+            raise ClassParseError(f"coefficient of {sym!r} has too many digits") from None
         if sign == "-":
             coeff = -coeff
         coords[lattice.symbol_index(sym)] += coeff
@@ -337,54 +365,49 @@ class ManifoldModel:
 
     def __post_init__(self) -> None:
         exc = tuple(self.exceptional)
-        for E in exc:
-            self._check_owned(E, "exceptional class")
+        for i, E in enumerate(exc):
+            path = f"$.exceptional[{i}]"
+            self._check_owned(E, path)
             if pair(E, E) != -1 or c1(E) != 1:
-                raise ValueError(
-                    f"exceptional class {E} must satisfy E.E = -1 and c1(E) = 1"
-                )
+                raise ModelFileError(path, f"{E} is not exceptional (needs E.E = -1 and c1(E) = 1)")
         if len(set(exc)) != len(exc):
-            raise ValueError("duplicate exceptional classes")
+            raise ModelFileError("$", "duplicate exceptional classes")
         if self.minimal and exc:
-            raise ValueError("a minimal model cannot store exceptional classes")
+            raise ModelFileError("$.minimal", "a minimal model cannot list exceptional classes")
         gr0 = {}
-        for A, v in dict(self.gr0_table).items():
-            self._check_table_key(A)
-            gr0[A] = int(v)
+        for i, (A, v) in enumerate(dict(self.gr0_table).items()):
+            self._check_table_key(A, f"$.gr0_table[{i}].class")
+            gr0[A] = _int(v, f"$.gr0_table[{i}].value")
         tori = {}
-        for A, entries in dict(self.torus_table).items():
-            self._check_table_key(A)
+        for i, (A, entries) in enumerate(dict(self.torus_table).items()):
+            path = f"$.torus_table[{i}]"
+            self._check_table_key(A, f"{path}.class")
             if A.content() != 1:
-                raise ValueError(f"torus table key {A} must be primitive")
-            norm = []
-            for label, cover in entries:
-                if not isinstance(label, TorusLabel):
-                    label = TorusLabel.parse(str(label))
-                cover = int(cover)
-                if cover < 1:
-                    raise ValueError(f"torus cover multiplicity must be >= 1 on {A}")
-                norm.append((label, cover))
-            tori[A] = tuple(norm)
+                raise ModelFileError(f"{path}.class", f"{A} must be primitive")
+            try:
+                tori[A] = parse_tori(entries)
+            except ModelFileError as err:
+                raise ModelFileError(f"{path}.tori{err.path[1:]}", err.message) from None
         spheres = {}
-        for A, v in dict(self.sphere_table).items():
-            self._check_table_key(A)
-            v = int(v)
-            if v < 0:
-                raise ValueError(f"sphere count for {A} must be non-negative")
+        for i, (A, v) in enumerate(dict(self.sphere_table).items()):
+            path = f"$.sphere_table[{i}]"
+            self._check_table_key(A, f"{path}.class")
+            if _int(v, f"{path}.count") < 0:
+                raise ModelFileError(f"{path}.count", "sphere counts must be non-negative")
             spheres[A] = v
         object.__setattr__(self, "exceptional", exc)
         object.__setattr__(self, "gr0_table", gr0)
         object.__setattr__(self, "torus_table", tori)
         object.__setattr__(self, "sphere_table", spheres)
 
-    def _check_owned(self, A: HClass, what: str) -> None:
+    def _check_owned(self, A: HClass, path: str) -> None:
         if A.lattice != self.lattice:
-            raise ValueError(f"{what} {A} belongs to a different lattice")
+            raise ModelFileError(path, f"{A} belongs to a different lattice")
 
-    def _check_table_key(self, A: HClass) -> None:
-        self._check_owned(A, "table key")
+    def _check_table_key(self, A: HClass, path: str) -> None:
+        self._check_owned(A, path)
         if omega_area(A) <= 0:
-            raise ValueError(f"table key {A} must have positive area")
+            raise ModelFileError(path, f"table key {A} must have positive area")
 
     @property
     def name(self) -> str:

@@ -17,37 +17,31 @@ A model file is a single JSON object:
     }
 
 `K` is an integer coordinate vector in the declared basis; `area` entries
-are exact rationals written "p/q" (plain integers are accepted).  Classes
-elsewhere are expressions over the basis symbols.  The file is validated
-completely before any computation; the first violation aborts loading and
-reports its path into the document ("$.gram[1][0]") or, for syntax errors,
-the line and column.
+are exact rationals, each an integer or a "p/q" string.  Classes elsewhere
+are expressions over the basis symbols.
+
+This module only maps JSON to constructor arguments: it checks the syntax,
+the field names, the JSON type of each field and table entry, parses class
+expressions, and groups torus entries by class.  Every rule a model must
+satisfy is checked once, by IntersectionLattice and ManifoldModel, whose
+errors already carry the document path ("$.gram[1][0]"); only a torus
+entry's path is mapped back from its group to its place in the file.  The
+first violation aborts loading.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import ClassParseError, ModelFileError
-from .lattice import HClass, IntersectionLattice, ManifoldModel, c1, omega_area, pair, parse_class
-from .torus_series import TorusLabel
+from .lattice import HClass, IntersectionLattice, ManifoldModel, parse_class
 
-_TOP_KEYS = {
-    "name",
-    "basis",
-    "gram",
-    "K",
-    "area",
-    "b2plus",
-    "exceptional",
-    "minimal",
-    "gr0_table",
-    "torus_table",
-    "sphere_table",
-}
+_FIELDS = {"name", "basis", "gram", "K", "area", "b2plus", "exceptional", "minimal"}
+# table: the fields of each entry besides "class"
+_TABLES = {"gr0_table": ("value",), "torus_table": ("label", "cover"), "sphere_table": ("count",)}
+_TORUS_PATH = re.compile(r"\$\.torus_table\[(\d+)\](?:\.tori\[(\d+)\])?\.(\w+)")
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -55,20 +49,10 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ModelFileError(path, message)
 
 
-def _int_at(value, path: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    _expect(isinstance(value, list), f"$.{key}", "expected a list")
     return value
-
-
-def _fraction_at(value, path: str) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ModelFileError(path, f"not an exact rational: {value!r}") from None
-    raise ModelFileError(path, "expected an integer or a 'p/q' string")
 
 
 def _class_at(lattice: IntersectionLattice, value, path: str) -> HClass:
@@ -79,152 +63,62 @@ def _class_at(lattice: IntersectionLattice, value, path: str) -> HClass:
         raise ModelFileError(path, str(exc)) from None
 
 
-def _positive_area_key(A: HClass, path: str) -> HClass:
-    _expect(omega_area(A) > 0, path, f"table key {A} must have positive area")
-    return A
-
-
 def load_model(source: str | Path) -> ManifoldModel:
-    """Read and fully validate a manifold model file."""
-    text = Path(source).read_text(encoding="utf-8")
+    """Read a manifold model file; any violation raises ModelFileError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFileError(
             "$", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past int()'s digit limit, or nesting past the recursion limit
+        raise ModelFileError("$", str(exc)) from None
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     for key in doc:
-        _expect(key in _TOP_KEYS, f"$.{key}", "unknown field")
+        _expect(key in _FIELDS or key in _TABLES, f"$.{key}", "unknown field")
     for key in ("name", "basis", "gram", "K", "area"):
         _expect(key in doc, f"$.{key}", "required field is missing")
     _expect(isinstance(doc["name"], str) and doc["name"], "$.name", "expected a nonempty string")
-
-    basis = doc["basis"]
-    _expect(isinstance(basis, list) and basis, "$.basis", "expected a nonempty symbol list")
-    for i, sym in enumerate(basis):
-        _expect(isinstance(sym, str), f"$.basis[{i}]", "expected a symbol string")
-        _expect(
-            bool(re.match(r"[A-Za-z_][A-Za-z_0-9]*\Z", sym)),
-            f"$.basis[{i}]",
-            f"bad symbol {sym!r}",
-        )
-    _expect(len(set(basis)) == len(basis), "$.basis", "symbols must be distinct")
-    rank = len(basis)
-
-    gram_doc = doc["gram"]
-    _expect(isinstance(gram_doc, list) and len(gram_doc) == rank, "$.gram", f"expected {rank} rows")
-    gram = []
-    for i, row in enumerate(gram_doc):
-        _expect(isinstance(row, list) and len(row) == rank, f"$.gram[{i}]", f"expected {rank} entries")
-        gram.append(tuple(_int_at(x, f"$.gram[{i}][{j}]") for j, x in enumerate(row)))
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            _expect(
-                gram[i][j] == gram[j][i],
-                f"$.gram[{j}][{i}]",
-                "gram matrix must be symmetric",
-            )
-
-    k_doc = doc["K"]
-    _expect(isinstance(k_doc, list) and len(k_doc) == rank, "$.K", f"expected {rank} coordinates")
-    canonical = tuple(_int_at(x, f"$.K[{i}]") for i, x in enumerate(k_doc))
-
-    area_doc = doc["area"]
-    _expect(isinstance(area_doc, list) and len(area_doc) == rank, "$.area", f"expected {rank} entries")
-    area = tuple(_fraction_at(x, f"$.area[{i}]") for i, x in enumerate(area_doc))
-
-    b2plus = doc.get("b2plus")
-    if b2plus is not None:
-        b2plus = _int_at(b2plus, "$.b2plus")
-        _expect(b2plus >= 0, "$.b2plus", "must be non-negative")
-
-    try:
-        lattice = IntersectionLattice(
-            name=doc["name"],
-            basis=tuple(basis),
-            gram=tuple(gram),
-            canonical=canonical,
-            area=area,
-            b2plus_override=b2plus,
-        )
-    except ValueError as exc:
-        # The characteristic test is the only invariant not already checked.
-        raise ModelFileError("$.K", str(exc)) from None
-
-    exceptional = []
-    exc_doc = doc.get("exceptional", [])
-    _expect(isinstance(exc_doc, list), "$.exceptional", "expected a list")
-    for i, expr in enumerate(exc_doc):
-        path = f"$.exceptional[{i}]"
-        E = _class_at(lattice, expr, path)
-        _expect(
-            pair(E, E) == -1 and c1(E) == 1,
-            path,
-            f"{E} is not exceptional (needs E.E = -1 and c1(E) = 1)",
-        )
-        exceptional.append(E)
-
+    lattice = IntersectionLattice(
+        name=doc["name"],
+        basis=tuple(_list(doc, "basis")),
+        gram=tuple(_list(doc, "gram")),
+        canonical=tuple(_list(doc, "K")),
+        area=tuple(_list(doc, "area")),
+        b2plus_override=doc.get("b2plus"),
+    )
+    exceptional = tuple(
+        _class_at(lattice, expr, f"$.exceptional[{i}]")
+        for i, expr in enumerate(_list(doc, "exceptional"))
+    )
     minimal = doc.get("minimal", False)
     _expect(isinstance(minimal, bool), "$.minimal", "expected true or false")
-    _expect(
-        not (minimal and exceptional),
-        "$.minimal",
-        "a minimal model cannot list exceptional classes",
-    )
 
-    gr0_table = {}
-    gr0_doc = doc.get("gr0_table", [])
-    _expect(isinstance(gr0_doc, list), "$.gr0_table", "expected a list")
-    for i, entry in enumerate(gr0_doc):
-        path = f"$.gr0_table[{i}]"
-        _expect(isinstance(entry, dict), path, "expected an object {class, value}")
-        _expect("class" in entry and "value" in entry, path, "needs fields class and value")
-        A = _positive_area_key(_class_at(lattice, entry["class"], f"{path}.class"), f"{path}.class")
-        gr0_table[A] = _int_at(entry["value"], f"{path}.value")
-
-    torus_entries: dict[HClass, list] = {}
-    torus_doc = doc.get("torus_table", [])
-    _expect(isinstance(torus_doc, list), "$.torus_table", "expected a list")
-    for i, entry in enumerate(torus_doc):
-        path = f"$.torus_table[{i}]"
-        _expect(isinstance(entry, dict), path, "expected an object {class, label, cover}")
-        _expect(
-            "class" in entry and "label" in entry and "cover" in entry,
-            path,
-            "needs fields class, label and cover",
-        )
-        A = _positive_area_key(_class_at(lattice, entry["class"], f"{path}.class"), f"{path}.class")
-        _expect(A.content() == 1, f"{path}.class", f"{A} must be primitive")
-        _expect(isinstance(entry["label"], str), f"{path}.label", "expected a label string")
-        try:
-            label = TorusLabel.parse(entry["label"])
-        except ValueError as exc:
-            raise ModelFileError(f"{path}.label", str(exc)) from None
-        cover = _int_at(entry["cover"], f"{path}.cover")
-        _expect(cover >= 1, f"{path}.cover", "cover multiplicity must be >= 1")
-        torus_entries.setdefault(A, []).append((label, cover))
-
-    sphere_table = {}
-    sphere_doc = doc.get("sphere_table", [])
-    _expect(isinstance(sphere_doc, list), "$.sphere_table", "expected a list")
-    for i, entry in enumerate(sphere_doc):
-        path = f"$.sphere_table[{i}]"
-        _expect(isinstance(entry, dict), path, "expected an object {class, count}")
-        _expect("class" in entry and "count" in entry, path, "needs fields class and count")
-        A = _positive_area_key(_class_at(lattice, entry["class"], f"{path}.class"), f"{path}.class")
-        count = _int_at(entry["count"], f"{path}.count")
-        _expect(count >= 0, f"{path}.count", "sphere counts must be non-negative")
-        sphere_table[A] = count
-
+    tables = {}
+    rows: dict[HClass, list[int]] = {}  # file indices of each torus_table class
+    for table, fields in _TABLES.items():
+        tables[table] = entries = {}
+        names = ("class",) + fields
+        shape = ", ".join(names[:-1]) + " and " + names[-1]
+        for i, entry in enumerate(_list(doc, table)):
+            path = f"$.{table}[{i}]"
+            _expect(isinstance(entry, dict), path, "expected an object {" + ", ".join(names) + "}")
+            _expect(all(f in entry for f in names), path, f"needs fields {shape}")
+            A = _class_at(lattice, entry["class"], f"{path}.class")
+            if table == "torus_table":
+                entries.setdefault(A, []).append((entry["label"], entry["cover"]))
+                rows.setdefault(A, []).append(i)
+            else:
+                _expect(A not in entries, f"{path}.class", f"duplicate entry for class {A}")
+                entries[A] = entry[fields[0]]
     try:
-        return ManifoldModel(
-            lattice=lattice,
-            exceptional=tuple(exceptional),
-            minimal=minimal,
-            gr0_table=gr0_table,
-            torus_table={A: tuple(v) for A, v in torus_entries.items()},
-            sphere_table=sphere_table,
-        )
-    except ValueError as exc:
-        raise ModelFileError("$", str(exc)) from None
+        return ManifoldModel(lattice, exceptional, minimal, **tables)
+    except ModelFileError as exc:
+        # The model indexes torus entries by class group; the file, by line.
+        m = _TORUS_PATH.fullmatch(exc.path)
+        if m is None:
+            raise
+        group = list(rows.values())[int(m[1])]
+        index = group[int(m[2] or 0)]
+        raise ModelFileError(f"$.torus_table[{index}].{m[3]}", exc.message) from None

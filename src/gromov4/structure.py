@@ -36,6 +36,7 @@ from typing import Iterable, Sequence
 from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error
 from .invariants import (
     EXCEPTIONAL_SPHERE,
+    _proportional,
     classify_negative,
     ell_g,
     is_good_class,
@@ -287,15 +288,6 @@ class Decomposition:
                 if pair(p, q) != 0 or _proportional(p, q):
                     return False
         return True
-
-
-def _proportional(A: HClass, B: HClass) -> bool:
-    u, v = A.coords, B.coords
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return False
-    return True
 
 
 def enumerate_decompositions(

@@ -25,6 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import ModelFileError, _int
+
 _LABEL_RE = re.compile(r"^([+-])([0-3])$")
 
 
@@ -151,23 +153,6 @@ class TruncSeries:
         return TruncSeries(tuple(out))
 
 
-# Module-level operation aliases matching the documented surface.
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
-def series_inverse(a: TruncSeries) -> TruncSeries:
-    return a.inverse()
-
-
-def substitute_power(a: TruncSeries, m: int) -> TruncSeries:
-    return a.substitute_power(m)
-
-
-def coeff(a: TruncSeries, k: int) -> int:
-    return a.coeff(k)
-
-
 @functools.lru_cache(maxsize=None)
 def f_series(label: TorusLabel, order: int) -> TruncSeries:
     """Expansion of the generating function attached to a torus label."""
@@ -189,20 +174,27 @@ def f_series(label: TorusLabel, order: int) -> TruncSeries:
     return plus if label.sign > 0 else plus.inverse()
 
 
-def _normalize_tori(tori: Iterable) -> list[tuple[TorusLabel, int]]:
+def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
+    """Normalize a torus list to (label, cover) pairs.
+
+    Each entry is a label (a TorusLabel or its text; cover 1) or a
+    (label, cover) pair whose cover is an integer >= 1.  A bad entry j
+    raises ModelFileError at "$[j].label" or "$[j].cover".
+    """
     out = []
-    for entry in tori:
-        if isinstance(entry, TorusLabel):
-            out.append((entry, 1))
-            continue
-        label, m = entry
-        if not isinstance(label, TorusLabel):
-            label = TorusLabel.parse(str(label))
-        m = int(m)
-        if m < 1:
-            raise ValueError("cover multiplicity must be >= 1")
-        out.append((label, m))
-    return out
+    for j, entry in enumerate(tori):
+        label, cover = (entry, 1) if isinstance(entry, (str, TorusLabel)) else entry
+        if isinstance(label, str):
+            try:
+                label = TorusLabel.parse(label)
+            except ValueError as exc:
+                raise ModelFileError(f"$[{j}].label", str(exc)) from None
+        elif not isinstance(label, TorusLabel):
+            raise ModelFileError(f"$[{j}].label", "expected a label string")
+        if _int(cover, f"$[{j}].cover") < 1:
+            raise ModelFileError(f"$[{j}].cover", "cover multiplicity must be >= 1")
+        out.append((label, cover))
+    return tuple(out)
 
 
 def gr_torus_class(tori: Iterable, k: int) -> int:
@@ -215,6 +207,6 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     if k < 0:
         raise ValueError("degree must be non-negative")
     acc = TruncSeries.one(k)
-    for label, m in _normalize_tori(tori):
+    for label, m in parse_tori(tori):
         acc = acc * f_series(label, k).substitute_power(m)
     return acc.coeff(k)

@@ -12,6 +12,8 @@ from gromov4 import (
     ClassParseError,
     IntersectionLattice,
     LatticeMismatchError,
+    ManifoldModel,
+    ModelFileError,
     UnknownPresetError,
     b2_plus,
     c1,
@@ -161,6 +163,8 @@ def test_parse_rejects_garbage():
     for expr in ("3Q", "", "L L", "3", "L +", "+ +L", "L & L"):
         with pytest.raises(ClassParseError):
             m.parse(expr)
+    with pytest.raises(ClassParseError):  # a coefficient past int()'s digit limit
+        m.parse("9" * 5000 + "L")
 
 
 def test_format_class_layout():
@@ -227,6 +231,26 @@ def test_lattice_validation():
     # K = 0 on an odd lattice breaks the parity guarantee
     with pytest.raises(ValueError):
         IntersectionLattice("x", ("a",), ((1,),), (0,), (1,))
+
+
+def test_constructors_reject_inexact_numbers():
+    # no float, bool or string is converted: each is reported at its path
+    for gram in (((1.0,),), ((True,),)):
+        with pytest.raises(ModelFileError) as info:
+            IntersectionLattice("x", ("a",), gram, (1,), (1,))
+        assert info.value.path == "$.gram[0][0]"
+    with pytest.raises(ModelFileError) as info:
+        IntersectionLattice("x", ("a",), ((1,),), (1,), (True,))
+    assert info.value.path == "$.area[0]"
+    m = preset("s2xt2")
+    B = m.parse("B")
+    for cover in (2.7, "2", True):
+        with pytest.raises(ModelFileError) as info:
+            ManifoldModel(m.lattice, torus_table={B: (("+0", cover),)})
+        assert info.value.path == "$.torus_table[0].tori[0].cover"
+    with pytest.raises(ModelFileError) as info:
+        ManifoldModel(m.lattice, sphere_table={B: 1, m.parse("S"): 1.0})
+    assert info.value.path == "$.sphere_table[1].count"
 
 
 def test_preset_lookup_forms():

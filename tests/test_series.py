@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from gromov4 import ALL_LABELS, TorusLabel, TruncSeries, f_series, gr_torus_class
+from gromov4 import ALL_LABELS, TorusLabel, TruncSeries, f_series, gr_torus_class, parse_tori
 
 
 # Oracle: expand num/den as a power series by exact long division.  The
@@ -130,6 +130,15 @@ def test_empty_list_counts_only_the_empty_curve():
     assert gr_torus_class([], 5) == 0
     with pytest.raises(ValueError):
         gr_torus_class([("+0", 1)], -1)
+
+
+def test_parse_tori_takes_bare_labels_and_integer_covers():
+    plus0, minus2, plus1 = TorusLabel(1, 0), TorusLabel(-1, 2), TorusLabel(1, 1)
+    assert parse_tori(["+0", minus2, ("+1", 3)]) == ((plus0, 1), (minus2, 1), (plus1, 3))
+    assert [gr_torus_class(["+0"], k) for k in range(4)] == [1, 1, 1, 1]
+    for cover in (2.7, "2", True, 0):
+        with pytest.raises(ValueError):
+            gr_torus_class([("+0", cover)], 4)
 
 
 def test_cover_multiplicity_substitutes_powers():
