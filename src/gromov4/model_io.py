@@ -71,8 +71,9 @@ def load_model(source: str | Path) -> ManifoldModel:
         raise ModelFileError(
             "$", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    except (ValueError, RecursionError) as exc:
-        # not UTF-8, an integer past int()'s digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError, OSError) as exc:
+        # not UTF-8, an integer past int()'s digit limit, nesting past the
+        # recursion limit, or a path that cannot be read (a directory, no permission)
         raise ModelFileError("$", str(exc)) from None
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     for key in doc:

@@ -7,7 +7,10 @@ with sum A, pairwise disjoint representatives (distinct parts must pair to
 zero; a class may repeat only if it is exceptional or has square zero, so
 that parallel disjoint copies exist), and every part must satisfy
 c1(B_i) >= 1: the per-part point budget is k_i = c1(B_i) - 1, and these
-budgets add up to the total k = c1(A) - p automatically.
+budgets add up to the total k = c1(A) - p automatically.  The
+configurations come from the search shared with decompositions
+(structure._orthogonal_combinations), with cap none on exceptional and
+square-zero classes, cap 1 on every other class, and at most c1(A) parts.
 
 Each configuration contributes the product of the table counts N(B_i).
 When a class repeats r >= 2 times with a positive per-copy budget, the
@@ -24,7 +27,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
     AssignmentAmbiguityWarning,
@@ -32,7 +34,8 @@ from .errors import (
     UnknownSphereCountError,
 )
 from .invariants import genus_embedded
-from .lattice import HClass, ManifoldModel, c1, omega_area, pair
+from .lattice import HClass, ManifoldModel, c1, pair
+from .structure import _orthogonal_combinations
 
 
 @dataclass(frozen=True)
@@ -79,46 +82,12 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     cA = c1(A)
     if cA < 1:
         return []
-    wA = omega_area(A)
-    keys = [
-        B
-        for B in sorted(model.sphere_table, key=lambda b: b.coords)
-        if c1(B) >= 1 and omega_area(B) <= wA
-    ]
-    configs: list[SphereConfig] = []
-
-    def accept(chosen: list[tuple[HClass, int]]) -> None:
-        picked = [(B, r) for B, r in chosen if r > 0]
-        if not picked:
-            return
-        for idx, (B, r) in enumerate(picked):
-            if r >= 2 and not (B in model.exceptional or pair(B, B) == 0):
-                return
-            for B2, _ in picked[idx + 1 :]:
-                if pair(B, B2) != 0:
-                    return
-        p = sum(r for _, r in picked)
-        if p > cA:
-            return
-        parts = tuple(B for B, r in picked for _ in range(r))
-        configs.append(SphereConfig(parts, cA - p, p))
-
-    def search(i: int, remaining: HClass, w_left, p_used: int, chosen: list) -> None:
-        if i == len(keys):
-            if remaining.is_zero:
-                accept(chosen)
-            return
-        B = keys[i]
-        w = omega_area(B)
-        max_r = int(w_left // w) if w_left > 0 else 0
-        max_r = min(max_r, cA - p_used)
-        rem = remaining
-        for r in range(max_r + 1):
-            search(i + 1, rem, w_left - r * w, p_used + r, chosen + [(B, r)])
-            rem = rem - B
-
-    if wA > 0:
-        search(0, A, wA, 0, [])
+    keys = [B for B in sorted(model.sphere_table, key=lambda b: b.coords) if c1(B) >= 1]
+    caps = [None if B in model.exceptional or pair(B, B) == 0 else 1 for B in keys]
+    configs = []
+    for selection in _orthogonal_combinations(A, keys, caps, max_parts=cA):
+        p = sum(r for _, r in selection)
+        configs.append(SphereConfig(tuple(B for B, r in selection for _ in range(r)), cA - p, p))
     configs.sort(key=lambda cfg: (cfg.p, tuple(b.coords for b in cfg.parts)))
     return configs
 

@@ -21,6 +21,11 @@ square-zero parts.  Candidate parts are always explicit inputs; the
 finiteness of relevant classes is a compactness statement with no
 constructive bound, so nothing is inferred silently.
 
+Decompositions and the sphere configurations of spherical.py come from
+one search, _orthogonal_combinations: pairwise orthogonal candidates whose
+capped multiplicities sum to A.  Decompositions cap a negative square at
+0, a positive square at 1, and leave square zero uncapped.
+
 check_kmin_constraints flags violations of the constraints satisfied by
 the invariants of a minimal manifold with b2+ > 1: (i) Gr(A) != 0 forces
 k(A) = 0, (iii) |Gr(A)| = |Gr(K-A)|, and (iv) if K.K = 0, Gr(A) != 0
@@ -30,8 +35,7 @@ forces A.A = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error
 from .invariants import (
@@ -290,73 +294,82 @@ class Decomposition:
         return True
 
 
+def _orthogonal_combinations(
+    A: HClass, cands: Sequence[HClass], caps: Sequence[int | None], max_parts: int | None = None
+) -> Iterator[list[tuple[HClass, int]]]:
+    """Every selection [(cand, n), ...] with n >= 1 and sum n * cand = A.
+
+    Candidates must have positive area.  Candidate i enters at most caps[i]
+    times, the multiplicities add up to at most max_parts (None: no bound
+    for either), and each picked candidate pairs to zero with every other
+    one.  These rules prune inside the recursion; a branch ends once the
+    remaining class is zero or its area is not positive, and a candidate
+    that no later one can join takes the one multiplicity that would finish
+    the sum.  Each selection comes once, in candidate order.
+    """
+    areas = [omega_area(c) for c in cands]
+    clash = [[pair(a, b) != 0 for b in cands] for a in cands]
+
+    def search(allowed: list, remaining: HClass, w_left, room, picked: list):
+        if remaining.is_zero:
+            yield picked
+            return
+        if w_left <= 0:
+            return
+        for pos, i in enumerate(allowed):
+            top = min(b for b in (w_left // areas[i], caps[i], room) if b is not None)
+            rest = [j for j in allowed[pos + 1 :] if not clash[i][j]]
+            if not rest:  # nothing can follow candidate i: solve for its multiplicity
+                n = w_left / areas[i]
+                if n.denominator == 1 and n <= top and int(n) * cands[i] == remaining:
+                    yield picked + [(cands[i], int(n))]
+                continue
+            rem = remaining
+            for n in range(1, top + 1):
+                rem = rem - cands[i]
+                left = None if room is None else room - n
+                yield from search(rest, rem, w_left - n * areas[i], left, picked + [(cands[i], n)])
+
+    w_total = omega_area(A)
+    if w_total > 0:
+        yield from search([i for i, cap in enumerate(caps) if cap != 0], A, w_total, max_parts, [])
+
+
 def enumerate_decompositions(
     model: ManifoldModel, A: HClass, candidates: Sequence[HClass]
 ) -> list[Decomposition]:
     """All decompositions of A generated by the candidate classes.
 
-    The search runs over non-negative integer coefficient vectors on the
-    candidates, exhaustively within the area bound omega(A); square-zero
-    candidates on a common ray merge into a single part, square-positive
-    candidates enter with coefficient at most 1 (a larger coefficient
-    would duplicate a part, violating non-proportionality), and
-    negative-square candidates can never appear in a valid assignment.
-    On a minimal model with b2+ > 1, candidates with k != 0 are dropped
-    up front: their Gr0 vanishes, so they cannot carry a count.
+    The coefficients come from _orthogonal_combinations with the caps of
+    the module docstring (a second copy of a square-positive part would be
+    proportional to it).  Square-zero candidates on a common ray merge into
+    one part.  Orthogonal parts of positive area are never proportional, so
+    no further test is needed.  On a minimal model with b2+ > 1, candidates
+    with k != 0 are dropped up front: their Gr0 vanishes, so they cannot
+    carry a count.
     """
     lat = A.lattice
-    cands = []
     for cand in candidates:
         if cand.lattice != lat:
             raise InvalidCandidateError(f"candidate {cand} lives in another lattice")
         if omega_area(cand) <= 0:
             raise InvalidCandidateError(f"candidate {cand} must have positive area")
-        if cand not in cands:
-            cands.append(cand)
+    cands = sorted(set(candidates), key=lambda cand: cand.coords)
     if model.minimal and b2_plus(lat) > 1:
         cands = [cand for cand in cands if k(cand) == 0]
-    cands.sort(key=lambda cand: cand.coords)
+    caps = [0 if sq < 0 else 1 if sq > 0 else None for sq in map(pair, cands, cands)]
     found: dict[tuple, Decomposition] = {}
-
-    def consider(assignment: list[tuple[HClass, int]]) -> None:
+    for selection in _orthogonal_combinations(A, cands, caps):
         parts: list[HClass] = []
         rays: dict[tuple[int, ...], HClass] = {}
-        for cand, nn in assignment:
-            sq = pair(cand, cand)
-            if sq < 0:
-                return
-            if sq == 0:
-                key = cand.primitive().coords
-                rays[key] = rays.get(key, lat.zero()) + nn * cand
-            elif nn == 1:
+        for cand, n in selection:
+            if pair(cand, cand) > 0:
                 parts.append(cand)
             else:
-                return  # repeated square-positive part: proportional to itself
-        parts.extend(rays.values())
-        for i, p in enumerate(parts):
-            for q in parts[i + 1 :]:
-                if pair(p, q) != 0 or _proportional(p, q):
-                    return
-        dec = Decomposition(tuple(parts))
+                key = cand.primitive().coords
+                rays[key] = rays.get(key, lat.zero()) + n * cand
+        dec = Decomposition(tuple(parts) + tuple(rays.values()))
         found[tuple(p.coords for p in dec.parts)] = dec
-
-    w_total = omega_area(A)
-
-    def search(i: int, remaining: HClass, w_left: Fraction, picked: list) -> None:
-        if i == len(cands):
-            if picked and remaining.is_zero:
-                consider(picked)
-            return
-        cand = cands[i]
-        w = omega_area(cand)
-        max_n = int(w_left // w) if w_left > 0 else 0
-        rem = remaining
-        for n in range(max_n + 1):
-            search(i + 1, rem, w_left - n * w, picked + [(cand, n)] if n else picked)
-            rem = rem - cand
-
-    if w_total > 0:
-        search(0, A, w_total, [])
     return [found[key] for key in sorted(found)]
 
 

@@ -244,6 +244,16 @@ def test_undecodable_file_and_long_coefficient_are_model_errors(tmp_path):
     expect_error(tmp_path, lambda d: d["exceptional"].append("9" * 5000 + "U"), "$.exceptional[0]")
 
 
+def test_unreadable_path_is_a_model_error(tmp_path, capsys):
+    p = tmp_path / "dirmodel.json"
+    p.mkdir()
+    with pytest.raises(ModelFileError) as info:
+        load_model(p)
+    assert info.value.path == "$"
+    assert run(["k", "--manifold", str(p), "--class", "U"]) == 2
+    assert capsys.readouterr().err.startswith("error code=model msg=$: ")
+
+
 _KEYS = st.sampled_from(sorted(VALID) + ["class", "label", "cover", "value", "count"])
 _JSON = st.recursive(
     st.none()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from gromov4 import (
@@ -33,6 +35,69 @@ def test_point_budget_for_given_component_count():
         k_for(cp2.parse("2L"), 0)
     with pytest.raises(PreconditionError):
         k_for(cp2.parse("2L"), 7)
+
+
+# Brute-force oracle: walk every multiplicity vector on the table keys
+# within the area bound omega(A), and keep those that satisfy the rules of
+# the module docstring, computed from the raw Gram matrix, K and areas.
+def oracle_sphere_configs(model, A):
+    lat = model.lattice
+    rank = lat.rank
+
+    def dot(u, v):
+        return sum(u[r] * lat.gram[r][s] * v[s] for r in range(rank) for s in range(rank))
+
+    def area(u):
+        return sum(w * x for w, x in zip(lat.area, u))
+
+    def vectors(i, w_left):
+        if i == len(keys):
+            yield ()
+            return
+        n = 0
+        while n * area(keys[i]) <= w_left:
+            for rest in vectors(i + 1, w_left - n * area(keys[i])):
+                yield (n,) + rest
+            n += 1
+
+    keys = sorted(B.coords for B in model.sphere_table)
+    exceptional = {E.coords for E in model.exceptional}
+    cA = -dot(lat.canonical, A.coords)
+    found = []
+    for vec in vectors(0, area(A.coords)):
+        picked = [(B, n) for B, n in zip(keys, vec) if n]
+        p = sum(vec)
+        if (
+            picked
+            and tuple(sum(n * B[r] for B, n in picked) for r in range(rank)) == A.coords
+            and all(dot(B, C) == 0 for (B, _), (C, _) in combinations(picked, 2))
+            and all(n == 1 or B in exceptional or dot(B, B) == 0 for B, n in picked)
+            and all(-dot(lat.canonical, B) >= 1 for B, _ in picked)
+            and p <= cA
+        ):
+            found.append((tuple(B for B, n in picked for _ in range(n)), cA - p, p))
+    return sorted(found, key=lambda cfg: (cfg[2], cfg[0]))
+
+
+def test_config_enumeration_matches_oracle():
+    cases = [
+        (preset("cp2"), ["L", "2L", "3L", "4L", "5L", "6L", "-L"]),
+        (preset("cp2_blowup", 1), ["3E1", "L+2E1", "3L+E1", "2L-E1", "L-E1", "5L", "2L+2E1"]),
+        (preset("cp2_blowup", 2), ["L+E1+E2", "3E1", "L-E1+E2", "2L+E1", "2L", "E1-E2"]),
+        (preset("cp2_blowup", 3), ["3E1", "L+E1+E2", "L-E1-E2+E3", "2L-E1", "E1+E2+E3"]),
+        (preset("s2xs2"), ["A1+A2", "2A1", "3A1+A2", "2A1+2A2", "A1-A2"]),
+    ]
+    nonempty = 0
+    for model, targets in cases:
+        for expr in targets:
+            A = model.parse(expr)
+            got = [
+                (tuple(B.coords for B in cfg.parts), cfg.k, cfg.p)
+                for cfg in enumerate_sphere_configs(model, A)
+            ]
+            assert got == oracle_sphere_configs(model, A), (model.name, expr)
+            nonempty += bool(got)
+    assert nonempty >= 15
 
 
 def test_config_enumeration_blowup():
@@ -75,6 +140,13 @@ def test_coinciding_exceptional_images_are_allowed():
     assert len(configs) == 1
     assert [str(B) for B in configs[0].parts] == ["E1", "E1", "E1"]
     assert configs[0].k == 0
+
+
+def test_cubics_on_the_triple_blowup():
+    b3 = preset("cp2_blowup", 3)
+    configs = enumerate_sphere_configs(b3, b3.parse("3L"))
+    assert [([str(B) for B in cfg.parts], cfg.k, cfg.p) for cfg in configs] == [(["3L"], 8, 1)]
+    assert gr_s(b3, b3.parse("3L")) == 12
 
 
 def test_config_budgets_identity():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
     Component,
@@ -300,6 +301,77 @@ def test_enumeration_matches_oracle():
             got_keys = {tuple(sorted(p.coords for p in d.parts)) for d in got}
             want = oracle_decompositions(model, A, candidates)
             assert got_keys == want, (model.name, A.coords)
+
+
+# Per model: a pool of positive-area candidates, and the shapes the search
+# must get right, each a group that is put into the drawn candidate set
+# whole.  The flat lattice is positive definite, so it has no square-negative
+# or nonzero square-zero class.
+_DIFF_CASES = {
+    "flat": (
+        ["P", "Q", "2P", "P+Q", "2P+Q", "P+2Q", "3Q"],
+        {"proportional": ["P", "2P"], "intersecting": ["P", "P+Q"]},
+    ),
+    "s2xt2": (
+        ["S", "B", "2B", "3B", "S+B", "2S", "S+2B", "2S+B"],
+        {
+            "negative": ["2S-B"],
+            "proportional": ["S+B", "2S+2B"],
+            "same-ray": ["B", "2B"],
+            "intersecting": ["S", "B"],
+        },
+    ),
+    "cp2_blowup(2)": (
+        ["L", "2L", "E1", "E2", "L-E1", "L-E2", "L-E1-E2", "2L-E1-E2", "2L-2E1", "L+E1"],
+        {
+            "negative": ["E1", "L-E1-E2"],
+            "proportional": ["L", "2L"],
+            "same-ray": ["L-E1", "2L-2E1"],
+            "intersecting": ["L", "L-E1"],
+        },
+    ),
+}
+_DIFF_MODELS = {"flat": _diag11(), "s2xt2": preset("s2xt2"), "cp2_blowup(2)": preset("cp2_blowup", 2)}
+
+
+def _oracle_vectors(A, candidates):
+    # the number of coefficient vectors oracle_decompositions walks
+    n = 1
+    for c in candidates:
+        n *= int(omega_area(A) / omega_area(c)) + 1
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_enumeration_matches_oracle_on_drawn_candidates(data):
+    name = data.draw(st.sampled_from(sorted(_DIFF_CASES)))
+    model = _DIFF_MODELS[name]
+    pool, groups = _DIFF_CASES[name]
+    group = data.draw(st.sampled_from(sorted(groups)))
+    extra = data.draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+    exprs = list(dict.fromkeys(groups[group] + extra))
+    candidates = [model.parse(e) for e in data.draw(st.permutations(exprs))]
+    A = model.lattice.zero()
+    for c in candidates:
+        A = A + data.draw(st.integers(min_value=0, max_value=2)) * c
+    if A.is_zero or data.draw(st.booleans()):
+        A = A + model.parse(data.draw(st.sampled_from(pool)))
+    if _oracle_vectors(A, candidates) > 4000:
+        A = candidates[0]
+    got = enumerate_decompositions(model, A, candidates)
+    assert all(d.satisfies_rules(A) for d in got)
+    want = sorted(oracle_decompositions(model, A, candidates))
+    assert [tuple(p.coords for p in d.parts) for d in got] == want, (name, A.coords)
+
+
+def test_empty_answers_of_large_searches():
+    ruled = preset("s2xt2")
+    S, B = ruled.parse("S"), ruled.parse("B")
+    assert enumerate_decompositions(ruled, S + 64 * B, [S, B, 2 * B, S + B]) == []
+    b4 = preset("cp2_blowup", 4)
+    cands = [b4.parse(e) for e in ("L", "L-E1", "L-E2", "L-E3", "L-E4", "2L", "E1", "E2", "E3")]
+    assert enumerate_decompositions(b4, b4.parse("6L"), cands) == []
 
 
 def test_gromov_ray_counts_match_torus_series():
