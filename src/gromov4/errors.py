@@ -49,6 +49,16 @@ class ClassParseError(ValueError):
     """A class expression could not be parsed."""
 
 
+class CoordinateError(ValueError):
+    """A class coordinate vector has the wrong length, or an entry that is
+    not an int (bools, floats and Fractions are rejected, never converted);
+    `index` is the offending coordinate, None for a wrong length."""
+
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
+
+
 class UnknownPresetError(ValueError):
     """No preset with the requested name exists."""
 

@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     ReductionConsistencyWarning,
 )
-from .lattice import HClass, ManifoldModel, b2_plus, c1, omega_area, pair
+from .lattice import HClass, ManifoldModel, _area_numerator, b2_plus, c1, pair
 from .report import Check, Report
 
 EXCEPTIONAL_SPHERE = "ExceptionalSphere"
@@ -88,7 +88,7 @@ def genus_embedded(A: HClass) -> int:
     May be negative; callers read a negative value as "not representable
     by an embedded connected curve".
     """
-    total = pair(A.lattice.canonical_class(), A) + pair(A, A)
+    total = pair(A, A) - c1(A)  # K.A + A.A
     if total % 2 != 0:
         raise ParityError(f"K.A + A.A is odd for {A}; canonical class is malformed")
     return 1 + total // 2
@@ -178,7 +178,7 @@ def reduce_multicovers(model: ManifoldModel, A: HClass) -> ReduceResult:
 def in_forward_cone(A: HClass, strict: bool = False) -> bool:
     """Membership in the (closed, or open when strict) forward cone."""
     sq = pair(A, A)
-    w = omega_area(A)
+    w = _area_numerator(A)
     if strict:
         return sq > 0 and w > 0
     return sq >= 0 and w >= 0

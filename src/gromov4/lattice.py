@@ -10,8 +10,27 @@ K is required to be characteristic mod 2, i.e. Q(e,e) = Q(K,e) (mod 2) on
 every basis vector.  That congruence is what keeps the point count
 k(A) = (c1(A) + A.A)/2 an integer for every class A.
 
+The constructor validates the fields once and derives, in integers only,
+what the arithmetic reads:
+
+    Gram      the diagonal of Q as one vector, and the nonzero entries
+              q_ij (i < j) above it, so that
+              A.B = sum_i q_ii a_i b_i + sum_{i<j} q_ij (a_i b_j + a_j b_i)
+              costs O(rank + nonzeros);
+    c1        the integer vector -K.Q, so c1(A) is one dot product;
+    area      integer numerators over one common denominator; omega_area
+              builds its Fraction only on return, and sign tests read the
+              numerator (_area_numerator) instead;
+    hash      computed once from the fields; == answers identity at once.
+
 b2+ (the positive index of inertia of Q) is found by symmetric congruence
-reduction over the rationals; no floating point is involved anywhere.
+reduction over the rationals, once per lattice on first use; no floating
+point is involved anywhere.  The derived data never travels with a copy:
+replace(), copy.deepcopy and pickle all rebuild the lattice through its
+constructor, so a hash from another process is never reused.
+
+Class coordinates must be ints (bools, floats and Fractions raise
+CoordinateError); a list is taken as a tuple, and nothing is converted.
 
 A ManifoldModel bundles a lattice with the finite data the counting
 formulas consume: the stored exceptional classes, a minimality flag, and
@@ -32,11 +51,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Mapping, Sequence
 
 from .errors import (
     ClassParseError,
+    CoordinateError,
     LatticeMismatchError,
     ModelFileError,
     UnknownPresetError,
@@ -63,7 +84,7 @@ def _rational(value, path: str) -> Fraction:
     raise ModelFileError(path, f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionLattice:
     """Basis, intersection form, canonical class and area of H_2(M; Z)."""
 
@@ -91,12 +112,14 @@ class IntersectionLattice:
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise ModelFileError(f"$.gram[{i}]", f"expected {n} entries")
             for j, x in enumerate(row):
-                _int(x, f"$.gram[{i}][{j}]")
-        gram = tuple(tuple(row) for row in gram)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gram[i][j] != gram[j][i]:
-                    raise ModelFileError(f"$.gram[{j}][{i}]", "gram matrix must be symmetric")
+                if type(x) is not int:
+                    _int(x, f"$.gram[{i}][{j}]")
+        gram = tuple(map(tuple, gram))
+        if gram != tuple(zip(*gram)):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if gram[i][j] != gram[j][i]:
+                        raise ModelFileError(f"$.gram[{j}][{i}]", "gram matrix must be symmetric")
         canonical = tuple(self.canonical)
         if len(canonical) != n:
             raise ModelFileError("$.K", f"expected {n} coordinates")
@@ -108,18 +131,58 @@ class IntersectionLattice:
         area = tuple(_rational(x, f"$.area[{i}]") for i, x in enumerate(area))
         if self.b2plus_override is not None and _int(self.b2plus_override, "$.b2plus") < 0:
             raise ModelFileError("$.b2plus", "must be non-negative")
-        # K characteristic mod 2 keeps every k(A) an integer.
+        diagonal = tuple(gram[i][i] for i in range(n))
+        off_diagonal = tuple(
+            (i, j, gram[i][j]) for i in range(n) for j in range(i + 1, n) if gram[i][j]
+        )
+        # K.e_j for every basis vector; K characteristic mod 2 keeps every k(A) an integer.
+        k_dot = list(map(mul, diagonal, canonical))
+        for i, j, x in off_diagonal:
+            k_dot[i] += x * canonical[j]
+            k_dot[j] += x * canonical[i]
         for i in range(n):
-            k_dot_ei = sum(canonical[r] * gram[r][i] for r in range(n))
-            if (gram[i][i] - k_dot_ei) % 2 != 0:
+            if (diagonal[i] - k_dot[i]) % 2 != 0:
                 raise ModelFileError(
                     "$.K",
                     f"canonical class is not characteristic mod 2 at basis vector {basis[i]}",
                 )
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "area", area)
+        area_den = lcm(*(w.denominator for w in area))
+        area_num = tuple(w.numerator * (area_den // w.denominator) for w in area)
+        key = (self.name, basis, gram, canonical, area_num, area_den, self.b2plus_override)
+        for attr, value in (
+            ("basis", basis),
+            ("gram", gram),
+            ("canonical", canonical),
+            ("area", area),
+            ("_diagonal", diagonal),
+            ("_off_diagonal", off_diagonal),
+            ("_c1", tuple(map(neg, k_dot))),
+            ("_area_num", area_num),
+            ("_area_den", area_den),
+            ("_key", key),
+            ("_hash", hash(key)),
+            ("_b2plus", self.b2plus_override),
+        ):
+            object.__setattr__(self, attr, value)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, IntersectionLattice):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, which derives the
+        # caches afresh (a pickled hash would be stale under another
+        # PYTHONHASHSEED).
+        return (
+            type(self),
+            (self.name, self.basis, self.gram, self.canonical, self.area, self.b2plus_override),
+        )
 
     @property
     def rank(self) -> int:
@@ -134,7 +197,7 @@ class IntersectionLattice:
         return HClass(tuple(coords), self)
 
     def class_from_coords(self, coords: Sequence[int]) -> "HClass":
-        return HClass(tuple(int(c) for c in coords), self)
+        return HClass(coords, self)
 
     def canonical_class(self) -> "HClass":
         return HClass(self.canonical, self)
@@ -151,6 +214,12 @@ class IntersectionLattice:
             ) from None
 
 
+def _reject_non_integers(coords: tuple) -> None:
+    for i, c in enumerate(coords):
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise CoordinateError(f"coordinate {i} is {c!r}, not an integer", index=i)
+
+
 @dataclass(frozen=True)
 class HClass:
     """A homology class: integer coordinates in its lattice's basis."""
@@ -159,13 +228,22 @@ class HClass:
     lattice: IntersectionLattice
 
     def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.coords)
+        coords = self.coords
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+            object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
-            raise ValueError("coordinate vector has wrong length for this lattice")
-        object.__setattr__(self, "coords", coords)
+            raise CoordinateError("coordinate vector has wrong length for this lattice")
+        for c in coords:
+            if type(c) is not int:
+                _reject_non_integers(coords)
+                break
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.lattice._hash))
 
     def _require_same_lattice(self, other: "HClass") -> None:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError(
                 f"classes live in different lattices "
                 f"({self.lattice.name} vs {other.lattice.name})"
@@ -173,25 +251,25 @@ class HClass:
 
     def __add__(self, other: "HClass") -> "HClass":
         self._require_same_lattice(other)
-        return HClass(tuple(a + b for a, b in zip(self.coords, other.coords)), self.lattice)
+        return HClass(tuple(map(add, self.coords, other.coords)), self.lattice)
 
     def __sub__(self, other: "HClass") -> "HClass":
         self._require_same_lattice(other)
-        return HClass(tuple(a - b for a, b in zip(self.coords, other.coords)), self.lattice)
+        return HClass(tuple(map(sub, self.coords, other.coords)), self.lattice)
 
     def __neg__(self) -> "HClass":
-        return HClass(tuple(-a for a in self.coords), self.lattice)
+        return HClass(tuple(map(neg, self.coords)), self.lattice)
 
     def __mul__(self, n: int) -> "HClass":
         if not isinstance(n, int):
             return NotImplemented
-        return HClass(tuple(n * a for a in self.coords), self.lattice)
+        return HClass(tuple([n * a for a in self.coords]), self.lattice)
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def dot(self, other: "HClass") -> int:
         return pair(self, other)
@@ -202,17 +280,14 @@ class HClass:
 
     def content(self) -> int:
         """gcd of the coordinates (0 for the zero class)."""
-        d = 0
-        for c in self.coords:
-            d = gcd(d, abs(c))
-        return d
+        return gcd(*self.coords)
 
     def primitive(self) -> "HClass":
         """The primitive generator of this class's ray."""
         d = self.content()
         if d == 0:
             raise ValueError("the zero class spans no ray")
-        return HClass(tuple(c // d for c in self.coords), self.lattice)
+        return HClass(tuple([c // d for c in self.coords]), self.lattice)
 
     def __str__(self) -> str:
         return format_class(self)
@@ -223,28 +298,30 @@ class HClass:
 
 def pair(A: HClass, B: HClass) -> int:
     """Intersection number A.B."""
-    A._require_same_lattice(B)
-    g = A.lattice.gram
-    total = 0
-    for i, a in enumerate(A.coords):
-        if a == 0:
-            continue
-        row = g[i]
-        total += a * sum(row[j] * b for j, b in enumerate(B.coords) if b)
+    lat = A.lattice
+    if B.lattice is not lat:
+        A._require_same_lattice(B)
+    a, b = A.coords, B.coords
+    total = sum(map(mul, map(mul, lat._diagonal, a), b))
+    for i, j, x in lat._off_diagonal:
+        total += x * (a[i] * b[j] + a[j] * b[i])
     return total
 
 
 def c1(A: HClass) -> int:
     """First Chern number c1(A) = -K.A."""
-    return -pair(A.lattice.canonical_class(), A)
+    return sum(map(mul, A.lattice._c1, A.coords))
+
+
+def _area_numerator(A: HClass) -> int:
+    """omega(A) times the lattice's area denominator: an integer with the
+    sign of omega(A), and ratios between classes equal to those of omega."""
+    return sum(map(mul, A.lattice._area_num, A.coords))
 
 
 def omega_area(A: HClass) -> Fraction:
     """Symplectic area omega(A), an exact rational."""
-    return sum(
-        (w * c for w, c in zip(A.lattice.area, A.coords)),
-        start=Fraction(0),
-    )
+    return Fraction(_area_numerator(A), A.lattice._area_den)
 
 
 def _positive_index(gram: Sequence[Sequence[int]]) -> int:
@@ -288,10 +365,11 @@ def _positive_index(gram: Sequence[Sequence[int]]) -> int:
 
 
 def b2_plus(lattice: IntersectionLattice) -> int:
-    """Number of positive eigenvalues of the intersection form."""
-    if lattice.b2plus_override is not None:
-        return lattice.b2plus_override
-    return _positive_index(lattice.gram)
+    """Number of positive eigenvalues of the intersection form (the
+    override when the lattice has one), computed once per lattice."""
+    if lattice._b2plus is None:
+        object.__setattr__(lattice, "_b2plus", _positive_index(lattice.gram))
+    return lattice._b2plus
 
 
 def parse_class(lattice: IntersectionLattice, expr: str) -> HClass:
@@ -406,7 +484,7 @@ class ManifoldModel:
 
     def _check_table_key(self, A: HClass, path: str) -> None:
         self._check_owned(A, path)
-        if omega_area(A) <= 0:
+        if _area_numerator(A) <= 0:
             raise ModelFileError(path, f"table key {A} must have positive area")
 
     @property

@@ -48,7 +48,7 @@ from .invariants import (
     k_prime,
     m_e,
 )
-from .lattice import HClass, ManifoldModel, b2_plus, omega_area, pair
+from .lattice import HClass, ManifoldModel, _area_numerator, b2_plus, pair
 from .report import Check, Report
 from .torus_series import gr_torus_class
 
@@ -307,7 +307,7 @@ def _orthogonal_combinations(
     that no later one can join takes the one multiplicity that would finish
     the sum.  Each selection comes once, in candidate order.
     """
-    areas = [omega_area(c) for c in cands]
+    areas = [_area_numerator(c) for c in cands]
     clash = [[pair(a, b) != 0 for b in cands] for a in cands]
 
     def search(allowed: list, remaining: HClass, w_left, room, picked: list):
@@ -320,9 +320,9 @@ def _orthogonal_combinations(
             top = min(b for b in (w_left // areas[i], caps[i], room) if b is not None)
             rest = [j for j in allowed[pos + 1 :] if not clash[i][j]]
             if not rest:  # nothing can follow candidate i: solve for its multiplicity
-                n = w_left / areas[i]
-                if n.denominator == 1 and n <= top and int(n) * cands[i] == remaining:
-                    yield picked + [(cands[i], int(n))]
+                n, r = divmod(w_left, areas[i])
+                if r == 0 and n <= top and n * cands[i] == remaining:
+                    yield picked + [(cands[i], n)]
                 continue
             rem = remaining
             for n in range(1, top + 1):
@@ -330,7 +330,7 @@ def _orthogonal_combinations(
                 left = None if room is None else room - n
                 yield from search(rest, rem, w_left - n * areas[i], left, picked + [(cands[i], n)])
 
-    w_total = omega_area(A)
+    w_total = _area_numerator(A)
     if w_total > 0:
         yield from search([i for i, cap in enumerate(caps) if cap != 0], A, w_total, max_parts, [])
 
@@ -352,7 +352,7 @@ def enumerate_decompositions(
     for cand in candidates:
         if cand.lattice != lat:
             raise InvalidCandidateError(f"candidate {cand} lives in another lattice")
-        if omega_area(cand) <= 0:
+        if _area_numerator(cand) <= 0:
             raise InvalidCandidateError(f"candidate {cand} must have positive area")
     cands = sorted(set(candidates), key=lambda cand: cand.coords)
     if model.minimal and b2_plus(lat) > 1:
