@@ -271,13 +271,6 @@ class HClass:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def dot(self, other: "HClass") -> int:
-        return pair(self, other)
-
-    @property
-    def square(self) -> int:
-        return pair(self, self)
-
     def content(self) -> int:
         """gcd of the coordinates (0 for the zero class)."""
         return gcd(*self.coords)

@@ -302,13 +302,22 @@ def _orthogonal_combinations(
     Candidates must have positive area.  Candidate i enters at most caps[i]
     times, the multiplicities add up to at most max_parts (None: no bound
     for either), and each picked candidate pairs to zero with every other
-    one.  These rules prune inside the recursion; a branch ends once the
+    one, so A.B = n * B.B for each picked B.  That fixes n when B.B != 0 and
+    needs A.B = 0 when B.B = 0; candidates failing it are dropped up front.
+    The other rules prune inside the recursion; a branch ends once the
     remaining class is zero or its area is not positive, and a candidate
     that no later one can join takes the one multiplicity that would finish
     the sum.  Each selection comes once, in candidate order.
     """
+    need = {}  # candidate index -> its one possible multiplicity, or None if free
+    for i, (cand, cap) in enumerate(zip(cands, caps)):
+        sq, ab = pair(cand, cand), pair(A, cand)
+        if sq == 0 and ab == 0 and cap != 0:
+            need[i] = None
+        elif sq != 0 and ab % sq == 0 and 1 <= ab // sq <= (ab // sq if cap is None else cap):
+            need[i] = ab // sq
     areas = [_area_numerator(c) for c in cands]
-    clash = [[pair(a, b) != 0 for b in cands] for a in cands]
+    clash = {i: {j for j in need if pair(cands[i], cands[j]) != 0} for i in need}
 
     def search(allowed: list, remaining: HClass, w_left, room, picked: list):
         if remaining.is_zero:
@@ -317,22 +326,21 @@ def _orthogonal_combinations(
         if w_left <= 0:
             return
         for pos, i in enumerate(allowed):
-            top = min(b for b in (w_left // areas[i], caps[i], room) if b is not None)
-            rest = [j for j in allowed[pos + 1 :] if not clash[i][j]]
+            top = min(b for b in (w_left // areas[i], caps[i], room, need[i]) if b is not None)
+            rest = [j for j in allowed[pos + 1 :] if j not in clash[i]]
             if not rest:  # nothing can follow candidate i: solve for its multiplicity
                 n, r = divmod(w_left, areas[i])
                 if r == 0 and n <= top and n * cands[i] == remaining:
                     yield picked + [(cands[i], n)]
                 continue
-            rem = remaining
-            for n in range(1, top + 1):
-                rem = rem - cands[i]
+            for n in range(need[i] or 1, top + 1):
                 left = None if room is None else room - n
+                rem = remaining - n * cands[i]
                 yield from search(rest, rem, w_left - n * areas[i], left, picked + [(cands[i], n)])
 
     w_total = _area_numerator(A)
     if w_total > 0:
-        yield from search([i for i, cap in enumerate(caps) if cap != 0], A, w_total, max_parts, [])
+        yield from search(list(need), A, w_total, max_parts, [])
 
 
 def enumerate_decompositions(

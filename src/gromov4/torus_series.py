@@ -13,21 +13,20 @@ negative twisted determinants.  The label selects the series
 and a torus lying in class m*B enters the product as f_label(t^m).  The
 count in degree k is the t^k coefficient of the product.
 
-Everything here is exact: series are integer coefficient vectors truncated
-at a fixed order, and rational functions are expanded by series inversion
-(which needs, and all eight f's have, constant term +-1).
+Everything here is exact.  Each f is a ratio of factors 1 + s*t^a (s = +-1;
+a cover m turns a into m*a), so a torus list's product is one integer vector
+c[0..K] built from c = 1: multiplying by a factor is a descending pass
+c[i] += s*c[i-a], dividing by one an ascending pass c[i] -= s*c[i-a].
+gr_torus_class keeps the vectors of recent lists in a bounded cache keyed on
+the validated list as given, rebuilt at max(k, twice its order) for a k past it.
 """
 
 from __future__ import annotations
 
-import functools
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ModelFileError, _int
-
-_LABEL_RE = re.compile(r"^([+-])([0-3])$")
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,10 @@ class TorusLabel:
     @classmethod
     def parse(cls, text: str) -> "TorusLabel":
         # "−" is the typographic minus; accept it alongside ASCII "-".
-        m = _LABEL_RE.match(text.strip().replace("−", "-"))
-        if m is None:
+        label = _CANONICAL.get(text.strip().replace("−", "-"))
+        if label is None:
             raise ValueError(f"bad torus label {text!r}; expected +0, +1, ... or -3")
-        return cls(1 if m.group(1) == "+" else -1, int(m.group(2)))
+        return label
 
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + str(self.twists)
@@ -58,6 +57,7 @@ class TorusLabel:
 ALL_LABELS: tuple[TorusLabel, ...] = tuple(
     TorusLabel(sign, i) for sign in (1, -1) for i in range(4)
 )
+_CANONICAL = {str(label): label for label in ALL_LABELS}
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class TruncSeries:
     """Integer power series truncated at a fixed order.
 
     coeffs stores c0..cN; the truncation order N is implicit in the length.
-    Binary operations on mismatched orders truncate to the shorter one, and
-    no operation ever reads past the stored coefficients.
+    A product of mismatched orders truncates to the shorter; nothing reads past cN.
     """
 
     coeffs: tuple[int, ...]
@@ -99,17 +98,6 @@ class TruncSeries:
         if k < 0 or k > self.order:
             raise IndexError(f"coefficient {k} lies beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
@@ -153,25 +141,35 @@ class TruncSeries:
         return TruncSeries(tuple(out))
 
 
-@functools.lru_cache(maxsize=None)
+# f(+,i) as (numerator, denominator) factors (s, a), each meaning 1 + s*t^a;
+# the label (-,i) reads the pair backwards.
+_PLUS_FACTORS = (
+    ((), ((-1, 1),)),
+    (((1, 1),), ()),
+    (((1, 1),), ((1, 2),)),
+    (((1, 1), (-1, 2)), ((1, 2),)),
+)
+
+
+def _coefficients(tori: Sequence[tuple[TorusLabel, int]], order: int) -> list[int]:
+    """c[0..order] of the product of f_label(t^m) over checked (label, m) pairs."""
+    c = [1] + [0] * order
+    for label, m in tori:
+        num, den = _PLUS_FACTORS[label.twists][:: label.sign]
+        for s, a in num:
+            a *= m
+            for i in range(order, a - 1, -1):
+                c[i] += s * c[i - a]
+        for s, a in den:
+            a *= m
+            for i in range(a, order + 1):
+                c[i] -= s * c[i - a]
+    return c
+
+
 def f_series(label: TorusLabel, order: int) -> TruncSeries:
     """Expansion of the generating function attached to a torus label."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    one_plus_t = TruncSeries.from_poly([1, 1], order)
-    if label.twists == 0:
-        plus = TruncSeries.from_poly([1, -1], order).inverse()
-    elif label.twists == 1:
-        plus = one_plus_t
-    elif label.twists == 2:
-        plus = one_plus_t * TruncSeries.from_poly([1, 0, 1], order).inverse()
-    else:
-        plus = (
-            one_plus_t
-            * TruncSeries.from_poly([1, 0, -1], order)
-            * TruncSeries.from_poly([1, 0, 1], order).inverse()
-        )
-    return plus if label.sign > 0 else plus.inverse()
+    return TruncSeries.from_poly(_coefficients(((label, 1),), order), order)
 
 
 def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
@@ -186,15 +184,22 @@ def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
         label, cover = (entry, 1) if isinstance(entry, (str, TorusLabel)) else entry
         if isinstance(label, str):
             try:
-                label = TorusLabel.parse(label)
+                label = _CANONICAL.get(label) or TorusLabel.parse(label)
             except ValueError as exc:
                 raise ModelFileError(f"$[{j}].label", str(exc)) from None
         elif not isinstance(label, TorusLabel):
             raise ModelFileError(f"$[{j}].label", "expected a label string")
-        if _int(cover, f"$[{j}].cover") < 1:
+        if type(cover) is not int:
+            _int(cover, f"$[{j}].cover")
+        if cover < 1:
             raise ModelFileError(f"$[{j}].cover", "cover multiplicity must be >= 1")
         out.append((label, cover))
     return tuple(out)
+
+
+# Coefficient vectors of the _VECTORS_MAX most recently used torus lists.
+_VECTORS_MAX = 128
+_vectors: dict[tuple[tuple[TorusLabel, int], ...], list[int]] = {}
 
 
 def gr_torus_class(tori: Iterable, k: int) -> int:
@@ -206,7 +211,11 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
-    acc = TruncSeries.one(k)
-    for label, m in parse_tori(tori):
-        acc = acc * f_series(label, k).substitute_power(m)
-    return acc.coeff(k)
+    key = parse_tori(tori)
+    c = _vectors.pop(key, [])
+    if k >= len(c):
+        c = _coefficients(key, max(k, 2 * len(c) - 2))
+    if len(_vectors) >= _VECTORS_MAX:
+        del _vectors[next(iter(_vectors))]
+    _vectors[key] = c
+    return c[k]

@@ -6,8 +6,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gromov4 import ALL_LABELS, TorusLabel, TruncSeries, f_series, gr_torus_class, parse_tori
+from gromov4 import torus_series
 
 
 # Oracle: expand num/den as a power series by exact long division.  The
@@ -178,3 +180,68 @@ def test_pair_birth_cancellation_across_structures():
     after = [("+0", 1)] * 3 + [("-0", 1)]
     for k in range(11):
         assert gr_torus_class(before, k) == gr_torus_class(after, k)
+
+
+def spread(poly: list[int], m: int) -> list[int]:
+    out = [0] * ((len(poly) - 1) * m + 1)
+    for j, c in enumerate(poly):
+        out[j * m] = c
+    return out
+
+
+def oracle_counts(tori, order: int) -> list[int]:
+    """Coefficients t^0..t^order of the product, by one long division."""
+    num, den = [1], [1]
+    for text, m in tori:
+        a, b = RATIONAL_FORMS[text]
+        num, den = poly_mul(num, spread(a, m)), poly_mul(den, spread(b, m))
+    return divide(num, den, order)
+
+
+LABEL_TEXTS = sorted(RATIONAL_FORMS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(LABEL_TEXTS), st.integers(1, 4)), max_size=6),
+    st.integers(0, 48),
+)
+def test_counts_match_series_products_and_long_division(tori, k):
+    product = TruncSeries.one(k)
+    for text, m in tori:
+        product = product * f_series(TorusLabel.parse(text), k).substitute_power(m)
+    got = gr_torus_class(tori, k)
+    assert got == product.coeff(k)
+    assert got == oracle_counts(tori, k)[k]
+
+
+def test_cached_list_still_validates_every_call():
+    assert gr_torus_class([("+0", 1)], 4) == 1
+    # True == 1 and 1.0 == 1 hash alike: a key on the raw input would
+    # answer these from the cache without validating them.
+    for cover in (True, 1.0, "2"):
+        with pytest.raises(ValueError):
+            gr_torus_class([("+0", cover)], 4)
+    with pytest.raises(ValueError):
+        gr_torus_class([("+9", 1)], 4)
+
+
+def test_degree_past_the_cached_order_rebuilds():
+    tori = [("+3", 1), ("-2", 2), ("+0", 3), ("-1", 1)]
+    want = oracle_counts(tori, 48)
+    torus_series._vectors.clear()
+    assert gr_torus_class(tori, 3) == want[3]
+    assert gr_torus_class(tori, 48) == want[48]
+    assert [gr_torus_class(tori, k) for k in range(49)] == want
+
+
+def test_cache_keeps_born_pairs_and_stays_bounded():
+    rng = random.Random(11)
+    base = [("+2", 1)]
+    born = base + [("+1", 2), ("-1", 2)]
+    assert gr_torus_class(born, 9) == gr_torus_class(base, 9)
+    assert parse_tori(born) in torus_series._vectors
+    for _ in range(3 * torus_series._VECTORS_MAX):
+        tori = [(rng.choice(LABEL_TEXTS), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+        gr_torus_class(tori, rng.randint(0, 20))
+        assert len(torus_series._vectors) <= torus_series._VECTORS_MAX

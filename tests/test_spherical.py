@@ -18,6 +18,7 @@ from gromov4 import (
     enumerate_sphere_configs,
     gr_s,
     k_for,
+    omega_area,
     pair,
     preset,
 )
@@ -251,3 +252,37 @@ def test_embedded_sphere_rule():
     # right genus and square, but not represented in the table
     b2 = preset("cp2_blowup", 2)
     assert embedded_sphere_rule(b2, b2.parse("2L - E1 - E2")) is None
+
+
+def orthogonal_multiple(A, B):
+    """Whether B can be a part of A among orthogonal parts."""
+    ab, bb = pair(A, B), pair(B, B)
+    return ab == 0 if bb == 0 else ab % bb == 0 and ab // bb >= 1
+
+
+def test_orthogonality_filter_keeps_the_oracle_answers():
+    # Picked parts are orthogonal, so A.B = n * B.B fixes the multiplicity
+    # of each part B.B != 0, and a part with B.B = 0 needs A.B = 0.  In each
+    # case below that rule drops keys the area bound alone would try.
+    cases = [
+        (preset("cp2_blowup", 2), ["L+E1+2E2", "L-E1+2E2", "2L+E1"]),
+        (preset("cp2_blowup", 3), ["L-E1+E2-E3", "L+E1-E2+E3", "L-E1-E2+2E3"]),
+    ]
+    for model, targets in cases:
+        for expr in targets:
+            A = model.parse(expr)
+            fits = [B for B in model.sphere_table if omega_area(B) <= omega_area(A)]
+            assert any(not orthogonal_multiple(A, B) for B in fits), (model.name, expr)
+            got = [
+                (tuple(B.coords for B in cfg.parts), cfg.k, cfg.p)
+                for cfg in enumerate_sphere_configs(model, A)
+            ]
+            assert got and got == oracle_sphere_configs(model, A), (model.name, expr)
+
+
+def test_large_exceptional_set_configuration():
+    b9 = preset("cp2_blowup", 9)
+    configs = enumerate_sphere_configs(b9, b9.parse("2L+E1+3E2+2E6+E8"))
+    assert [([str(B) for B in cfg.parts], cfg.k, cfg.p) for cfg in configs] == [
+        (["E8", "E6", "E6", "E2", "E2", "E2", "E1", "2L"], 5, 8)
+    ]
