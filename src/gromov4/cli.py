@@ -19,7 +19,8 @@ import argparse
 import os
 import sys
 import warnings
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 from .errors import (
     ClassParseError,
@@ -304,18 +305,14 @@ def _cmd_gr_s(args) -> list[str]:
     return lines
 
 
-def _cmd_fibersum(args) -> list[str]:
-    result = gr_elliptic_fiber(args.n)
+def _cmd_fibersum(args) -> Iterator[str]:
+    result = gr_elliptic_fiber(args.n)  # validates before the first line is made
     if args.format == "records":
-        lines = [f"fibersum({args.n})={result.value}"]
-        lines.extend(
-            f"fibersum({args.n}).trace.{i}={step}"
-            for i, step in enumerate(result.trace, start=1)
-        )
-        return lines
-    lines = [f"Gr_fiber(V({args.n})) = {result.value}"]
-    lines.extend(f"  {step}" for step in result.trace)
-    return lines
+        key = f"fibersum({args.n})"
+        steps = (f"{key}.trace.{i}={step}" for i, step in enumerate(result.trace, start=1))
+        return chain([f"{key}={result.value}"], steps)
+    steps = (f"  {step}" for step in result.trace)
+    return chain([f"Gr_fiber(V({args.n})) = {result.value}"], steps)
 
 
 def _cmd_verify(args) -> list[str]:

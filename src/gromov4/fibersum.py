@@ -22,22 +22,29 @@ bundle: glue(D2xT2, D2xT2) = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError
 from .lattice import HClass, ManifoldModel, preset
 from .torus_series import gr_torus_class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Piece:
-    """A (possibly bounded) piece with its signed fiber-class torus count."""
+    """A (possibly bounded) piece with its signed fiber-class torus count.
 
-    name: str
+    A stock piece has its own label and notes.  glue keeps only the two
+    operands and its one note, with {} for their names; name and notes walk
+    the operands again on each read, so the ledger is never held whole.
+    Pieces compare by identity, so no comparison recurses into operands.
+    """
+
+    label: str
     boundary_count: int
     fiber_gr: int
-    notes: tuple[str, ...] = ()
+    own_notes: tuple[str, ...] = ()
+    operands: tuple[Piece, Piece] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.boundary_count < 0:
@@ -47,25 +54,55 @@ class Piece:
     def closed(self) -> bool:
         return self.boundary_count == 0
 
+    @property
+    def name(self) -> str:
+        """The stock labels of the glued pieces, left to right, joined by +."""
+        labels, todo = [], [self]
+        while todo:
+            piece = todo.pop()
+            if piece.operands is None:
+                labels.append(piece.label)
+            else:
+                todo += reversed(piece.operands)
+        return "+".join(labels)
+
+    @property
+    def notes(self) -> Ledger:
+        return Ledger(self)
+
+
+class Ledger:
+    """A piece's notes in gluing order, remade on each iteration: the walk
+    keeps only the names of the operands it has not joined yet."""
+
+    def __init__(self, piece: Piece) -> None:
+        self.piece = piece
+
+    def __iter__(self) -> Iterator[str]:
+        names, todo = [], [(self.piece, False)]
+        while todo:
+            piece, joined = todo.pop()
+            if piece.operands is None:
+                yield from piece.own_notes
+                names.append(piece.label)
+            elif not joined:
+                todo += ((piece, True), (piece.operands[1], False), (piece.operands[0], False))
+            else:
+                b, a = names.pop(), names.pop()
+                yield from (note.format(a, b) for note in piece.own_notes)
+                names.append(f"{a}+{b}")
+
 
 def base_pieces() -> dict[str, Piece]:
     """The ledger's stock pieces, keyed by identifier."""
     return {
-        "D2xT2": Piece(
-            "D2xT2", 1, 1, ("D2xT2 cap: one boundary torus, fiber count 1",)
-        ),
+        "D2xT2": Piece("D2xT2", 1, 1, ("D2xT2 cap: one boundary torus, fiber count 1",)),
         "V1": Piece("V1", 0, 1, ("V1 closed: fiber count 1",)),
         "V1_minus_NF": Piece(
-            "V1_minus_NF",
-            1,
-            0,
-            ("V1 minus a fiber neighborhood: fiber count 0",),
+            "V1_minus_NF", 1, 0, ("V1 minus a fiber neighborhood: fiber count 0",)
         ),
         "N_minus_P": Piece(
-            "N_minus_P",
-            2,
-            -1,
-            ("fiber annulus N_minus_P: two boundary tori, fiber count -1",),
+            "N_minus_P", 2, -1, ("fiber annulus N_minus_P: two boundary tori, fiber count -1",)
         ),
     }
 
@@ -75,18 +112,13 @@ def glue(a: Piece, b: Piece) -> Piece:
     if a.boundary_count < 1 or b.boundary_count < 1:
         raise PreconditionError("glue needs a boundary torus on each piece")
     fiber = a.fiber_gr + b.fiber_gr
-    note = f"glue {a.name} with {b.name}: fiber count {a.fiber_gr} + {b.fiber_gr} = {fiber}"
-    return Piece(
-        name=f"{a.name}+{b.name}",
-        boundary_count=a.boundary_count + b.boundary_count - 2,
-        fiber_gr=fiber,
-        notes=a.notes + b.notes + (note,),
-    )
+    note = f"glue {{}} with {{}}: fiber count {a.fiber_gr} + {b.fiber_gr} = {fiber}"
+    return Piece("", a.boundary_count + b.boundary_count - 2, fiber, (note,), (a, b))
 
 
 class EllipticFiberCount(NamedTuple):
     value: int
-    trace: tuple[str, ...]
+    trace: Iterable[str]
 
 
 def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
@@ -94,7 +126,8 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
 
     The open piece starts at V1_minus_NF (count 0), each further fiber-sum
     copy glues in one N_minus_P (count -1), and the D2xT2 cap closes the
-    piece; the result is 2 - n.
+    piece; the result is 2 - n.  The trace is the capped piece's Ledger of
+    2n+1 notes, made as it is read.
     """
     if n < 1:
         raise PreconditionError("elliptic surfaces V(n) need n >= 1")

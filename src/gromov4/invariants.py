@@ -25,6 +25,10 @@ B is a good class and k(B) = k'(A) whenever the stripped exceptional
 classes are pairwise orthogonal and orthogonal to B; the function verifies
 this and warns when the stored exceptional set breaks it.
 
+A.A and the pairings A.E with the stored exceptional classes are paired
+once per class and kept on it; the pairings are keyed on the identity of
+model.exceptional, so another model or with_exceptional() pairs again.
+
 The forward-cone predicates support the light cone positivity rule: when b2+ = 1,
 two classes in the closed forward cone (square >= 0, area >= 0) pair
 non-negatively, with a zero product only for proportional null classes.
@@ -51,9 +55,25 @@ NOT_REPRESENTABLE = "NotRepresentable"
 _DIM_G = {0: 6, 1: 2}
 
 
+def _square(A: HClass) -> int:
+    """A.A, paired on first use and kept on A."""
+    if A._square is None:
+        object.__setattr__(A, "_square", pair(A, A))
+    return A._square
+
+
+def _exceptional_pairings(model: ManifoldModel, A: HClass) -> tuple[int, ...]:
+    """(A.E for E in model.exceptional), kept on A with that tuple."""
+    memo = A._exceptional_pairings
+    if memo is None or memo[0] is not model.exceptional:
+        memo = (model.exceptional, tuple([pair(A, E) for E in model.exceptional]))
+        object.__setattr__(A, "_exceptional_pairings", memo)
+    return memo[1]
+
+
 def k(A: HClass) -> int:
     """Point budget k(A) = (c1(A) + A.A)/2."""
-    total = c1(A) + pair(A, A)
+    total = c1(A) + _square(A)
     if total % 2 != 0:
         raise ParityError(f"c1 + square is odd for {A}; canonical class is malformed")
     return total // 2
@@ -63,15 +83,13 @@ def m_e(model: ManifoldModel, A: HClass, E: HClass) -> int:
     """Multiplicity m_E(A) = max(-A.E, 0) of the exceptional class E in A."""
     if E not in model.exceptional:
         raise NotInExceptionalSetError(f"{E} is not in the stored exceptional set")
-    return max(-pair(A, E), 0)
+    return max(-_exceptional_pairings(model, A)[model.exceptional.index(E)], 0)
 
 
 def k_prime(model: ManifoldModel, A: HClass) -> int:
     """k(A) plus the multi-cover correction over the stored exceptional set."""
-    extra = 0
-    for E in model.exceptional:
-        m = max(-pair(A, E), 0)
-        extra += (m * m - m) // 2
+    # m = -A.E when A.E < -1, so (m^2 - m)/2 = (p^2 + p)/2 for p = A.E.
+    extra = sum([(p * p + p) // 2 for p in _exceptional_pairings(model, A) if p < -1])
     return k(A) + extra
 
 
@@ -88,7 +106,7 @@ def genus_embedded(A: HClass) -> int:
     May be negative; callers read a negative value as "not representable
     by an embedded connected curve".
     """
-    total = pair(A, A) - c1(A)  # K.A + A.A
+    total = _square(A) - c1(A)  # K.A + A.A
     if total % 2 != 0:
         raise ParityError(f"K.A + A.A is odd for {A}; canonical class is malformed")
     return 1 + total // 2
@@ -101,7 +119,7 @@ def moduli_dimension(A: HClass, g: int) -> int:
 
 def is_good_class(model: ManifoldModel, A: HClass) -> bool:
     """True when E.A >= -1 for every stored exceptional class E."""
-    return all(pair(E, A) >= -1 for E in model.exceptional)
+    return min(_exceptional_pairings(model, A), default=0) >= -1
 
 
 @dataclass(frozen=True)
@@ -134,7 +152,7 @@ def classify_negative(A: HClass) -> NegClassVerdict:
     c1(A) + g - 1 >= 0 and c1(A) + 2(g-1) <= A.A must hold.  The scan over
     g is exhaustive below the bound implied by the second constraint.
     """
-    sq = pair(A, A)
+    sq = _square(A)
     if sq >= 0:
         raise PreconditionError(f"classify_negative needs A.A < 0, got {sq}")
     c = c1(A)
@@ -158,13 +176,15 @@ def reduce_multicovers(model: ManifoldModel, A: HClass) -> ReduceResult:
     (B good, k(B) = k'(A)) is verified; a warning is issued when the
     stored exceptional set is too entangled for it to hold.
     """
-    strips = []
-    B = A
-    for E in model.exceptional:
-        m = max(-pair(A, E), 0)
-        if m >= 2:
-            strips.append((E, m))
-            B = B - m * E
+    pairings = _exceptional_pairings(model, A)
+    strips = tuple((E, -p) for E, p in zip(model.exceptional, pairings) if p < -1)
+    if not strips:
+        # Then every A.E >= -1 and k'(A) = k(A): A is its own good part.
+        return ReduceResult(A, ())
+    coords = A.coords
+    for E, m in strips:
+        coords = [a - m * e for a, e in zip(coords, E.coords)]
+    B = HClass(tuple(coords), A.lattice)
     if not is_good_class(model, B) or k(B) != k_prime(model, A):
         warnings.warn(
             ReductionConsistencyWarning(
@@ -172,12 +192,12 @@ def reduce_multicovers(model: ManifoldModel, A: HClass) -> ReduceResult:
                 f"are not pairwise orthogonal and orthogonal to the remainder"
             )
         )
-    return ReduceResult(B, tuple(strips))
+    return ReduceResult(B, strips)
 
 
 def in_forward_cone(A: HClass, strict: bool = False) -> bool:
     """Membership in the (closed, or open when strict) forward cone."""
-    sq = pair(A, A)
+    sq = _square(A)
     w = _area_numerator(A)
     if strict:
         return sq > 0 and w > 0
@@ -221,7 +241,7 @@ def light_cone_pair_check(B1: HClass, B2: HClass) -> Report:
     ]
     if prod == 0:
         degenerate = B1.is_zero or B2.is_zero
-        both_null = pair(B1, B1) == 0 and pair(B2, B2) == 0
+        both_null = _square(B1) == 0 and _square(B2) == 0
         ok = _proportional(B1, B2) and (degenerate or both_null)
         checks.append(
             Check(

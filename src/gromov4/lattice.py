@@ -159,6 +159,7 @@ class IntersectionLattice:
             ("_c1", tuple(map(neg, k_dot))),
             ("_area_num", area_num),
             ("_area_den", area_den),
+            ("_symbol_index", {sym: i for i, sym in enumerate(basis)}),
             ("_key", key),
             ("_hash", hash(key)),
             ("_b2plus", self.b2plus_override),
@@ -207,8 +208,8 @@ class IntersectionLattice:
 
     def symbol_index(self, sym: str) -> int:
         try:
-            return self.basis.index(sym)
-        except ValueError:
+            return self._symbol_index[sym]
+        except KeyError:
             raise ClassParseError(
                 f"unknown symbol {sym!r} (basis of {self.name}: {', '.join(self.basis)})"
             ) from None
@@ -227,6 +228,10 @@ class HClass:
     coords: tuple[int, ...]
     lattice: IntersectionLattice
 
+    # A.A and (exceptional tuple, pairings), kept by the invariants on first use.
+    _square = None
+    _exceptional_pairings = None
+
     def __post_init__(self) -> None:
         coords = self.coords
         if type(coords) is not tuple:
@@ -241,6 +246,10 @@ class HClass:
 
     def __hash__(self) -> int:
         return hash((self.coords, self.lattice._hash))
+
+    def __reduce__(self):
+        # Through the constructor, like the lattice: no copy carries a memo.
+        return (type(self), (self.coords, self.lattice))
 
     def _require_same_lattice(self, other: "HClass") -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -396,21 +405,12 @@ def parse_class(lattice: IntersectionLattice, expr: str) -> HClass:
 
 def format_class(A: HClass) -> str:
     """Canonical compact rendering; parse_class inverts it."""
-    pieces = []
-    for coeff, sym in zip(A.coords, A.lattice.basis):
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        body = sym if mag == 1 else f"{mag}{sym}"
-        pieces.append((sign, body))
-    if not pieces:
-        return "0"
-    head_sign, head = pieces[0]
-    out = (head_sign if head_sign == "-" else "") + head
-    for sign, body in pieces[1:]:
-        out += sign + body
-    return out
+    out = "".join([
+        ("-" if c < 0 else "+") + (sym if c == 1 or c == -1 else f"{abs(c)}{sym}")
+        for c, sym in zip(A.coords, A.lattice.basis)
+        if c
+    ])
+    return out.removeprefix("+") or "0"
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import tracemalloc
 from math import comb
 
 import pytest
 
 from gromov4 import (
+    cli,
     PreconditionError,
     base_pieces,
     check_kmin_constraints,
@@ -93,3 +97,77 @@ def test_shipped_tables_satisfy_minimal_constraints():
     for n in (2, 3, 4, 7):
         el = preset("elliptic", n)
         assert check_kmin_constraints(el, fiber_gr_table(n)).ok
+
+
+# --- the lazy ledger against an eager fold of the notes ----------------------
+
+
+def eager_glue(a, b):
+    """(name, fiber count, notes) of a glued piece, with the notes
+    concatenated at every step as glue once did."""
+    fiber = a[1] + b[1]
+    note = f"glue {a[0]} with {b[0]}: fiber count {a[1]} + {b[1]} = {fiber}"
+    return f"{a[0]}+{b[0]}", fiber, a[2] + b[2] + (note,)
+
+
+def eager(piece):
+    return piece.name, piece.fiber_gr, tuple(piece.notes)
+
+
+def test_lazy_trace_matches_an_eager_fold():
+    stock = base_pieces()
+    for n in range(1, 31):
+        piece = eager(stock["V1_minus_NF"])
+        for _ in range(n - 1):
+            piece = eager_glue(piece, eager(stock["N_minus_P"]))
+        name, value, notes = eager_glue(piece, eager(stock["D2xT2"]))
+        result = gr_elliptic_fiber(n)
+        assert result.value == value
+        assert list(result.trace) == list(notes)
+        assert list(result.trace) == list(notes)  # a second read walks again
+
+
+def test_lazy_ledger_of_a_balanced_gluing():
+    stock = base_pieces()
+    N, cap = stock["N_minus_P"], stock["D2xT2"]
+    left, right = glue(N, N), glue(N, cap)
+    whole = glue(left, right)
+    want = eager_glue(eager_glue(eager(N), eager(N)), eager_glue(eager(N), eager(cap)))
+    assert eager(whole) == want
+    assert whole.name == "N_minus_P+N_minus_P+N_minus_P+D2xT2"
+
+
+def test_ledger_deeper_than_the_recursion_limit():
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    trace = gr_elliptic_fiber(n).trace
+    count = 0
+    for count, last in enumerate(trace, start=1):
+        pass
+    assert count == 2 * n + 1
+    assert last.startswith("glue V1_minus_NF+N_minus_P+") and last.endswith(
+        f"with D2xT2: fiber count {1 - n} + 1 = {2 - n}"
+    )
+    assert last.count("+N_minus_P") == n - 1
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_fibersum_cli_streams_its_lines():
+    # The output at n = 600 is about 2 MB; holding the notes or the lines
+    # would take several MB.
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            code = cli.run(["fibersum", "--n", "600", "--format", "records"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000

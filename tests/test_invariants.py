@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
     NotInExceptionalSetError,
@@ -290,3 +294,106 @@ def test_multiple_cover_budget_chain():
         if lhs == rhs:
             assert mult == 1 or (pair(B, B) == 0 and g == 1), (B.coords, g, mult)
         checked += 1
+
+
+# --- the per-class memo of A.A and A.E against pairing every time ------------
+
+
+def _entangled(n: int):
+    m = preset("cp2_blowup", n)
+    return m.with_exceptional(m.parse("L - E1 - E2"))
+
+
+MEMO_MODELS = (
+    preset("cp2_blowup", 1),
+    preset("cp2_blowup", 3),
+    preset("cp2_blowup", 8),
+    preset("elliptic", 1),
+    _entangled(2),
+    _entangled(3).with_exceptional(preset("cp2_blowup", 3).parse("L - E2 - E3")),
+)
+
+
+def reference(model, A):
+    """k, k', goodness, every m_E, the reduction and whether it warns, with
+    each pairing computed afresh, as the invariants did before the memo."""
+    kA = (c1(A) + pair(A, A)) // 2
+    ms = [max(-pair(A, E), 0) for E in model.exceptional]
+    kp = kA + sum((m * m - m) // 2 for m in ms)
+    strips, B = [], A
+    for E, m in zip(model.exceptional, ms):
+        if m >= 2:
+            strips.append((E, m))
+            B = B - m * E
+    good_B = all(pair(E, B) >= -1 for E in model.exceptional)
+    warns = not good_B or (c1(B) + pair(B, B)) // 2 != kp
+    good = all(pair(E, A) >= -1 for E in model.exceptional)
+    return kA, kp, good, ms, (B, tuple(strips)), warns
+
+
+def observed(model, A, order):
+    got = {}
+    for name in order:
+        if name == "reduce":
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                red = reduce_multicovers(model, A)
+            got["reduce"] = (tuple(red), any(issubclass(w.category, ReductionConsistencyWarning) for w in caught))
+        elif name == "k":
+            got["k"] = k(A)
+        elif name == "kprime":
+            got["kprime"] = k_prime(model, A)
+        elif name == "good":
+            got["good"] = is_good_class(model, A)
+        else:
+            got["m_e"] = [m_e(model, A, E) for E in model.exceptional]
+    red, warned = got["reduce"]
+    return got["k"], got["kprime"], got["good"], got["m_e"], red, warned
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_memoised_invariants_match_pairing_every_time(data):
+    model = data.draw(st.sampled_from(MEMO_MODELS))
+    coord = st.one_of(st.integers(-5, 5), st.sampled_from([-1, 1]), st.integers(-10**20, 10**20))
+    coords = data.draw(st.lists(coord, min_size=model.lattice.rank, max_size=model.lattice.rank))
+    order = data.draw(st.permutations(["reduce", "k", "kprime", "good", "m_e"]))
+    A = model.lattice.class_from_coords(coords)
+    want = reference(model, A)
+    assert observed(model, A, order) == want  # cold, in a drawn order
+    assert observed(model, A, order) == want  # warm
+
+
+def test_one_class_against_models_with_different_exceptional_sets():
+    plain = preset("cp2_blowup", 2)
+    entangled = _entangled(2)
+    assert plain.lattice == entangled.lattice
+    A = plain.parse("-4L + 2E1")  # A.E1 = A.(L-E1-E2) = -2
+    for model in (plain, entangled, plain, preset("cp2_blowup", 2), entangled):
+        kA, kp, good, ms, red, warns = reference(model, A)
+        assert (k_prime(model, A), is_good_class(model, A)) == (kp, good)
+        assert [m_e(model, A, E) for E in model.exceptional] == ms
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert tuple(reduce_multicovers(model, A)) == red
+        assert bool(caught) == warns
+    assert k_prime(plain, A) != k_prime(entangled, A)
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [copy.copy, copy.deepcopy, lambda A: pickle.loads(pickle.dumps(A))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_of_a_class_carry_no_memo(rebuild):
+    m = preset("cp2_blowup", 2)
+    A = m.parse("L + 2E1 - 3E2")
+    reduce_multicovers(m, A)
+    assert {"_square", "_exceptional_pairings"} <= set(vars(A))
+    # A wrong memo on the original must not reach the copy.
+    object.__setattr__(A, "_square", 1000)
+    object.__setattr__(A, "_exceptional_pairings", (m.exceptional, (50, 50)))
+    B = rebuild(A)
+    assert B == A and hash(B) == hash(A)
+    assert not {"_square", "_exceptional_pairings"} & set(vars(B))
+    assert (k(B), k_prime(m, B), is_good_class(m, B)) == (-5, -4, False)

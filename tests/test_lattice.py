@@ -20,6 +20,7 @@ from gromov4 import (
     format_class,
     omega_area,
     pair,
+    parse_class,
     preset,
 )
 
@@ -179,6 +180,37 @@ def test_format_parse_round_trip(coords):
     m = preset("cp2_blowup", 2)
     A = m.lattice.class_from_coords(coords)
     assert m.parse(format_class(A)).coords == tuple(coords)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([-1, 1]), st.integers(-(10**40), 10**40)),
+        min_size=9,
+        max_size=9,
+    )
+)
+def test_format_parse_round_trip_large_and_unit_coefficients(coords):
+    m = preset("cp2_blowup", 8)
+    A = m.lattice.class_from_coords(coords)
+    assert parse_class(m.lattice, format_class(A)) == A
+
+
+def test_parse_error_messages():
+    m = preset("cp2_blowup", 2)
+    basis = "(basis of cp2_blowup(2): L, E1, E2)"
+    for expr, message in (
+        ("", "empty class expression"),
+        ("3L+", "malformed term at '+' in '3L+'"),
+        ("L++E1", "malformed term at '++E1' in 'L++E1'"),
+        ("1/2L", "malformed term at '1/2L' in '1/2L'"),
+        ("L+E1)", "malformed term at ')' in 'L+E1)'"),
+        ("L E1", f"unknown symbol 'LE1' {basis}"),
+        ("L+E9", f"unknown symbol 'E9' {basis}"),
+        ("9" * 5000 + "L", "coefficient of 'L' has too many digits"),
+    ):
+        with pytest.raises(ClassParseError) as info:
+            m.parse(expr)
+        assert str(info.value) == message
 
 
 @given(
