@@ -260,12 +260,11 @@ def _cmd_decomp(args) -> list[str]:
     return lines
 
 
-def _candidates(model: ManifoldModel, args) -> list[HClass]:
+def _candidates(model: ManifoldModel, args) -> list[HClass] | None:
+    """The parsed --candidates, or None for the model's default set."""
     if args.candidates:
         return [model.parse(tok) for tok in args.candidates.split(",") if tok.strip()]
-    return sorted(
-        set(model.gr0_table) | set(model.torus_table), key=lambda cand: cand.coords
-    )
+    return None
 
 
 def _cmd_gr(args) -> list[str]:
@@ -340,16 +339,15 @@ def _cmd_verify(args) -> list[str]:
     return _report_lines(rep, "verify", args.format)
 
 
-def _add_model_class_args(p, classes: bool = True) -> None:
-    p.add_argument("--manifold", required=True, help="preset name or model file path")
-    if classes:
-        p.add_argument(
-            "--class",
-            dest="cls",
-            action="append",
-            metavar="EXPR",
-            help="class expression over the basis symbols (repeatable)",
-        )
+def _add_model_class_args(p, required: bool = True) -> None:
+    p.add_argument("--manifold", required=required, help="preset name or model file path")
+    p.add_argument(
+        "--class",
+        dest="cls",
+        action="append",
+        metavar="EXPR",
+        help="class expression over the basis symbols (repeatable)",
+    )
 
 
 def build_parser() -> _Parser:
@@ -357,12 +355,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     sub.required = True
 
-    def new(name: str, handler: Callable, help_text: str, model: bool = True, classes: bool = True):
+    def new(name: str, handler: Callable, help_text: str, model: bool = True, required: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("human", "records"), default="human")
         if model:
-            _add_model_class_args(p, classes=classes)
+            _add_model_class_args(p, required=required)
         return p
 
     new("presets", _cmd_presets, "list available preset models", model=False)
@@ -387,14 +385,11 @@ def build_parser() -> _Parser:
     new("gr-s", _cmd_gr_s, "spherical invariant Gr_s(A)")
     p = new("fibersum", _cmd_fibersum, "fiber-class count of V(n) by the ledger", model=False)
     p.add_argument("--n", type=int, required=True)
-    p = new("verify", _cmd_verify, "verify a configuration or an invariant table")
+    # verify --mode kmin builds its own preset, so --manifold is optional there.
+    p = new("verify", _cmd_verify, "verify a configuration or an invariant table", required=False)
     p.add_argument("--mode", choices=("good", "kprime", "kmin"), default="good")
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    # verify --mode kmin builds its own preset; make --manifold optional there.
-    for action in p._actions:
-        if action.dest == "manifold":
-            action.required = False
     return parser
 
 
@@ -417,9 +412,6 @@ def run(argv: list[str]) -> int:
         return 2
     except ModelFileError as exc:
         _error_record("model", str(exc))
-        return 2
-    except UnknownPresetError as exc:
-        _error_record("usage", str(exc))
         return 2
     except DomainError as exc:
         _error_record("domain", str(exc))

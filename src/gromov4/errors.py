@@ -20,10 +20,6 @@ class PreconditionError(DomainError):
     """An operation's stated precondition does not hold."""
 
 
-class ParityError(DomainError):
-    """c1(A) + A.A is odd, so the canonical class is not characteristic."""
-
-
 class NotInExceptionalSetError(DomainError):
     """A class was used as exceptional without being in the stored set."""
 

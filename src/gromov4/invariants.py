@@ -25,10 +25,6 @@ B is a good class and k(B) = k'(A) whenever the stripped exceptional
 classes are pairwise orthogonal and orthogonal to B; the function verifies
 this and warns when the stored exceptional set breaks it.
 
-A.A and the pairings A.E with the stored exceptional classes are paired
-once per class and kept on it; the pairings are keyed on the identity of
-model.exceptional, so another model or with_exceptional() pairs again.
-
 The forward-cone predicates support the light cone positivity rule: when b2+ = 1,
 two classes in the closed forward cone (square >= 0, area >= 0) pair
 non-negatively, with a zero product only for proportional null classes.
@@ -40,13 +36,18 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (
-    NotInExceptionalSetError,
-    ParityError,
-    PreconditionError,
-    ReductionConsistencyWarning,
+from .errors import NotInExceptionalSetError, PreconditionError, ReductionConsistencyWarning
+from .lattice import (
+    HClass,
+    ManifoldModel,
+    _area_numerator,
+    _exceptional_pairings,
+    _proportional,
+    _square,
+    b2_plus,
+    c1,
+    pair,
 )
-from .lattice import HClass, ManifoldModel, _area_numerator, b2_plus, c1, pair
 from .report import Check, Report
 
 EXCEPTIONAL_SPHERE = "ExceptionalSphere"
@@ -55,28 +56,9 @@ NOT_REPRESENTABLE = "NotRepresentable"
 _DIM_G = {0: 6, 1: 2}
 
 
-def _square(A: HClass) -> int:
-    """A.A, paired on first use and kept on A."""
-    if A._square is None:
-        object.__setattr__(A, "_square", pair(A, A))
-    return A._square
-
-
-def _exceptional_pairings(model: ManifoldModel, A: HClass) -> tuple[int, ...]:
-    """(A.E for E in model.exceptional), kept on A with that tuple."""
-    memo = A._exceptional_pairings
-    if memo is None or memo[0] is not model.exceptional:
-        memo = (model.exceptional, tuple([pair(A, E) for E in model.exceptional]))
-        object.__setattr__(A, "_exceptional_pairings", memo)
-    return memo[1]
-
-
 def k(A: HClass) -> int:
     """Point budget k(A) = (c1(A) + A.A)/2."""
-    total = c1(A) + _square(A)
-    if total % 2 != 0:
-        raise ParityError(f"c1 + square is odd for {A}; canonical class is malformed")
-    return total // 2
+    return (c1(A) + _square(A)) // 2
 
 
 def m_e(model: ManifoldModel, A: HClass, E: HClass) -> int:
@@ -106,10 +88,7 @@ def genus_embedded(A: HClass) -> int:
     May be negative; callers read a negative value as "not representable
     by an embedded connected curve".
     """
-    total = _square(A) - c1(A)  # K.A + A.A
-    if total % 2 != 0:
-        raise ParityError(f"K.A + A.A is odd for {A}; canonical class is malformed")
-    return 1 + total // 2
+    return 1 + (_square(A) - c1(A)) // 2  # K.A = -c1(A)
 
 
 def moduli_dimension(A: HClass, g: int) -> int:
@@ -149,17 +128,16 @@ def classify_negative(A: HClass) -> NegClassVerdict:
     """Decide whether a negative-square class is an exceptional sphere.
 
     For a somewhere-injective genus-g curve under generic data, both
-    c1(A) + g - 1 >= 0 and c1(A) + 2(g-1) <= A.A must hold.  The scan over
-    g is exhaustive below the bound implied by the second constraint.
+    c1(A) + g - 1 >= 0 and c1(A) + 2(g-1) <= A.A must hold.  With A.A < 0
+    the first gives g - 1 <= c1(A) + 2(g-1) <= A.A <= -1, so g = 0; then
+    1 <= c1(A) <= A.A + 2 <= 1, so (g, c1(A), A.A) = (0, 1, -1) is the
+    only solution.
     """
     sq = _square(A)
     if sq >= 0:
         raise PreconditionError(f"classify_negative needs A.A < 0, got {sq}")
-    c = c1(A)
-    g_max = max(0, 1 + (sq - c + 1) // 2)  # ceil of (A.A - c1)/2, plus 1
-    for g in range(g_max + 1):
-        if c + g - 1 >= 0 and c + 2 * (g - 1) <= sq:
-            return NegClassVerdict(EXCEPTIONAL_SPHERE, (g, c, sq))
+    if sq == -1 and c1(A) == 1:
+        return NegClassVerdict(EXCEPTIONAL_SPHERE, (0, 1, -1))
     return NegClassVerdict(NOT_REPRESENTABLE, None)
 
 
@@ -202,16 +180,6 @@ def in_forward_cone(A: HClass, strict: bool = False) -> bool:
     if strict:
         return sq > 0 and w > 0
     return sq >= 0 and w >= 0
-
-
-def _proportional(A: HClass, B: HClass) -> bool:
-    # Rational proportionality: all 2x2 minors of the coordinate pair vanish.
-    u, v = A.coords, B.coords
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return False
-    return True
 
 
 def light_cone_pair_check(B1: HClass, B2: HClass) -> Report:

@@ -32,6 +32,16 @@ constructor, so a hash from another process is never reused.
 Class coordinates must be ints (bools, floats and Fractions raise
 CoordinateError); a list is taken as a tuple, and nothing is converted.
 
+Every count in the package is a formula in three numbers of a class A:
+c1(A), the square A.A, and the pairings A.E with a model's stored
+exceptional classes.  A class keeps each of them once it is computed, by
+c1, _square and _exceptional_pairings below, the only writers of those
+attributes.  The pairings are kept with the exceptional tuple they were
+taken against and are keyed on its identity, so another model or
+with_exceptional() pairs again.  copy, deepcopy and pickle rebuild a class
+through its constructor and so drop all three: a copy never carries a
+value that was computed for another object.
+
 A ManifoldModel bundles a lattice with the finite data the counting
 formulas consume: the stored exceptional classes, a minimality flag, and
 the three count tables (Gr0 values for square-positive classes, torus
@@ -67,7 +77,7 @@ from .torus_series import TorusLabel, parse_tori
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
-_TERM_RE = re.compile(r"([+-]?)(\d*)\*?([A-Za-z_][A-Za-z_0-9]*)")
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+)\*?)?([A-Za-z_][A-Za-z_0-9]*)")
 
 
 def _rational(value, path: str) -> Fraction:
@@ -228,7 +238,8 @@ class HClass:
     coords: tuple[int, ...]
     lattice: IntersectionLattice
 
-    # A.A and (exceptional tuple, pairings), kept by the invariants on first use.
+    # c1(A), A.A and (exceptional tuple, pairings), kept on first use.
+    _c1 = None
     _square = None
     _exceptional_pairings = None
 
@@ -311,8 +322,38 @@ def pair(A: HClass, B: HClass) -> int:
 
 
 def c1(A: HClass) -> int:
-    """First Chern number c1(A) = -K.A."""
-    return sum(map(mul, A.lattice._c1, A.coords))
+    """First Chern number c1(A) = -K.A, computed once and kept on A."""
+    value = A._c1
+    if value is None:
+        value = sum(map(mul, A.lattice._c1, A.coords))
+        object.__setattr__(A, "_c1", value)
+    return value
+
+
+def _square(A: HClass) -> int:
+    """A.A, paired once and kept on A."""
+    if A._square is None:
+        object.__setattr__(A, "_square", pair(A, A))
+    return A._square
+
+
+def _exceptional_pairings(model: "ManifoldModel", A: HClass) -> tuple[int, ...]:
+    """(A.E for E in model.exceptional), kept on A with that tuple."""
+    memo = A._exceptional_pairings
+    if memo is None or memo[0] is not model.exceptional:
+        memo = (model.exceptional, tuple([pair(A, E) for E in model.exceptional]))
+        object.__setattr__(A, "_exceptional_pairings", memo)
+    return memo[1]
+
+
+def _proportional(A: HClass, B: HClass) -> bool:
+    """Rational proportionality: all 2x2 minors of the coordinate pair vanish."""
+    u, v = A.coords, B.coords
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            if u[i] * v[j] - u[j] * v[i] != 0:
+                return False
+    return True
 
 
 def _area_numerator(A: HClass) -> int:
@@ -439,7 +480,7 @@ class ManifoldModel:
         for i, E in enumerate(exc):
             path = f"$.exceptional[{i}]"
             self._check_owned(E, path)
-            if pair(E, E) != -1 or c1(E) != 1:
+            if _square(E) != -1 or c1(E) != 1:
                 raise ModelFileError(path, f"{E} is not exceptional (needs E.E = -1 and c1(E) = 1)")
         if len(set(exc)) != len(exc):
             raise ModelFileError("$", "duplicate exceptional classes")

@@ -34,7 +34,7 @@ from .errors import (
     UnknownSphereCountError,
 )
 from .invariants import genus_embedded
-from .lattice import HClass, ManifoldModel, c1, pair
+from .lattice import HClass, ManifoldModel, _square, c1
 from .structure import _orthogonal_combinations
 
 
@@ -83,7 +83,7 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     if cA < 1:
         return []
     keys = [B for B in sorted(model.sphere_table, key=lambda b: b.coords) if c1(B) >= 1]
-    caps = [None if B in model.exceptional or pair(B, B) == 0 else 1 for B in keys]
+    caps = [None if B in model.exceptional or _square(B) == 0 else 1 for B in keys]
     configs = []
     for selection in _orthogonal_combinations(A, keys, caps, max_parts=cA):
         p = sum(r for _, r in selection)
@@ -152,7 +152,7 @@ def embedded_sphere_rule(model: ManifoldModel, A: HClass) -> int | None:
     Applies when the adjunction genus is 0, A.A >= -1, and the table marks
     A as represented; returns None when the rule does not apply.
     """
-    if genus_embedded(A) != 0 or pair(A, A) < -1:
+    if genus_embedded(A) != 0 or _square(A) < -1:
         return None
     if model.sphere_table.get(A, 0) < 1:
         return None

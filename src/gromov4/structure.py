@@ -38,17 +38,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error
-from .invariants import (
-    EXCEPTIONAL_SPHERE,
-    _proportional,
-    classify_negative,
-    ell_g,
-    is_good_class,
-    k,
-    k_prime,
-    m_e,
-)
-from .lattice import HClass, ManifoldModel, _area_numerator, b2_plus, pair
+from .invariants import EXCEPTIONAL_SPHERE, classify_negative, ell_g, is_good_class, k, k_prime, m_e
+from .lattice import HClass, ManifoldModel, _area_numerator, _proportional, _square, b2_plus, pair
 from .report import Check, Report
 from .torus_series import gr_torus_class
 
@@ -145,7 +136,7 @@ def verify_good_configuration(
     bad_mult = tuple(
         comp.cls
         for comp in comps
-        if comp.mult != 1 and not (comp.genus == 1 and pair(comp.cls, comp.cls) == 0)
+        if comp.mult != 1 and not (comp.genus == 1 and _square(comp.cls) == 0)
     )
     checks.append(
         Check(
@@ -158,7 +149,7 @@ def verify_good_configuration(
     bad_neg = tuple(
         comp.cls
         for comp in comps
-        if pair(comp.cls, comp.cls) < 0
+        if _square(comp.cls) < 0
         and classify_negative(comp.cls).kind != EXCEPTIONAL_SPHERE
     )
     checks.append(
@@ -286,7 +277,7 @@ class Decomposition:
         if self.total() != A:
             return False
         for i, p in enumerate(self.parts):
-            if pair(p, p) < 0:
+            if _square(p) < 0:
                 return False
             for q in self.parts[i + 1 :]:
                 if pair(p, q) != 0 or _proportional(p, q):
@@ -311,7 +302,7 @@ def _orthogonal_combinations(
     """
     need = {}  # candidate index -> its one possible multiplicity, or None if free
     for i, (cand, cap) in enumerate(zip(cands, caps)):
-        sq, ab = pair(cand, cand), pair(A, cand)
+        sq, ab = _square(cand), pair(A, cand)
         if sq == 0 and ab == 0 and cap != 0:
             need[i] = None
         elif sq != 0 and ab % sq == 0 and 1 <= ab // sq <= (ab // sq if cap is None else cap):
@@ -344,7 +335,7 @@ def _orthogonal_combinations(
 
 
 def enumerate_decompositions(
-    model: ManifoldModel, A: HClass, candidates: Sequence[HClass]
+    model: ManifoldModel, A: HClass, candidates: Sequence[HClass] | None = None
 ) -> list[Decomposition]:
     """All decompositions of A generated by the candidate classes.
 
@@ -355,8 +346,15 @@ def enumerate_decompositions(
     no further test is needed.  On a minimal model with b2+ > 1, candidates
     with k != 0 are dropped up front: their Gr0 vanishes, so they cannot
     carry a count.
+
+    Candidates default to the classes the model has count data for (the
+    union of the gr0_table and torus_table keys).
     """
     lat = A.lattice
+    if candidates is None:
+        candidates = sorted(
+            set(model.gr0_table) | set(model.torus_table), key=lambda cand: cand.coords
+        )
     for cand in candidates:
         if cand.lattice != lat:
             raise InvalidCandidateError(f"candidate {cand} lives in another lattice")
@@ -365,13 +363,13 @@ def enumerate_decompositions(
     cands = sorted(set(candidates), key=lambda cand: cand.coords)
     if model.minimal and b2_plus(lat) > 1:
         cands = [cand for cand in cands if k(cand) == 0]
-    caps = [0 if sq < 0 else 1 if sq > 0 else None for sq in map(pair, cands, cands)]
+    caps = [0 if sq < 0 else 1 if sq > 0 else None for sq in map(_square, cands)]
     found: dict[tuple, Decomposition] = {}
     for selection in _orthogonal_combinations(A, cands, caps):
         parts: list[HClass] = []
         rays: dict[tuple[int, ...], HClass] = {}
         for cand, n in selection:
-            if pair(cand, cand) > 0:
+            if _square(cand) > 0:
                 parts.append(cand)
             else:
                 key = cand.primitive().coords
@@ -388,18 +386,12 @@ def gromov_via_decompositions(
 ) -> int:
     """Gr(A) as the sum over decompositions of the product of part counts.
 
-    Candidates default to the classes the model has count data for (the
-    union of the gr0_table and torus_table keys).  Square-positive parts
-    read gr0_table; square-zero parts read the torus weighting of their
-    ray.  A part without data raises a structured error: a silent zero
+    Candidates default as in enumerate_decompositions.  Square-positive
+    parts read gr0_table; square-zero parts read the torus weighting of
+    their ray.  A part without data raises a structured error: a silent zero
     would fake a vanishing invariant.  Gr(0) = 1 by convention (the empty
     curve).
     """
-    if candidates is None:
-        candidates = sorted(
-            set(model.gr0_table) | set(model.torus_table),
-            key=lambda cand: cand.coords,
-        )
     if A.is_zero:
         return 1
     decs = enumerate_decompositions(model, A, candidates)
@@ -408,7 +400,7 @@ def gromov_via_decompositions(
     for dec in decs:
         prod = 1
         for part in dec.parts:
-            sq = pair(part, part)
+            sq = _square(part)
             if sq > 0:
                 value = model.gr0_table.get(part)
                 if value is None:
@@ -447,8 +439,8 @@ def check_kmin_constraints(model: ManifoldModel, table: dict) -> Report:
         if partner in table and A.coords <= partner.coords:
             if abs(v) != abs(table[partner]):
                 wit_iii.append((A, partner))
-    if pair(K, K) == 0:
-        wit_iv = tuple(A for A, v in items if v != 0 and pair(A, A) != 0)
+    if _square(K) == 0:
+        wit_iv = tuple(A for A, v in items if v != 0 and _square(A) != 0)
         detail_iv = "K.K = 0 forces square zero on classes with nonzero count"
     else:
         wit_iv = ()

@@ -207,6 +207,11 @@ def test_parse_error_exit_code(capsys):
     code, out, err = invoke(capsys, "k", "--manifold", "cp2", "--class", "3Q")
     assert (code, out) == (2, "")
     assert err == "error code=parse msg=unknown symbol 'Q' (basis of cp2: L)\n"
+    # A '*' is a term only after a coefficient.
+    code, out, err = invoke(capsys, "k", "--manifold", "cp2", "--class", "*L")
+    assert (code, out, err) == (2, "", "error code=parse msg=malformed term at '*L' in '*L'\n")
+    code, out, err = invoke(capsys, "kprime", "--manifold", "cp2_blowup(2)", "--class", "L+*E1")
+    assert (code, out, err) == (2, "", "error code=parse msg=malformed term at '+*E1' in 'L+*E1'\n")
 
 
 def test_unknown_preset_and_command(capsys):

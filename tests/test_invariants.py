@@ -178,6 +178,11 @@ def test_classify_negative_square_classes():
         classify_negative(m.parse("L"))
     with pytest.raises(PreconditionError):
         classify_negative(m.lattice.zero())
+    # c1 far below A.A: A = -N L - (N+1) E1 has c1 = -4N-1 and A.A = -2N-1,
+    # and the verdict needs no search over g up to about N.
+    b1 = preset("cp2_blowup", 1)
+    far = classify_negative(b1.lattice.class_from_coords((-10**30, -10**30 - 1)))
+    assert (far.kind, far.witness) == ("NotRepresentable", None)
 
 
 def test_classify_negative_matches_charge_one_square_minus_one():
@@ -315,9 +320,14 @@ MEMO_MODELS = (
 
 
 def reference(model, A):
-    """k, k', goodness, every m_E, the reduction and whether it warns, with
-    each pairing computed afresh, as the invariants did before the memo."""
-    kA = (c1(A) + pair(A, A)) // 2
+    """k, k', goodness, every m_E, the reduction and whether it warns, c1,
+    the genus, the moduli dimensions at g = 0, 1, 2, the negative-class
+    verdict (PreconditionError when A.A >= 0) and both cone tests, with each
+    pairing and c1 = -K.A computed afresh, as the invariants did before the
+    memo."""
+    K = model.canonical_class()
+    cA, sq = -pair(K, A), pair(A, A)
+    kA = (cA + sq) // 2
     ms = [max(-pair(A, E), 0) for E in model.exceptional]
     kp = kA + sum((m * m - m) // 2 for m in ms)
     strips, B = [], A
@@ -326,9 +336,19 @@ def reference(model, A):
             strips.append((E, m))
             B = B - m * E
     good_B = all(pair(E, B) >= -1 for E in model.exceptional)
-    warns = not good_B or (c1(B) + pair(B, B)) // 2 != kp
+    warns = not good_B or (-pair(K, B) + pair(B, B)) // 2 != kp
     good = all(pair(E, A) >= -1 for E in model.exceptional)
-    return kA, kp, good, ms, (B, tuple(strips)), warns
+    dims = [2 * (cA + g - 1) + {0: 6, 1: 2}.get(g, 0) for g in (0, 1, 2)]
+    if sq >= 0:
+        verdict = PreconditionError
+    elif (cA, sq) == (1, -1):
+        verdict = ("ExceptionalSphere", (0, 1, -1))
+    else:
+        verdict = ("NotRepresentable", None)
+    w = sum(x * a for x, a in zip(model.lattice.area, A.coords))
+    cone = (sq >= 0 and w >= 0, sq > 0 and w > 0)
+    rest = (cA, 1 + (sq - cA) // 2, dims, verdict, cone)
+    return (kA, kp, good, ms, (B, tuple(strips)), warns) + rest
 
 
 def observed(model, A, order):
@@ -345,10 +365,25 @@ def observed(model, A, order):
             got["kprime"] = k_prime(model, A)
         elif name == "good":
             got["good"] = is_good_class(model, A)
+        elif name == "c1":
+            got["c1"] = c1(A)
+        elif name == "genus":
+            got["genus"] = genus_embedded(A)
+        elif name == "dim":
+            got["dim"] = [moduli_dimension(A, g) for g in (0, 1, 2)]
+        elif name == "classify":
+            try:
+                verdict = classify_negative(A)
+                got["classify"] = (verdict.kind, verdict.witness)
+            except PreconditionError:
+                got["classify"] = PreconditionError
+        elif name == "cone":
+            got["cone"] = (in_forward_cone(A), in_forward_cone(A, strict=True))
         else:
             got["m_e"] = [m_e(model, A, E) for E in model.exceptional]
     red, warned = got["reduce"]
-    return got["k"], got["kprime"], got["good"], got["m_e"], red, warned
+    head = (got["k"], got["kprime"], got["good"], got["m_e"], red, warned)
+    return head + tuple(got[name] for name in ("c1", "genus", "dim", "classify", "cone"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,7 +392,8 @@ def test_memoised_invariants_match_pairing_every_time(data):
     model = data.draw(st.sampled_from(MEMO_MODELS))
     coord = st.one_of(st.integers(-5, 5), st.sampled_from([-1, 1]), st.integers(-10**20, 10**20))
     coords = data.draw(st.lists(coord, min_size=model.lattice.rank, max_size=model.lattice.rank))
-    order = data.draw(st.permutations(["reduce", "k", "kprime", "good", "m_e"]))
+    names = ["reduce", "k", "kprime", "good", "m_e", "c1", "genus", "dim", "classify", "cone"]
+    order = data.draw(st.permutations(names))
     A = model.lattice.class_from_coords(coords)
     want = reference(model, A)
     assert observed(model, A, order) == want  # cold, in a drawn order
@@ -370,7 +406,7 @@ def test_one_class_against_models_with_different_exceptional_sets():
     assert plain.lattice == entangled.lattice
     A = plain.parse("-4L + 2E1")  # A.E1 = A.(L-E1-E2) = -2
     for model in (plain, entangled, plain, preset("cp2_blowup", 2), entangled):
-        kA, kp, good, ms, red, warns = reference(model, A)
+        kA, kp, good, ms, red, warns, *_ = reference(model, A)
         assert (k_prime(model, A), is_good_class(model, A)) == (kp, good)
         assert [m_e(model, A, E) for E in model.exceptional] == ms
         with warnings.catch_warnings(record=True) as caught:
@@ -389,11 +425,12 @@ def test_copies_of_a_class_carry_no_memo(rebuild):
     m = preset("cp2_blowup", 2)
     A = m.parse("L + 2E1 - 3E2")
     reduce_multicovers(m, A)
-    assert {"_square", "_exceptional_pairings"} <= set(vars(A))
+    assert {"_c1", "_square", "_exceptional_pairings"} <= set(vars(A))
     # A wrong memo on the original must not reach the copy.
+    object.__setattr__(A, "_c1", 1000)
     object.__setattr__(A, "_square", 1000)
     object.__setattr__(A, "_exceptional_pairings", (m.exceptional, (50, 50)))
     B = rebuild(A)
     assert B == A and hash(B) == hash(A)
-    assert not {"_square", "_exceptional_pairings"} & set(vars(B))
-    assert (k(B), k_prime(m, B), is_good_class(m, B)) == (-5, -4, False)
+    assert not {"_c1", "_square", "_exceptional_pairings"} & set(vars(B))
+    assert (c1(B), k(B), k_prime(m, B), is_good_class(m, B)) == (2, -5, -4, False)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
     ClassParseError,
@@ -18,6 +18,8 @@ from gromov4 import (
     b2_plus,
     c1,
     format_class,
+    genus_embedded,
+    k,
     omega_area,
     pair,
     parse_class,
@@ -204,6 +206,8 @@ def test_parse_error_messages():
         ("L++E1", "malformed term at '++E1' in 'L++E1'"),
         ("1/2L", "malformed term at '1/2L' in '1/2L'"),
         ("L+E1)", "malformed term at ')' in 'L+E1)'"),
+        ("*L", "malformed term at '*L' in '*L'"),
+        ("L+*E1", "malformed term at '+*E1' in 'L+*E1'"),
         ("L E1", f"unknown symbol 'LE1' {basis}"),
         ("L+E9", f"unknown symbol 'E9' {basis}"),
         ("9" * 5000 + "L", "coefficient of 'L' has too many digits"),
@@ -226,12 +230,37 @@ def test_pairing_bilinear_symmetric(xs, ys, zs):
     assert pair(3 * A - B, C) == 3 * pair(A, C) - pair(B, C)
 
 
-@given(st.lists(st.integers(min_value=-15, max_value=15), min_size=2, max_size=2))
-def test_characteristic_parity_makes_k_integral(coords):
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_characteristic_parity_makes_k_integral(data):
+    coords = data.draw(st.lists(st.integers(min_value=-15, max_value=15), min_size=2, max_size=2))
     for name, n in (("cp2_blowup", 2), ("s2xs2", None), ("elliptic", 3)):
         m = preset(name, n) if n else preset(name)
         A = m.lattice.class_from_coords((coords * m.lattice.rank)[: m.lattice.rank])
         assert (pair(A, A) + pair(m.canonical_class(), A)) % 2 == 0
+    # Lattices drawn at random, odd diagonal and nonzero off-diagonal entries
+    # included.  The constructor keeps those whose K is characteristic, and
+    # on them k and genus_embedded are the exact halves, as integers.
+    rank = data.draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-3, max_value=3)
+    for _ in range(32):
+        upper = {(i, j): data.draw(entry) for i in range(rank) for j in range(i, rank)}
+        gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(rank)) for i in range(rank))
+        K = tuple(data.draw(st.lists(entry, min_size=rank, max_size=rank)))
+        k_dot = [sum(K[i] * gram[i][j] for i in range(rank)) for j in range(rank)]
+        try:
+            lat = IntersectionLattice("drawn", tuple(f"e{i}" for i in range(rank)), gram, K, (1,) * rank)
+        except ModelFileError:
+            # Rejected only where some basis vector has odd c1(e) + e.e.
+            assert any((gram[j][j] - k_dot[j]) % 2 for j in range(rank))
+            continue
+        a = data.draw(st.lists(st.integers(-10**12, 10**12), min_size=rank, max_size=rank))
+        A = lat.class_from_coords(a)
+        ka = sum(k_dot[j] * a[j] for j in range(rank))  # K.A
+        sq = sum(a[i] * gram[i][j] * a[j] for i in range(rank) for j in range(rank))
+        assert type(k(A)) is int and 2 * k(A) == sq - ka
+        assert type(genus_embedded(A)) is int and 2 * (genus_embedded(A) - 1) == sq + ka
+        break
 
 
 def test_hclass_arithmetic_and_content():
