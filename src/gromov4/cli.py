@@ -23,9 +23,11 @@ from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import (
+    AssignmentAmbiguityWarning,
     ClassParseError,
     DomainError,
     ModelFileError,
+    ReductionConsistencyWarning,
     UnknownPresetError,
 )
 from .fibersum import fiber_gr_table, gr_elliptic_fiber
@@ -211,17 +213,47 @@ _PER_CLASS: dict[str, tuple[Callable, str, str]] = {
         "in_forward_cone({s}, strict={v[strict]}) = {v[in]}",
         "cone({s};strict={v[strict]})={v[in]}",
     ),
+    "gr": (
+        lambda m, A, a: gromov_via_decompositions(m, A, a.parsed_candidates),
+        "Gr({s}) = {v}",
+        "gr({s})={v}",
+    ),
+    "gr-s": (lambda m, A, a: gr_s(m, A), "Gr_s({s}) = {v}", "gr_s({s})={v}"),
+}
+
+# The warning a per-class command reports, as one more line after the
+# class's result: command -> (category, human line, records line).  No
+# Python warning reaches stderr.
+_WARNING_LINES: dict[str, tuple[type[Warning], str, str]] = {
+    "reduce": (
+        ReductionConsistencyWarning,
+        "  warning: inconsistent reduction; stored exceptional classes are not pairwise orthogonal",
+        "reduce({s}).warning=inconsistent-reduction",
+    ),
+    "gr-s": (
+        AssignmentAmbiguityWarning,
+        "  warning: ambiguous point assignment among repeated components",
+        "gr_s({s}).warning=ambiguous-assignment",
+    ),
 }
 
 
 def _cmd_per_class(args) -> list[str]:
     model = _load_manifold(args.manifold)
+    # gr's --candidates, parsed once and before the classes.
+    args.parsed_candidates = _candidates(model, args)
     value, human, records = _PER_CLASS[args.command]
-    fmt = records if args.format == "records" else human
+    category, warn_human, warn_records = _WARNING_LINES.get(args.command, (None, None, None))
+    fmt, warning = (records, warn_records) if args.format == "records" else (human, warn_human)
     lines = []
     for A in _classes(model, args):
-        text = fmt.format(s=format_class(A), v=value(model, A, args), a=args)
-        lines.extend(text.split("\n"))
+        s = format_class(A)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            v = value(model, A, args)
+        lines.extend(fmt.format(s=s, v=v, a=args).split("\n"))
+        if category and any(issubclass(w.category, category) for w in caught):
+            lines.append(warning.format(s=s))
     return lines
 
 
@@ -262,20 +294,10 @@ def _cmd_decomp(args) -> list[str]:
 
 def _candidates(model: ManifoldModel, args) -> list[HClass] | None:
     """The parsed --candidates, or None for the model's default set."""
-    if args.candidates:
-        return [model.parse(tok) for tok in args.candidates.split(",") if tok.strip()]
+    text = getattr(args, "candidates", None)
+    if text:
+        return [model.parse(tok) for tok in text.split(",") if tok.strip()]
     return None
-
-
-def _cmd_gr(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    candidates = _candidates(model, args)
-    for A in _classes(model, args):
-        s = format_class(A)
-        v = gromov_via_decompositions(model, A, candidates)
-        lines.append(f"gr({s})={v}" if args.format == "records" else f"Gr({s}) = {v}")
-    return lines
 
 
 def _cmd_gr_tori(args) -> list[str]:
@@ -284,24 +306,6 @@ def _cmd_gr_tori(args) -> list[str]:
         raise UsageError("gr-tori needs --k")
     v = gr_torus_class(tori, args.k)
     return [f"gr_tori={v}"] if args.format == "records" else [str(v)]
-
-
-def _cmd_gr_s(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    lines = []
-    for A in _classes(model, args):
-        s = format_class(A)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            v = gr_s(model, A)
-        lines.append(f"gr_s({s})={v}" if args.format == "records" else f"Gr_s({s}) = {v}")
-        if caught:
-            lines.append(
-                f"gr_s({s}).warning=ambiguous-assignment"
-                if args.format == "records"
-                else "  warning: ambiguous point assignment among repeated components"
-            )
-    return lines
 
 
 def _cmd_fibersum(args) -> Iterator[str]:
@@ -322,6 +326,8 @@ def _cmd_verify(args) -> list[str]:
         model = preset("elliptic", args.n)
         rep = check_kmin_constraints(model, fiber_gr_table(args.n))
         return _report_lines(rep, "verify", args.format)
+    if args.manifold is None:
+        raise UsageError(f"verify --mode {mode} needs --manifold")
     model = _load_manifold(args.manifold)
     if not args.cls:
         raise UsageError("verify needs at least one --class component (expr[:mult[:genus]])")
@@ -377,12 +383,12 @@ def build_parser() -> _Parser:
     new("lightcone", _cmd_lightcone, "light-cone pairing check on two classes")
     p = new("decomp", _cmd_decomp, "enumerate decompositions of a class")
     p.add_argument("--candidates", help="comma-separated candidate class expressions")
-    p = new("gr", _cmd_gr, "Gromov invariant via decompositions")
+    p = new("gr", _cmd_per_class, "Gromov invariant via decompositions")
     p.add_argument("--candidates", help="comma-separated candidate class expressions")
     p = new("gr-tori", _cmd_gr_tori, "torus-list count at degree k", model=False)
     p.add_argument("--tori", required=True, help="comma-separated labels, e.g. +0,+0 or -1:2")
     p.add_argument("--k", type=int, default=None)
-    new("gr-s", _cmd_gr_s, "spherical invariant Gr_s(A)")
+    new("gr-s", _cmd_per_class, "spherical invariant Gr_s(A)")
     p = new("fibersum", _cmd_fibersum, "fiber-class count of V(n) by the ledger", model=False)
     p.add_argument("--n", type=int, required=True)
     # verify --mode kmin builds its own preset, so --manifold is optional there.

@@ -111,17 +111,18 @@ class NegClassVerdict:
     """
 
     kind: str
-    witness: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (EXCEPTIONAL_SPHERE, NOT_REPRESENTABLE):
             raise ValueError(f"bad verdict kind {self.kind!r}")
-        if (self.kind == EXCEPTIONAL_SPHERE) != (self.witness == (0, 1, -1)):
-            raise ValueError("exceptional-sphere verdicts carry witness (0, 1, -1)")
 
     @property
     def is_exceptional_sphere(self) -> bool:
         return self.kind == EXCEPTIONAL_SPHERE
+
+    @property
+    def witness(self) -> tuple[int, int, int] | None:
+        return (0, 1, -1) if self.is_exceptional_sphere else None
 
 
 def classify_negative(A: HClass) -> NegClassVerdict:
@@ -137,8 +138,8 @@ def classify_negative(A: HClass) -> NegClassVerdict:
     if sq >= 0:
         raise PreconditionError(f"classify_negative needs A.A < 0, got {sq}")
     if sq == -1 and c1(A) == 1:
-        return NegClassVerdict(EXCEPTIONAL_SPHERE, (0, 1, -1))
-    return NegClassVerdict(NOT_REPRESENTABLE, None)
+        return NegClassVerdict(EXCEPTIONAL_SPHERE)
+    return NegClassVerdict(NOT_REPRESENTABLE)
 
 
 class ReduceResult(NamedTuple):

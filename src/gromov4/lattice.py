@@ -692,20 +692,20 @@ _BUILDERS = {
     "elliptic": (_elliptic, True),
 }
 
-PRESET_NAMES: tuple[str, ...] = (
-    "cp2",
-    "cp2_blowup(n)",
-    "s2xs2",
-    "s2xt2",
-    "elliptic(n)",
+PRESET_NAMES: tuple[str, ...] = tuple(
+    f"{base}(n)" if takes_n else base for base, (_, takes_n) in _BUILDERS.items()
 )
+
+# The largest parameter a preset takes: cp2_blowup(n) holds about n^2/2
+# sphere-table classes of rank n+1, so its memory grows as n^3.
+_PRESET_MAX_N = 64
 
 _PRESET_FORM = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(\s*(\d+)\s*\))?$")
 
 
 def preset(name: str, n: int | None = None) -> ManifoldModel:
     """Build a preset model; parametrized ones accept preset("elliptic", 3)
-    or the inline form preset("elliptic(3)")."""
+    or the inline form preset("elliptic(3)"), for 1 <= n <= _PRESET_MAX_N."""
     m = _PRESET_FORM.match(name.strip())
     if m is None:
         raise UnknownPresetError(f"bad preset name {name!r}")
@@ -725,6 +725,8 @@ def preset(name: str, n: int | None = None) -> ManifoldModel:
             raise UnknownPresetError(f"preset {base!r} needs a parameter, e.g. {base}(2)")
         if n < 1:
             raise UnknownPresetError(f"preset {base!r} needs n >= 1")
+        if n > _PRESET_MAX_N:
+            raise UnknownPresetError(f"preset {base!r} takes n <= {_PRESET_MAX_N}, got {n}")
         return builder(n)
     if n is not None:
         raise UnknownPresetError(f"preset {base!r} takes no parameter")

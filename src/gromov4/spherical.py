@@ -40,26 +40,26 @@ from .structure import _orthogonal_combinations
 
 @dataclass(frozen=True)
 class SphereConfig:
-    """A multiset of sphere classes with its point split (k, p)."""
+    """A multiset of sphere classes; its point split (k, p) follows from
+    the parts: p parts and k = sum of the budgets c1(B_i) - 1."""
 
     parts: tuple[HClass, ...]
-    k: int
-    p: int
 
     def __post_init__(self) -> None:
         parts = tuple(sorted(self.parts, key=lambda b: b.coords))
         if not parts:
             raise ValueError("a sphere configuration needs at least one part")
-        if self.p != len(parts):
-            raise ValueError("p must equal the number of parts")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        budget = sum(c1(b) - 1 for b in parts)
-        if budget != self.k:
-            raise ValueError(
-                f"point budgets sum to {budget}, configuration claims k = {self.k}"
-            )
         object.__setattr__(self, "parts", parts)
+        if self.k < 0:
+            raise ValueError(f"point budgets sum to {self.k}; k must be non-negative")
+
+    @property
+    def k(self) -> int:
+        return sum(self.budgets())
+
+    @property
+    def p(self) -> int:
+        return len(self.parts)
 
     def budgets(self) -> tuple[int, ...]:
         return tuple(c1(b) - 1 for b in self.parts)
@@ -86,8 +86,7 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     caps = [None if B in model.exceptional or _square(B) == 0 else 1 for B in keys]
     configs = []
     for selection in _orthogonal_combinations(A, keys, caps, max_parts=cA):
-        p = sum(r for _, r in selection)
-        configs.append(SphereConfig(tuple(B for B, r in selection for _ in range(r)), cA - p, p))
+        configs.append(SphereConfig(tuple(B for B, r in selection for _ in range(r))))
     configs.sort(key=lambda cfg: (cfg.p, tuple(b.coords for b in cfg.parts)))
     return configs
 

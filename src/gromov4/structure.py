@@ -95,14 +95,17 @@ class Configuration:
         return cls(tuple(comps))
 
 
-def _pairwise_intersections(comps: Sequence[Component]) -> list[tuple[HClass, HClass, int]]:
+def _disjoint(comps: Sequence[Component]) -> Check:
+    """The "disjoint" condition: components pair to zero, two at a time."""
     bad = []
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             p = pair(comps[i].cls, comps[j].cls)
             if p != 0:
                 bad.append((comps[i].cls, comps[j].cls, p))
-    return bad
+    return Check(
+        "disjoint", not bad, tuple(bad), "components must have pairwise zero intersection"
+    )
 
 
 def verify_good_configuration(
@@ -120,19 +123,10 @@ def verify_good_configuration(
     comps = cfg.components
     total = cfg.total
     kt = k(total)
-    checks = []
-    checks.append(
-        Check("points", points == kt, (total,), f"points={points}, k(total)={kt}")
-    )
-    bad_pairs = _pairwise_intersections(comps)
-    checks.append(
-        Check(
-            "disjoint",
-            not bad_pairs,
-            tuple(bad_pairs),
-            "components must have pairwise zero intersection",
-        )
-    )
+    checks = [
+        Check("points", points == kt, (total,), f"points={points}, k(total)={kt}"),
+        _disjoint(comps),
+    ]
     bad_mult = tuple(
         comp.cls
         for comp in comps
@@ -207,16 +201,7 @@ def verify_kprime_configuration(
     B = total.lattice.zero()
     for comp in rest:
         B = B + comp.mult * comp.cls
-    checks = []
-    bad_pairs = _pairwise_intersections(comps)
-    checks.append(
-        Check(
-            "disjoint",
-            not bad_pairs,
-            tuple(bad_pairs),
-            "components must have pairwise zero intersection",
-        )
-    )
+    checks = [_disjoint(comps)]
     bad_mult = tuple(
         (comp.cls, comp.mult, m_e(model, total, comp.cls))
         for comp in stripped

@@ -13,6 +13,7 @@ import pytest
 
 import gromov4
 from gromov4.cli import run
+from gromov4.lattice import _PRESET_MAX_N
 
 
 def invoke(capsys, *argv):
@@ -72,6 +73,43 @@ def test_reduce_output(capsys):
     assert out == "reduce(L+2E1).good=L\nreduce(L+2E1).strips=E1:2\n"
 
 
+def test_reduce_reports_an_inconsistent_reduction(capsys, tmp_path):
+    # L-E1-E2 meets E1 and E2, so stripping it from -3L leaves a class that
+    # is not good: the warning is an output line, not a Python warning.
+    doc = {
+        "name": "entangled",
+        "basis": ["L", "E1", "E2"],
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "K": [-3, 1, 1],
+        "area": [3, 1, 1],
+        "exceptional": ["E1", "E2", "L-E1-E2"],
+        "minimal": False,
+        "gr0_table": [],
+        "torus_table": [],
+        "sphere_table": [],
+    }
+    path = tmp_path / "entangled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ("reduce", "--manifold", str(path), "--class=-3L", "--class", "L+E1")
+    assert invoke(capsys, *argv) == (
+        0,
+        "reduce(-3L) = -6L+3E1+3E2; strips: L-E1-E2:3\n"
+        "  warning: inconsistent reduction; stored exceptional classes are not "
+        "pairwise orthogonal\n"
+        "reduce(L+E1) = L+E1; strips: none\n",
+        "",
+    )
+    assert invoke(capsys, *argv, "--format", "records") == (
+        0,
+        "reduce(-3L).good=-6L+3E1+3E2\n"
+        "reduce(-3L).strips=L-E1-E2:3\n"
+        "reduce(-3L).warning=inconsistent-reduction\n"
+        "reduce(L+E1).good=L+E1\n"
+        "reduce(L+E1).strips=\n",
+        "",
+    )
+
+
 def test_classify_negative_output(capsys):
     _, out, _ = invoke(capsys, "classify-neg", "--manifold", "cp2_blowup(1)", "--class", "E1")
     assert out == "classify_negative(E1) = ExceptionalSphere (g=0, c1=1, square=-1)\n"
@@ -124,6 +162,12 @@ def test_decomp_and_gr(capsys):
         "--format", "records",
     )
     assert out == "gr(4B)=5\n"
+    # --candidates is parsed before the classes, so its error is the one reported.
+    code, out, err = invoke(
+        capsys, "gr", "--manifold", "s2xt2", "--class=4Q", "--candidates", "Z"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error code=parse msg=unknown symbol 'Z' (basis of s2xt2: S, B)\n"
 
 
 def test_gr_missing_table_entry_is_domain_error(capsys):
@@ -189,6 +233,12 @@ def test_verify_modes(capsys):
         capsys, "verify", "--manifold", "cp2", "--mode", "good", "--class", "L"
     )
     assert code == 2 and "--points" in err
+    for mode in ("good", "kprime"):
+        code, out, err = invoke(
+            capsys, "verify", "--mode", mode, "--class", "L", "--points", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error code=usage msg=verify --mode {mode} needs --manifold\n"
 
 
 def test_verify_reports_failures_with_witnesses(capsys):
@@ -217,6 +267,12 @@ def test_parse_error_exit_code(capsys):
 def test_unknown_preset_and_command(capsys):
     code, _, err = invoke(capsys, "k", "--manifold", "nosuch", "--class", "L")
     assert code == 2 and err.startswith("error code=usage msg=unknown preset")
+    over = _PRESET_MAX_N + 1
+    code, out, err = invoke(capsys, "k", "--manifold", f"cp2_blowup({over})", "--class", "L")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error code=usage msg=preset 'cp2_blowup' takes n <= {_PRESET_MAX_N}, got {over}\n"
+    )
     code, _, err = invoke(capsys, "frobnicate")
     assert code == 2 and err.startswith("error code=usage")
     code, _, err = invoke(capsys)

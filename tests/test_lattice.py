@@ -327,6 +327,22 @@ def test_preset_lookup_forms():
         preset("cp2", 5)
 
 
+def test_preset_parameter_limit(monkeypatch):
+    # The limit is checked before a builder runs; only limit + 1 is tried.
+    import gromov4.lattice as lattice
+
+    def never(n):
+        raise AssertionError(f"builder called with n={n}")
+
+    limit = lattice._PRESET_MAX_N
+    assert limit >= 32
+    for base in ("cp2_blowup", "elliptic"):
+        monkeypatch.setitem(lattice._BUILDERS, base, (never, True))
+        for args in ((f"{base}({limit + 1})",), (base, limit + 1)):
+            with pytest.raises(UnknownPresetError, match=rf"n <= {limit}, got {limit + 1}$"):
+                preset(*args)
+
+
 def test_model_exceptional_validation():
     m = preset("cp2_blowup", 2)
     with pytest.raises(ValueError):

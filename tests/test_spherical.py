@@ -92,11 +92,11 @@ def test_config_enumeration_matches_oracle():
     for model, targets in cases:
         for expr in targets:
             A = model.parse(expr)
-            got = [
-                (tuple(B.coords for B in cfg.parts), cfg.k, cfg.p)
-                for cfg in enumerate_sphere_configs(model, A)
-            ]
+            configs = enumerate_sphere_configs(model, A)
+            got = [(tuple(B.coords for B in cfg.parts), cfg.k, cfg.p) for cfg in configs]
             assert got == oracle_sphere_configs(model, A), (model.name, expr)
+            for cfg in configs:
+                assert cfg.k == c1(A) - cfg.p and cfg.p == len(cfg.parts), (model.name, expr)
             nonempty += bool(got)
     assert nonempty >= 15
 
@@ -227,7 +227,7 @@ def test_assignment_factor_and_ambiguity_warning():
 def test_unknown_count_error():
     st = preset("s2xt2")
     twoS = 2 * st.parse("S")
-    odd = SphereConfig((twoS, twoS), 6, 2)
+    odd = SphereConfig((twoS, twoS))
     with pytest.raises(UnknownSphereCountError):
         assignment_factor(st, odd)
 
@@ -235,12 +235,12 @@ def test_unknown_count_error():
 def test_sphere_config_validation():
     st = preset("s2xt2")
     S = st.parse("S")
+    assert (SphereConfig((S,)).k, SphereConfig((S,)).p) == (1, 1)
     with pytest.raises(ValueError):
-        SphereConfig((S,), 1, 2)
+        SphereConfig(())
+    # c1(-S) = -2, so the one budget c1 - 1 is negative and so is k
     with pytest.raises(ValueError):
-        SphereConfig((S,), -1, 1)
-    with pytest.raises(ValueError):
-        SphereConfig((S,), 5, 1)
+        SphereConfig((-S,))
 
 
 def test_embedded_sphere_rule():

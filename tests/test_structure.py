@@ -190,6 +190,11 @@ def test_kprime_configuration_flags_intersecting_components():
     assert not ch.passed
     wit = {frozenset((str(a), str(b))): prod for a, b, prod in ch.witness}
     assert wit[frozenset(("L-E1", "E1"))] == 1
+    # A negative pairing breaks disjointness as well, in both verifiers.
+    LpE = b1.parse("L + E1")
+    cfg = Configuration.of([(LpE, 1, 0), (E, 1, 0)])
+    for rep in (verify_good_configuration(b1, cfg, 1), verify_kprime_configuration(b1, cfg)):
+        assert rep.check("disjoint").witness == ((LpE, E, -1),)
 
 
 def test_kprime_configuration_whole_cover_passes():
