@@ -9,6 +9,77 @@ decomposition enumerations, multiply-covered-torus generating functions,
 spherical invariants, and fiber-sum ledgers.
 """
 
+import importlib.util
+import sys
+
+# Modules that only some calls reach, with the names this package re-exports
+# from each.  Each is registered in sys.modules up front and runs on first
+# attribute access; running binds its names here, as `from .x import name`
+# would, and until then the module __getattr__ below resolves them.
+_LAZY = {
+    "fibersum": (
+        "EllipticFiberCount", "Piece", "base_pieces", "fiber_gr_table", "glue",
+        "gr_elliptic_fiber",
+    ),
+    "model_io": ("load_model",),
+    "report": ("Check", "Report"),
+    "spherical": (
+        "SphereConfig", "assignment_factor", "embedded_sphere_rule",
+        "enumerate_sphere_configs", "gr_s", "k_for",
+    ),
+    "structure": (
+        "Component", "Configuration", "Decomposition", "check_kmin_constraints",
+        "enumerate_decompositions", "gromov_via_decompositions",
+        "verify_good_configuration", "verify_kprime_configuration",
+    ),
+    "torus_series": (
+        "ALL_LABELS", "TorusLabel", "TruncSeries", "f_series", "gr_torus_class",
+        "parse_tori",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+class _Exporter:
+    """Loader of a lazy module: runs it, then binds its re-exported names here."""
+
+    def __init__(self, loader, names):
+        self.loader, self.names = loader, names
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        self.loader.exec_module(module)
+        globals().update((name, getattr(module, name)) for name in self.names)
+
+
+def _lazy(name: str) -> None:
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(_Exporter(spec.loader, _LAZY[name]))
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = globals()[name] = module
+    loader.exec_module(module)
+
+
+for _name in _LAZY:
+    _lazy(_name)
+del _name
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+# The eager modules run after the lazy ones are registered: they bind a lazy
+# module itself (`from . import torus_series`), never a name from it.
 from .errors import (
     AssignmentAmbiguityWarning,
     ClassParseError,
@@ -23,14 +94,6 @@ from .errors import (
     UnknownGr0Error,
     UnknownPresetError,
     UnknownSphereCountError,
-)
-from .fibersum import (
-    EllipticFiberCount,
-    Piece,
-    base_pieces,
-    fiber_gr_table,
-    glue,
-    gr_elliptic_fiber,
 )
 from .invariants import (
     NegClassVerdict,
@@ -60,48 +123,14 @@ from .lattice import (
     parse_class,
     preset,
 )
-from .model_io import load_model
-from .report import Check, Report
-from .spherical import (
-    SphereConfig,
-    assignment_factor,
-    embedded_sphere_rule,
-    enumerate_sphere_configs,
-    gr_s,
-    k_for,
-)
-from .structure import (
-    Component,
-    Configuration,
-    Decomposition,
-    check_kmin_constraints,
-    enumerate_decompositions,
-    gromov_via_decompositions,
-    verify_good_configuration,
-    verify_kprime_configuration,
-)
-from .torus_series import (
-    ALL_LABELS,
-    TorusLabel,
-    TruncSeries,
-    f_series,
-    gr_torus_class,
-    parse_tori,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_LABELS",
     "AssignmentAmbiguityWarning",
-    "Check",
     "ClassParseError",
-    "Component",
-    "Configuration",
     "CoordinateError",
-    "Decomposition",
     "DomainError",
-    "EllipticFiberCount",
     "HClass",
     "IntersectionLattice",
     "InvalidCandidateError",
@@ -111,51 +140,28 @@ __all__ = [
     "NegClassVerdict",
     "NotInExceptionalSetError",
     "PRESET_NAMES",
-    "Piece",
     "PreconditionError",
     "ReduceResult",
     "ReductionConsistencyWarning",
-    "Report",
-    "SphereConfig",
-    "TorusLabel",
-    "TruncSeries",
     "UnknownGr0Error",
     "UnknownPresetError",
     "UnknownSphereCountError",
-    "assignment_factor",
     "b2_plus",
-    "base_pieces",
     "c1",
-    "check_kmin_constraints",
     "classify_negative",
     "ell_g",
-    "embedded_sphere_rule",
-    "enumerate_decompositions",
-    "enumerate_sphere_configs",
-    "f_series",
-    "fiber_gr_table",
     "format_class",
     "genus_embedded",
-    "glue",
-    "gr_elliptic_fiber",
-    "gr_s",
-    "gr_torus_class",
-    "gromov_via_decompositions",
     "in_forward_cone",
     "is_good_class",
     "k",
-    "k_for",
     "k_prime",
     "light_cone_pair_check",
-    "load_model",
     "m_e",
     "moduli_dimension",
     "omega_area",
     "pair",
     "parse_class",
-    "parse_tori",
     "preset",
     "reduce_multicovers",
-    "verify_good_configuration",
-    "verify_kprime_configuration",
-]
+] + list(_HOME)

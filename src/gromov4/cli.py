@@ -22,6 +22,7 @@ import warnings
 from itertools import chain
 from typing import Callable, Iterator
 
+from . import fibersum, model_io, report, spherical, structure, torus_series
 from .errors import (
     AssignmentAmbiguityWarning,
     ClassParseError,
@@ -30,7 +31,6 @@ from .errors import (
     ReductionConsistencyWarning,
     UnknownPresetError,
 )
-from .fibersum import fiber_gr_table, gr_elliptic_fiber
 from .invariants import (
     classify_negative,
     genus_embedded,
@@ -49,19 +49,6 @@ from .lattice import (
     format_class,
     preset,
 )
-from .model_io import load_model
-from .report import Report
-from .spherical import gr_s
-from .structure import (
-    Component,
-    Configuration,
-    check_kmin_constraints,
-    enumerate_decompositions,
-    gromov_via_decompositions,
-    verify_good_configuration,
-    verify_kprime_configuration,
-)
-from .torus_series import TorusLabel, gr_torus_class, parse_tori
 
 
 class UsageError(Exception):
@@ -85,7 +72,7 @@ def _load_manifold(source: str) -> ManifoldModel:
                 raise
     if not os.path.exists(source):
         raise UsageError(f"manifold {source!r} is neither a preset nor a file")
-    return load_model(source)
+    return model_io.load_model(source)
 
 
 def _classes(model: ManifoldModel, args) -> list[HClass]:
@@ -99,7 +86,7 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _parse_tori(text: str) -> tuple[tuple[TorusLabel, int], ...]:
+def _parse_tori(text: str) -> tuple[tuple[torus_series.TorusLabel, int], ...]:
     tori = []
     for token in filter(None, (t.strip() for t in text.split(","))):
         label, colon, cover = token.partition(":")
@@ -110,7 +97,7 @@ def _parse_tori(text: str) -> tuple[tuple[TorusLabel, int], ...]:
     if not tori:
         raise UsageError("--tori needs at least one label")
     try:
-        return parse_tori(tori)
+        return torus_series.parse_tori(tori)
     except ModelFileError as exc:
         raise UsageError(exc.message) from None
 
@@ -128,7 +115,7 @@ def _parse_component(text: str) -> tuple[str, int, int]:
     return expr, mult, genus
 
 
-def _report_lines(rep: Report, prefix: str, fmt: str) -> list[str]:
+def _report_lines(rep: report.Report, prefix: str, fmt: str) -> list[str]:
     lines = []
     for check in rep.checks:
         status = "pass" if check.passed else "fail"
@@ -214,11 +201,11 @@ _PER_CLASS: dict[str, tuple[Callable, str, str]] = {
         "cone({s};strict={v[strict]})={v[in]}",
     ),
     "gr": (
-        lambda m, A, a: gromov_via_decompositions(m, A, a.parsed_candidates),
+        lambda m, A, a: structure.gromov_via_decompositions(m, A, a.parsed_candidates),
         "Gr({s}) = {v}",
         "gr({s})={v}",
     ),
-    "gr-s": (lambda m, A, a: gr_s(m, A), "Gr_s({s}) = {v}", "gr_s({s})={v}"),
+    "gr-s": (lambda m, A, a: spherical.gr_s(m, A), "Gr_s({s}) = {v}", "gr_s({s})={v}"),
 }
 
 # The warning a per-class command reports, as one more line after the
@@ -279,7 +266,7 @@ def _cmd_decomp(args) -> list[str]:
     A = classes[0]
     s = format_class(A)
     candidates = _candidates(model, args)
-    decs = enumerate_decompositions(model, A, candidates)
+    decs = structure.enumerate_decompositions(model, A, candidates)
     lines = []
     if args.format == "records":
         lines.append(f"decomp({s}).count={len(decs)}")
@@ -304,12 +291,12 @@ def _cmd_gr_tori(args) -> list[str]:
     tori = _parse_tori(args.tori)
     if args.k is None:
         raise UsageError("gr-tori needs --k")
-    v = gr_torus_class(tori, args.k)
+    v = torus_series.gr_torus_class(tori, args.k)
     return [f"gr_tori={v}"] if args.format == "records" else [str(v)]
 
 
 def _cmd_fibersum(args) -> Iterator[str]:
-    result = gr_elliptic_fiber(args.n)  # validates before the first line is made
+    result = fibersum.gr_elliptic_fiber(args.n)  # validates before the first line is made
     if args.format == "records":
         key = f"fibersum({args.n})"
         steps = (f"{key}.trace.{i}={step}" for i, step in enumerate(result.trace, start=1))
@@ -324,7 +311,7 @@ def _cmd_verify(args) -> list[str]:
         if args.n is None:
             raise UsageError("verify --mode kmin needs --n (the elliptic parameter)")
         model = preset("elliptic", args.n)
-        rep = check_kmin_constraints(model, fiber_gr_table(args.n))
+        rep = structure.check_kmin_constraints(model, fibersum.fiber_gr_table(args.n))
         return _report_lines(rep, "verify", args.format)
     if args.manifold is None:
         raise UsageError(f"verify --mode {mode} needs --manifold")
@@ -334,14 +321,14 @@ def _cmd_verify(args) -> list[str]:
     comps = []
     for token in args.cls:
         expr, mult, genus = _parse_component(token)
-        comps.append(Component(model.parse(expr), mult, genus))
-    cfg = Configuration(tuple(comps))
+        comps.append(structure.Component(model.parse(expr), mult, genus))
+    cfg = structure.Configuration(tuple(comps))
     if mode == "good":
         if args.points is None:
             raise UsageError("verify --mode good needs --points")
-        rep = verify_good_configuration(model, cfg, args.points)
+        rep = structure.verify_good_configuration(model, cfg, args.points)
     else:
-        rep = verify_kprime_configuration(model, cfg, args.points)
+        rep = structure.verify_kprime_configuration(model, cfg, args.points)
     return _report_lines(rep, "verify", args.format)
 
 

@@ -36,6 +36,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import report
 from .errors import NotInExceptionalSetError, PreconditionError, ReductionConsistencyWarning
 from .lattice import (
     HClass,
@@ -48,7 +49,6 @@ from .lattice import (
     c1,
     pair,
 )
-from .report import Check, Report
 
 EXCEPTIONAL_SPHERE = "ExceptionalSphere"
 NOT_REPRESENTABLE = "NotRepresentable"
@@ -183,7 +183,7 @@ def in_forward_cone(A: HClass, strict: bool = False) -> bool:
     return sq >= 0 and w >= 0
 
 
-def light_cone_pair_check(B1: HClass, B2: HClass) -> Report:
+def light_cone_pair_check(B1: HClass, B2: HClass) -> report.Report:
     """Check the light cone inequality on a pair of forward-cone classes.
 
     Requires b2+ = 1.  Asserts B1.B2 >= 0, and that a zero product happens
@@ -201,7 +201,7 @@ def light_cone_pair_check(B1: HClass, B2: HClass) -> Report:
             raise PreconditionError(f"{X} is not in the closed forward cone")
     prod = pair(B1, B2)
     checks = [
-        Check(
+        report.Check(
             "nonnegative-product",
             prod >= 0,
             witness=(B1, B2),
@@ -213,11 +213,11 @@ def light_cone_pair_check(B1: HClass, B2: HClass) -> Report:
         both_null = _square(B1) == 0 and _square(B2) == 0
         ok = _proportional(B1, B2) and (degenerate or both_null)
         checks.append(
-            Check(
+            report.Check(
                 "zero-product-proportional-null",
                 ok,
                 witness=(B1, B2),
                 detail="zero pairing must come from proportional null classes",
             )
         )
-    return Report(tuple(checks))
+    return report.Report(tuple(checks))

@@ -65,6 +65,7 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Mapping, Sequence
 
+from . import torus_series
 from .errors import (
     ClassParseError,
     CoordinateError,
@@ -73,7 +74,6 @@ from .errors import (
     UnknownPresetError,
     _int,
 )
-from .torus_series import TorusLabel, parse_tori
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
@@ -472,7 +472,9 @@ class ManifoldModel:
     exceptional: tuple[HClass, ...] = ()
     minimal: bool = False
     gr0_table: Mapping[HClass, int] = field(default_factory=dict)
-    torus_table: Mapping[HClass, tuple[tuple[TorusLabel, int], ...]] = field(default_factory=dict)
+    torus_table: Mapping[HClass, tuple[tuple[torus_series.TorusLabel, int], ...]] = field(
+        default_factory=dict
+    )
     sphere_table: Mapping[HClass, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -497,7 +499,7 @@ class ManifoldModel:
             if A.content() != 1:
                 raise ModelFileError(f"{path}.class", f"{A} must be primitive")
             try:
-                tori[A] = parse_tori(entries)
+                tori[A] = torus_series.parse_tori(entries)
             except ModelFileError as err:
                 raise ModelFileError(f"{path}.tori{err.path[1:]}", err.message) from None
         spheres = {}
@@ -551,10 +553,6 @@ class ManifoldModel:
 # worked example has positive area; the other presets use the all-ones
 # functional.
 # ---------------------------------------------------------------------------
-
-_PLUS0 = TorusLabel(1, 0)
-_MINUS0 = TorusLabel(-1, 0)
-
 
 def _cp2() -> ManifoldModel:
     lat = IntersectionLattice(
@@ -648,7 +646,7 @@ def _s2xt2() -> ManifoldModel:
         exceptional=(),
         minimal=True,
         gr0_table={},
-        torus_table={B: ((_PLUS0, 1), (_PLUS0, 1))},
+        torus_table={B: (("+0", 1), ("+0", 1))},
         sphere_table={S: 1},
     )
 
@@ -669,11 +667,11 @@ def _elliptic(n: int) -> ManifoldModel:
     F = lat.basis_class(0)
     S = lat.basis_class(1)
     if n == 1:
-        tori = {F: ((_PLUS0, 1),)}
+        tori = {F: (("+0", 1),)}
     elif n == 2:
         tori = {F: ()}
     else:
-        tori = {F: tuple(((_MINUS0, 1) for _ in range(n - 2)))}
+        tori = {F: (("-0", 1),) * (n - 2)}
     return ManifoldModel(
         lattice=lat,
         exceptional=(S,) if n == 1 else (),
@@ -702,6 +700,11 @@ _PRESET_MAX_N = 64
 
 _PRESET_FORM = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(\s*(\d+)\s*\))?$")
 
+# A parameter of more digits is only reported as too large: int() of a digit
+# string past 4,300 digits raises ValueError, and so does str() of such an int.
+_PARAM_DIGITS = 9
+_HUGE = 10**_PARAM_DIGITS
+
 
 def preset(name: str, n: int | None = None) -> ManifoldModel:
     """Build a preset model; parametrized ones accept preset("elliptic", 3)
@@ -711,9 +714,10 @@ def preset(name: str, n: int | None = None) -> ManifoldModel:
         raise UnknownPresetError(f"bad preset name {name!r}")
     base, inline = m.groups()
     if inline is not None:
-        if n is not None and n != int(inline):
+        inline_n = int(inline) if len(inline) <= _PARAM_DIGITS else _HUGE
+        if n is not None and n != inline_n:
             raise UnknownPresetError(f"conflicting parameters for preset {name!r}")
-        n = int(inline)
+        n = inline_n
     entry = _BUILDERS.get(base)
     if entry is None:
         raise UnknownPresetError(
@@ -726,7 +730,8 @@ def preset(name: str, n: int | None = None) -> ManifoldModel:
         if n < 1:
             raise UnknownPresetError(f"preset {base!r} needs n >= 1")
         if n > _PRESET_MAX_N:
-            raise UnknownPresetError(f"preset {base!r} takes n <= {_PRESET_MAX_N}, got {n}")
+            got = n if n < _HUGE else f"more than {_PARAM_DIGITS} digits"
+            raise UnknownPresetError(f"preset {base!r} takes n <= {_PRESET_MAX_N}, got {got}")
         return builder(n)
     if n is not None:
         raise UnknownPresetError(f"preset {base!r} takes no parameter")

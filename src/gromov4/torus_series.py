@@ -18,7 +18,8 @@ a cover m turns a into m*a), so a torus list's product is one integer vector
 c[0..K] built from c = 1: multiplying by a factor is a descending pass
 c[i] += s*c[i-a], dividing by one an ascending pass c[i] -= s*c[i-a].
 gr_torus_class keeps the vectors of recent lists in a bounded cache keyed on
-the validated list as given, rebuilt at max(k, twice its order) for a k past it.
+the validated list as given, rebuilt at max(k, twice its order) for a k past it,
+and computes no degree past a fixed series-order limit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ModelFileError, _int
+from .errors import DomainError, ModelFileError, _int
 
 
 @dataclass(frozen=True)
@@ -197,6 +198,11 @@ def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
     return tuple(out)
 
 
+# The largest degree gr_torus_class computes.  It bounds time and memory
+# before anything is allocated: a vector is rebuilt at most at twice its
+# length, so no cached vector holds more than 2 * _ORDER_MAX + 1 coefficients.
+_ORDER_MAX = 10_000
+
 # Coefficient vectors of the _VECTORS_MAX most recently used torus lists.
 _VECTORS_MAX = 128
 _vectors: dict[tuple[tuple[TorusLabel, int], ...], list[int]] = {}
@@ -207,10 +213,13 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     (label, m) pair where the torus lies in m times the ray generator.
 
     The count is the t^k coefficient of the product over the listed tori of
-    f_label(t^m).  An empty list counts 1 in degree 0 and 0 above.
+    f_label(t^m).  An empty list counts 1 in degree 0 and 0 above.  A
+    degree past _ORDER_MAX raises DomainError.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
+    if k > _ORDER_MAX:
+        raise DomainError(f"degree past the series-order limit {_ORDER_MAX}")
     key = parse_tori(tori)
     c = _vectors.pop(key, [])
     if k >= len(c):

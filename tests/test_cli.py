@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import gromov4
+from gromov4 import torus_series
 from gromov4.cli import run
 from gromov4.lattice import _PRESET_MAX_N
 
@@ -277,6 +278,24 @@ def test_unknown_preset_and_command(capsys):
     assert code == 2 and err.startswith("error code=usage")
     code, _, err = invoke(capsys)
     assert code == 2
+
+
+def test_huge_parameters_are_structured_errors(capsys):
+    digits = "9" * 5000
+    code, out, err = invoke(capsys, "k", "--manifold", f"cp2_blowup({digits})", "--class", "L")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error code=usage msg=preset 'cp2_blowup' takes n <= {_PRESET_MAX_N}, "
+        "got more than 9 digits\n"
+    )
+    over = torus_series._ORDER_MAX + 1
+    limit_error = f"error code=domain msg=degree past the series-order limit {over - 1}\n"
+    code, out, err = invoke(capsys, "gr-tori", "--tori=+0", "--k", str(over))
+    assert (code, out, err) == (1, "", limit_error)
+    code, out, err = invoke(
+        capsys, "gr", "--manifold", "s2xt2", "--class", f"{over}B", "--candidates", "B"
+    )
+    assert (code, out, err) == (1, "", limit_error)
 
 
 def test_domain_error_exit_code(capsys):

@@ -343,6 +343,17 @@ def test_preset_parameter_limit(monkeypatch):
                 preset(*args)
 
 
+def test_preset_rejects_huge_parameters_with_its_own_error():
+    # Past 4,300 digits int() of the text, and str() of the int, raise a
+    # bare ValueError; preset reads neither and names no huge number.
+    digits = "9" * 5000
+    for args in ((f"cp2_blowup({digits})",), (f"elliptic({digits})",), ("elliptic", 10**5000)):
+        with pytest.raises(UnknownPresetError, match=r"n <= \d+, got more than \d+ digits$"):
+            preset(*args)
+    with pytest.raises(UnknownPresetError, match="takes no parameter"):
+        preset(f"cp2({digits})")
+
+
 def test_model_exceptional_validation():
     m = preset("cp2_blowup", 2)
     with pytest.raises(ValueError):

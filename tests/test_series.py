@@ -8,7 +8,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gromov4 import ALL_LABELS, TorusLabel, TruncSeries, f_series, gr_torus_class, parse_tori
+from gromov4 import (
+    ALL_LABELS,
+    DomainError,
+    TorusLabel,
+    TruncSeries,
+    f_series,
+    gr_torus_class,
+    parse_tori,
+)
 from gromov4 import torus_series
 
 
@@ -245,3 +253,13 @@ def test_cache_keeps_born_pairs_and_stays_bounded():
         tori = [(rng.choice(LABEL_TEXTS), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
         gr_torus_class(tori, rng.randint(0, 20))
         assert len(torus_series._vectors) <= torus_series._VECTORS_MAX
+
+
+def test_degree_past_the_series_order_limit_is_a_domain_error():
+    # Checked before anything is allocated; only limit + 1 is tried.
+    limit = torus_series._ORDER_MAX
+    assert limit >= 62  # the highest degree the tests and the benchmark ask for
+    torus_series._vectors.clear()
+    with pytest.raises(DomainError, match=f"series-order limit {limit}$"):
+        gr_torus_class([("+0", 1)], limit + 1)
+    assert not torus_series._vectors
