@@ -18,8 +18,11 @@ a cover m turns a into m*a), so a torus list's product is one integer vector
 c[0..K] built from c = 1: multiplying by a factor is a descending pass
 c[i] += s*c[i-a], dividing by one an ascending pass c[i] -= s*c[i-a].
 gr_torus_class keeps the vectors of recent lists in a bounded cache keyed on
-the validated list as given, rebuilt at max(k, twice its order) for a k past it,
-and computes no degree past a fixed series-order limit.
+the validated list as given.  A list's first vector covers a fixed minimum
+degree, enough for the usual degree sweeps, and a k past a cached vector
+rebuilds it at max(k, twice its order); no degree past a fixed series-order
+limit is computed.  There is exactly one object per label, so a key hashes
+and compares by identity.
 """
 
 from __future__ import annotations
@@ -30,18 +33,35 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ModelFileError, _int
 
 
-@dataclass(frozen=True)
 class TorusLabel:
-    """One of the eight torus types (sign, i) with i in 0..3."""
+    """One of the eight torus types (sign, i) with i in 0..3.
 
+    There is one object per type: the constructor, parse, copy and pickle
+    all return it, so == and hash are identity.
+    """
+
+    __slots__ = ("sign", "twists")
     sign: int
     twists: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("torus label sign must be +1 or -1")
-        if self.twists not in (0, 1, 2, 3):
-            raise ValueError("torus label twist count must lie in 0..3")
+    def __new__(cls, sign: int, twists: int) -> "TorusLabel":
+        try:
+            return _INTERNED[sign, twists]
+        except (KeyError, TypeError):  # not a label pair, or unhashable
+            if sign not in _SIGNS:
+                raise ValueError("torus label sign must be +1 or -1") from None
+            if twists not in _TWISTS:
+                raise ValueError("torus label twist count must lie in 0..3") from None
+            return ALL_LABELS[4 * _SIGNS.index(sign) + _TWISTS.index(twists)]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (TorusLabel, (self.sign, self.twists))
 
     @classmethod
     def parse(cls, text: str) -> "TorusLabel":
@@ -54,10 +74,20 @@ class TorusLabel:
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + str(self.twists)
 
+    def __repr__(self) -> str:
+        return f"TorusLabel(sign={self.sign!r}, twists={self.twists!r})"
 
-ALL_LABELS: tuple[TorusLabel, ...] = tuple(
-    TorusLabel(sign, i) for sign in (1, -1) for i in range(4)
-)
+
+def _make_label(sign: int, twists: int) -> TorusLabel:
+    label = object.__new__(TorusLabel)
+    object.__setattr__(label, "sign", sign)
+    object.__setattr__(label, "twists", twists)
+    return label
+
+
+_SIGNS, _TWISTS = (1, -1), (0, 1, 2, 3)
+ALL_LABELS: tuple[TorusLabel, ...] = tuple(_make_label(sign, i) for sign in _SIGNS for i in _TWISTS)
+_INTERNED = {(label.sign, label.twists): label for label in ALL_LABELS}
 _CANONICAL = {str(label): label for label in ALL_LABELS}
 
 
@@ -178,11 +208,17 @@ def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
 
     Each entry is a label (a TorusLabel or its text; cover 1) or a
     (label, cover) pair whose cover is an integer >= 1.  A bad entry j
-    raises ModelFileError at "$[j].label" or "$[j].cover".
+    raises ModelFileError at "$[j]", "$[j].label" or "$[j].cover".
     """
     out = []
     for j, entry in enumerate(tori):
-        label, cover = (entry, 1) if isinstance(entry, (str, TorusLabel)) else entry
+        if isinstance(entry, (str, TorusLabel)):
+            label, cover = entry, 1
+        else:
+            try:
+                label, cover = entry
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ModelFileError(f"$[{j}]", "expected a label or a (label, cover) pair") from None
         if isinstance(label, str):
             try:
                 label = _CANONICAL.get(label) or TorusLabel.parse(label)
@@ -203,6 +239,11 @@ def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
 # length, so no cached vector holds more than 2 * _ORDER_MAX + 1 coefficients.
 _ORDER_MAX = 10_000
 
+# The order of a list's first vector.  Degree sweeps ask for k = 0..12 or so,
+# and a vector this short costs about as much as validating one call, so a
+# sweep builds each list once instead of at orders 0, 1, 2, 4, 8 and 16.
+_ORDER_FIRST = 16
+
 # Coefficient vectors of the _VECTORS_MAX most recently used torus lists.
 _VECTORS_MAX = 128
 _vectors: dict[tuple[tuple[TorusLabel, int], ...], list[int]] = {}
@@ -214,8 +255,11 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
 
     The count is the t^k coefficient of the product over the listed tori of
     f_label(t^m).  An empty list counts 1 in degree 0 and 0 above.  A
-    degree past _ORDER_MAX raises DomainError.
+    degree that is not an int (a bool included) or is negative raises
+    ValueError; a degree past _ORDER_MAX raises DomainError.
     """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError("degree must be an integer")
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k > _ORDER_MAX:
@@ -223,7 +267,7 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     key = parse_tori(tori)
     c = _vectors.pop(key, [])
     if k >= len(c):
-        c = _coefficients(key, max(k, 2 * len(c) - 2))
+        c = _coefficients(key, max(k, _ORDER_FIRST, 2 * len(c) - 2))
     if len(_vectors) >= _VECTORS_MAX:
         del _vectors[next(iter(_vectors))]
     _vectors[key] = c

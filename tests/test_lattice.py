@@ -314,6 +314,15 @@ def test_constructors_reject_inexact_numbers():
     assert info.value.path == "$.sphere_table[1].count"
 
 
+def test_model_reports_a_bad_torus_entry_at_its_path():
+    m = preset("s2xt2")
+    B = m.parse("B")
+    for entry in (5, None, ("+0",), ("+0", 1, 2)):
+        with pytest.raises(ModelFileError) as info:
+            ManifoldModel(m.lattice, torus_table={B: ("+0", entry)})
+        assert info.value.path == "$.torus_table[0].tori[1]"
+
+
 def test_preset_lookup_forms():
     assert preset("cp2_blowup(2)").lattice.rank == 3
     assert preset("elliptic(3)").name == preset("elliptic", 3).name

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gromov4 import (
     ALL_LABELS,
     DomainError,
+    ModelFileError,
     TorusLabel,
     TruncSeries,
     f_series,
@@ -209,18 +212,111 @@ def oracle_counts(tori, order: int) -> list[int]:
 LABEL_TEXTS = sorted(RATIONAL_FORMS)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.tuples(st.sampled_from(LABEL_TEXTS), st.integers(1, 4)), max_size=6),
-    st.integers(0, 48),
-)
-def test_counts_match_series_products_and_long_division(tori, k):
-    product = TruncSeries.one(k)
+TORUS_LISTS = st.lists(st.tuples(st.sampled_from(LABEL_TEXTS), st.integers(1, 4)), max_size=6)
+
+
+def series_product(tori, order: int) -> tuple[int, ...]:
+    """Coefficients t^0..t^order of the product, by TruncSeries arithmetic."""
+    product = TruncSeries.one(order)
     for text, m in tori:
-        product = product * f_series(TorusLabel.parse(text), k).substitute_power(m)
+        product = product * f_series(TorusLabel.parse(text), order).substitute_power(m)
+    return product.coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(TORUS_LISTS, st.integers(0, 48))
+def test_counts_match_series_products_and_long_division(tori, k):
     got = gr_torus_class(tori, k)
-    assert got == product.coeff(k)
+    assert got == series_product(tori, k)[k]
     assert got == oracle_counts(tori, k)[k]
+
+
+# One step of a query sequence: ("k", list, k) asks one degree; ("sweep",
+# list, top, descending) asks 0..top in either order; ("evict",) asks more
+# distinct lists than the cache holds, so every list of the pool is dropped.
+QUERY_STEPS = st.one_of(
+    st.tuples(st.just("k"), st.integers(0, 7), st.integers(0, 60)),
+    st.tuples(st.just("sweep"), st.integers(0, 7), st.integers(0, 40), st.booleans()),
+    st.tuples(st.just("evict")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(TORUS_LISTS, min_size=1, max_size=4), st.lists(QUERY_STEPS, max_size=12))
+def test_query_sequences_match_the_series_oracle(pool, steps):
+    # covers 1..4 in the pool, 5 and up in the eviction lists
+    pool = [[]] + pool
+    want = [series_product(tori, 60) for tori in pool]
+    torus_series._vectors.clear()
+    for step in steps:
+        if step[0] == "evict":
+            for m in range(5, torus_series._VECTORS_MAX + 6):
+                assert gr_torus_class([("+1", m)], m) == 1
+            assert not any(parse_tori(tori) in torus_series._vectors for tori in pool)
+            continue
+        i = step[1] % len(pool)
+        if step[0] == "k":
+            ks = [step[2]]
+        else:
+            ks = sorted(range(step[2] + 1), reverse=step[3])
+        assert [gr_torus_class(pool[i], k) for k in ks] == [want[i][k] for k in ks]
+    assert len(torus_series._vectors) <= torus_series._VECTORS_MAX
+
+
+def test_a_degree_sweep_builds_each_list_once(monkeypatch):
+    builds, coefficients = [], torus_series._coefficients
+
+    def counted(tori, order):
+        builds.append(order)
+        return coefficients(tori, order)
+
+    monkeypatch.setattr(torus_series, "_coefficients", counted)
+    torus_series._vectors.clear()
+    tori = [("+3", 1), ("-2", 2)]
+    first = torus_series._ORDER_FIRST
+    want = oracle_counts(tori, 2 * first + 1)
+    assert [gr_torus_class(tori, k) for k in range(first + 1)] == want[: first + 1]
+    assert builds == [first]
+    assert gr_torus_class(tori, first + 1) == want[first + 1]
+    assert builds == [first, 2 * first]
+
+
+def test_each_label_is_one_object():
+    for label in ALL_LABELS:
+        assert TorusLabel(label.sign, label.twists) is label
+        assert TorusLabel.parse(str(label)) is label
+        assert copy.copy(label) is label
+        assert copy.deepcopy(label) is label
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(label, protocol)) is label
+        assert repr(label) == f"TorusLabel(sign={label.sign}, twists={label.twists})"
+    assert TorusLabel(True, 0) is TorusLabel(1, 0) is ALL_LABELS[0]
+    assert copy.deepcopy([(ALL_LABELS[5], 2)])[0][0] is ALL_LABELS[5]
+    # == and hash are object identity, which needs no Python call
+    assert TorusLabel.__eq__ is object.__eq__ and TorusLabel.__hash__ is object.__hash__
+    with pytest.raises(AttributeError):
+        ALL_LABELS[0].sign = -1
+    for sign, twists, message in ((0, 0, "sign"), ([1], 0, "sign"), (1, 4, "twist"), (-1, [0], "twist")):
+        with pytest.raises(ValueError, match=message):
+            TorusLabel(sign, twists)
+
+
+def test_a_bad_entry_is_a_model_file_error_at_its_index():
+    # neither a label nor a (label, cover) pair
+    for entry in (5, None, ("+0",), ("+0", 1, 2)):
+        with pytest.raises(ModelFileError) as info:
+            gr_torus_class(["+1", entry], 3)
+        assert info.value.path == "$[1]"
+
+
+def test_degree_must_be_an_int_before_anything_is_parsed():
+    torus_series._vectors.clear()
+    for k in (True, False, 2.0, "3", None):
+        with pytest.raises(ValueError, match="^degree must be an integer$"):
+            gr_torus_class(["+0"], k)
+        with pytest.raises(ValueError, match="^degree must be an integer$"):
+            gr_torus_class([5], k)
+    assert not torus_series._vectors
 
 
 def test_cached_list_still_validates_every_call():
