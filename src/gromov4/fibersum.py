@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .lattice import HClass, ManifoldModel, preset
 from .torus_series import gr_torus_class
 
@@ -116,6 +116,11 @@ def glue(a: Piece, b: Piece) -> Piece:
     return Piece("", a.boundary_count + b.boundary_count - 2, fiber, (note,), (a, b))
 
 
+# The largest n gr_elliptic_fiber builds V(n) for: the ledger glues n - 1
+# pieces, so the bound caps its time and memory before the first glue.
+_N_MAX = 10_000
+
+
 class EllipticFiberCount(NamedTuple):
     value: int
     trace: Iterable[str]
@@ -127,10 +132,15 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
     The open piece starts at V1_minus_NF (count 0), each further fiber-sum
     copy glues in one N_minus_P (count -1), and the D2xT2 cap closes the
     piece; the result is 2 - n.  The trace is the capped piece's Ledger of
-    2n+1 notes, made as it is read.
+    2n+1 notes, made as it is read.  An n that is not an int (a bool
+    included) raises ValueError; an n past _N_MAX raises DomainError.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError("n must be an integer")
     if n < 1:
         raise PreconditionError("elliptic surfaces V(n) need n >= 1")
+    if n > _N_MAX:
+        raise DomainError(f"n past the ledger limit {_N_MAX}")
     stock = base_pieces()
     open_piece = stock["V1_minus_NF"]
     for _ in range(n - 1):

@@ -43,6 +43,7 @@ from .lattice import (
     ManifoldModel,
     _area_numerator,
     _exceptional_pairings,
+    _exceptional_table,
     _proportional,
     _square,
     b2_plus,
@@ -160,9 +161,12 @@ def reduce_multicovers(model: ManifoldModel, A: HClass) -> ReduceResult:
     if not strips:
         # Then every A.E >= -1 and k'(A) = k(A): A is its own good part.
         return ReduceResult(A, ())
-    coords = A.coords
-    for E, m in strips:
-        coords = [a - m * e for a, e in zip(coords, E.coords)]
+    coords = list(A.coords)
+    supports = _exceptional_table(model).supports
+    for r, p in enumerate(pairings):
+        if p < -1:  # subtract m_E E = -p E over E's nonzero coordinates
+            for i, e in supports[r]:
+                coords[i] += p * e
     B = HClass(tuple(coords), A.lattice)
     if not is_good_class(model, B) or k(B) != k_prime(model, A):
         warnings.warn(

@@ -47,6 +47,16 @@ formulas consume: the stored exceptional classes, a minimality flag, and
 the three count tables (Gr0 values for square-positive classes, torus
 labels for square-zero rays, connected rational-curve counts).
 
+The pairings read one integer table per model, which _exceptional_table
+builds on the model's first exceptional pairing and is the only writer
+of.  For each stored E it holds the nonzero entries e_i.E of E's covector
+(found by pair at the support of E and its off-diagonal Gram neighbours
+only, so once per E on a diagonal Gram) and E's nonzero coordinates.  A.E
+for every E is then one pass over the covector entries, and
+reduce_multicovers strips each E along its sparse coordinates.  k and
+model construction never build the table; copy, deepcopy and pickle
+rebuild a model through its constructor and so drop it.
+
 The two constructors own every rule a model must satisfy; load_model only
 maps JSON onto them.  A violation raises ModelFileError whose path names
 the argument in model-file terms: "$.K" for canonical, "$.b2plus" for
@@ -63,7 +73,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import torus_series
 from .errors import (
@@ -337,11 +347,54 @@ def _square(A: HClass) -> int:
     return A._square
 
 
+class _ExceptionalTable(NamedTuple):
+    """A model's exceptional classes as sparse integer rows, row r for E_r."""
+
+    entries: tuple[tuple[int, int, int], ...]  # (r, i, e_i.E_r) where e_i.E_r != 0
+    supports: tuple[tuple[tuple[int, int], ...], ...]  # per r, (i, E_r[i]) where E_r[i] != 0
+
+
+def _exceptional_table(model: "ManifoldModel") -> _ExceptionalTable:
+    """The model's table, built on first use and kept on the model.
+
+    e_i.E can be nonzero only where i is in the support of E or is an
+    off-diagonal Gram neighbour of it, so pair runs at those i alone: once
+    per E on a diagonal Gram.
+    """
+    table = model._exceptional_table
+    if table is None:
+        lat = model.lattice
+        neighbours = [set() for _ in range(lat.rank)]
+        for i, j, _ in lat._off_diagonal:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+        entries, supports = [], []
+        for r, E in enumerate(model.exceptional):
+            support = tuple((i, e) for i, e in enumerate(E.coords) if e)
+            reach = {i for i, _ in support}.union(*(neighbours[i] for i, _ in support))
+            for i in sorted(reach):
+                value = pair(lat.basis_class(i), E)
+                if value:
+                    entries.append((r, i, value))
+            supports.append(support)
+        table = _ExceptionalTable(tuple(entries), tuple(supports))
+        object.__setattr__(model, "_exceptional_table", table)
+    return table
+
+
 def _exceptional_pairings(model: "ManifoldModel", A: HClass) -> tuple[int, ...]:
-    """(A.E for E in model.exceptional), kept on A with that tuple."""
+    """(A.E for E in model.exceptional), from one pass over the model's
+    table, kept on A with that tuple."""
     memo = A._exceptional_pairings
-    if memo is None or memo[0] is not model.exceptional:
-        memo = (model.exceptional, tuple([pair(A, E) for E in model.exceptional]))
+    exc = model.exceptional
+    if memo is None or memo[0] is not exc:
+        if exc and A.lattice is not model.lattice:
+            A._require_same_lattice(exc[0])
+        a = A.coords
+        out = [0] * len(exc)
+        for r, i, value in _exceptional_table(model).entries:
+            out[r] += a[i] * value
+        memo = (exc, tuple(out))
         object.__setattr__(A, "_exceptional_pairings", memo)
     return memo[1]
 
@@ -477,6 +530,9 @@ class ManifoldModel:
     )
     sphere_table: Mapping[HClass, int] = field(default_factory=dict)
 
+    # The pairing table, written by _exceptional_table on first use.
+    _exceptional_table = None
+
     def __post_init__(self) -> None:
         exc = tuple(self.exceptional)
         for i, E in enumerate(exc):
@@ -513,6 +569,20 @@ class ManifoldModel:
         object.__setattr__(self, "gr0_table", gr0)
         object.__setattr__(self, "torus_table", tori)
         object.__setattr__(self, "sphere_table", spheres)
+
+    def __reduce__(self):
+        # Through the constructor, like the lattice: no copy carries the table.
+        return (
+            type(self),
+            (
+                self.lattice,
+                self.exceptional,
+                self.minimal,
+                self.gr0_table,
+                self.torus_table,
+                self.sphere_table,
+            ),
+        )
 
     def _check_owned(self, A: HClass, path: str) -> None:
         if A.lattice != self.lattice:

@@ -11,6 +11,7 @@ import pytest
 
 from gromov4 import (
     cli,
+    DomainError,
     PreconditionError,
     base_pieces,
     check_kmin_constraints,
@@ -30,6 +31,27 @@ def test_base_piece_ledger():
     assert (pieces["N_minus_P"].boundary_count, pieces["N_minus_P"].fiber_gr) == (2, -1)
     assert pieces["V1"].closed
     assert not pieces["D2xT2"].closed
+
+
+def test_n_past_the_ledger_limit_is_a_domain_error(monkeypatch, capsys):
+    # Checked before the first glue; only limit + 1 is tried.
+    from gromov4 import fibersum
+
+    def no_glue(a, b):
+        raise AssertionError("glue ran past the limit")
+
+    monkeypatch.setattr(fibersum, "glue", no_glue)
+    over = fibersum._N_MAX + 1
+    with pytest.raises(DomainError, match=f"ledger limit {over - 1}$"):
+        gr_elliptic_fiber(over)
+    assert cli.run(["fibersum", "--n", str(over)]) == 1
+    assert capsys.readouterr() == ("", f"error code=domain msg=n past the ledger limit {over - 1}\n")
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+def test_non_integer_n_is_a_value_error(n):
+    with pytest.raises(ValueError, match="^n must be an integer$"):
+        gr_elliptic_fiber(n)
 
 
 def test_glue_adds_counts_and_boundaries():
