@@ -115,6 +115,13 @@ def _parse_component(text: str) -> tuple[str, int, int]:
     return expr, mult, genus
 
 
+def _witness(w) -> str:
+    """A witness item as text; a tuple renders as "(a,b,...)" of its items."""
+    if isinstance(w, tuple):
+        return "(" + ",".join(map(_witness, w)) + ")"
+    return str(w)
+
+
 def _report_lines(rep: report.Report, prefix: str, fmt: str) -> list[str]:
     lines = []
     for check in rep.checks:
@@ -122,14 +129,14 @@ def _report_lines(rep: report.Report, prefix: str, fmt: str) -> list[str]:
         if fmt == "records":
             lines.append(f"{prefix}.{check.cond}={status}")
             if not check.passed and check.witness:
-                wit = "|".join(str(w) for w in check.witness)
+                wit = "|".join(map(_witness, check.witness))
                 lines.append(f"{prefix}.{check.cond}.witness={wit}")
         else:
             line = f"  {check.cond}: {status}"
             if not check.passed:
                 line += f"  ({check.detail})"
                 if check.witness:
-                    line += " witness " + ", ".join(str(w) for w in check.witness)
+                    line += " witness " + ", ".join(map(_witness, check.witness))
             lines.append(line)
     verdict = "pass" if rep.ok else "fail"
     if fmt == "records":

@@ -64,9 +64,11 @@ def k(A: HClass) -> int:
 
 def m_e(model: ManifoldModel, A: HClass, E: HClass) -> int:
     """Multiplicity m_E(A) = max(-A.E, 0) of the exceptional class E in A."""
-    if E not in model.exceptional:
-        raise NotInExceptionalSetError(f"{E} is not in the stored exceptional set")
-    return max(-_exceptional_pairings(model, A)[model.exceptional.index(E)], 0)
+    try:
+        r = model.exceptional.index(E)
+    except ValueError:
+        raise NotInExceptionalSetError(f"{E} is not in the stored exceptional set") from None
+    return max(-_exceptional_pairings(model, A)[r], 0)
 
 
 def k_prime(model: ManifoldModel, A: HClass) -> int:
@@ -194,7 +196,7 @@ def light_cone_pair_check(B1: HClass, B2: HClass) -> report.Report:
     only for rationally proportional null classes (or when one class is
     zero, which is proportional to everything).
     """
-    B1._require_same_lattice(B2)
+    B1.lattice._require_same(B2.lattice)
     if b2_plus(B1.lattice) != 1:
         raise PreconditionError(
             f"light cone check needs b2+ = 1, lattice {B1.lattice.name} has "

@@ -34,13 +34,13 @@ CoordinateError); a list is taken as a tuple, and nothing is converted.
 
 Every count in the package is a formula in three numbers of a class A:
 c1(A), the square A.A, and the pairings A.E with a model's stored
-exceptional classes.  A class keeps each of them once it is computed, by
-c1, _square and _exceptional_pairings below, the only writers of those
-attributes.  The pairings are kept with the exceptional tuple they were
-taken against and are keyed on its identity, so another model or
-with_exceptional() pairs again.  copy, deepcopy and pickle rebuild a class
-through its constructor and so drop all three: a copy never carries a
-value that was computed for another object.
+exceptional classes.  A class keeps the lattice facts c1(A) and A.A once
+they are computed, by c1 and _square below, the only writers of those
+attributes.  A.E is a model fact: _exceptional_pairings reads it from the
+model's table on every call and never stores it on the class.  copy,
+deepcopy and pickle rebuild a class through its constructor and so drop
+c1 and A.A: a copy never carries a value that was computed for another
+object.
 
 A ManifoldModel bundles a lattice with the finite data the counting
 formulas consume: the stored exceptional classes, a minimality flag, and
@@ -226,6 +226,12 @@ class IntersectionLattice:
     def parse(self, expr: str) -> "HClass":
         return parse_class(self, expr)
 
+    def _require_same(self, other: "IntersectionLattice") -> None:
+        if self is not other and self != other:
+            raise LatticeMismatchError(
+                f"classes live in different lattices ({self.name} vs {other.name})"
+            )
+
     def symbol_index(self, sym: str) -> int:
         try:
             return self._symbol_index[sym]
@@ -248,10 +254,9 @@ class HClass:
     coords: tuple[int, ...]
     lattice: IntersectionLattice
 
-    # c1(A), A.A and (exceptional tuple, pairings), kept on first use.
+    # c1(A) and A.A, kept on first use.
     _c1 = None
     _square = None
-    _exceptional_pairings = None
 
     def __post_init__(self) -> None:
         coords = self.coords
@@ -272,19 +277,12 @@ class HClass:
         # Through the constructor, like the lattice: no copy carries a memo.
         return (type(self), (self.coords, self.lattice))
 
-    def _require_same_lattice(self, other: "HClass") -> None:
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            raise LatticeMismatchError(
-                f"classes live in different lattices "
-                f"({self.lattice.name} vs {other.lattice.name})"
-            )
-
     def __add__(self, other: "HClass") -> "HClass":
-        self._require_same_lattice(other)
+        self.lattice._require_same(other.lattice)
         return HClass(tuple(map(add, self.coords, other.coords)), self.lattice)
 
     def __sub__(self, other: "HClass") -> "HClass":
-        self._require_same_lattice(other)
+        self.lattice._require_same(other.lattice)
         return HClass(tuple(map(sub, self.coords, other.coords)), self.lattice)
 
     def __neg__(self) -> "HClass":
@@ -323,7 +321,7 @@ def pair(A: HClass, B: HClass) -> int:
     """Intersection number A.B."""
     lat = A.lattice
     if B.lattice is not lat:
-        A._require_same_lattice(B)
+        lat._require_same(B.lattice)
     a, b = A.coords, B.coords
     total = sum(map(mul, map(mul, lat._diagonal, a), b))
     for i, j, x in lat._off_diagonal:
@@ -383,20 +381,14 @@ def _exceptional_table(model: "ManifoldModel") -> _ExceptionalTable:
 
 
 def _exceptional_pairings(model: "ManifoldModel", A: HClass) -> tuple[int, ...]:
-    """(A.E for E in model.exceptional), from one pass over the model's
-    table, kept on A with that tuple."""
-    memo = A._exceptional_pairings
-    exc = model.exceptional
-    if memo is None or memo[0] is not exc:
-        if exc and A.lattice is not model.lattice:
-            A._require_same_lattice(exc[0])
-        a = A.coords
-        out = [0] * len(exc)
-        for r, i, value in _exceptional_table(model).entries:
-            out[r] += a[i] * value
-        memo = (exc, tuple(out))
-        object.__setattr__(A, "_exceptional_pairings", memo)
-    return memo[1]
+    """(A.E for E in model.exceptional), from one pass over the model's table."""
+    if A.lattice is not model.lattice:
+        A.lattice._require_same(model.lattice)
+    a = A.coords
+    out = [0] * len(model.exceptional)
+    for r, i, value in _exceptional_table(model).entries:
+        out[r] += a[i] * value
+    return tuple(out)
 
 
 def _proportional(A: HClass, B: HClass) -> bool:

@@ -34,6 +34,3 @@ class Report:
             if c.cond == cond:
                 return c
         raise KeyError(f"no condition named {cond!r} in this report")
-
-    def conditions(self) -> tuple[str, ...]:
-        return tuple(c.cond for c in self.checks)

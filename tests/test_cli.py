@@ -145,6 +145,14 @@ def test_cone_and_lightcone(capsys):
         "lightcone(A1,2A1).nonnegative-product=pass",
         "lightcone(A1,2A1).zero-product-proportional-null=pass",
     ]
+    _, out, _ = invoke(
+        capsys, "lightcone", "--manifold", "s2xs2", "--class", "A1", "--class", "2A1"
+    )
+    assert out.splitlines() == [
+        "lightcone(A1, 2A1): pass",
+        "  nonnegative-product: pass",
+        "  zero-product-proportional-null: pass",
+    ]
     code, _, err = invoke(capsys, "lightcone", "--manifold", "s2xs2", "--class", "A1")
     assert code == 2 and "exactly two" in err
 
@@ -243,15 +251,43 @@ def test_verify_modes(capsys):
 
 
 def test_verify_reports_failures_with_witnesses(capsys):
-    code, out, _ = invoke(
-        capsys, "verify", "--manifold", "cp2_blowup(1)", "--mode", "kprime",
-        "--class", "L-E1", "--class", "E1:3", "--format", "records",
+    argv = (
+        "verify", "--manifold", "cp2_blowup(1)", "--mode", "kprime",
+        "--class", "L-E1", "--class", "E1:3",
     )
-    assert code == 0
+    code, out, err = invoke(capsys, *argv, "--format", "records")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "verify.disjoint=fail",
+        "verify.disjoint.witness=(L-E1,E1,1)",
+        "verify.strip-multiplicity=fail",
+        "verify.strip-multiplicity.witness=(E1,3,2)",
+        "verify.good-part=pass",
+        "verify.kprime-equality=fail",
+        "verify.kprime-equality.witness=L+2E1|L-E1",
+        "verify.result=fail",
+    ]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "  disjoint: fail  (components must have pairwise zero intersection) witness (L-E1,E1,1)",
+        "  strip-multiplicity: fail  (each stripped exceptional cover must equal m_E(total))"
+        " witness (E1,3,2)",
+        "  good-part: pass",
+        "  kprime-equality: fail  (k'(total) = 2, k(B) = 1) witness L+2E1, L-E1",
+        "result: fail",
+    ]
+
+
+def test_verify_human_failure_shows_detail_and_witness(capsys):
+    code, out, err = invoke(
+        capsys, "verify", "--manifold", "cp2_blowup(1)", "--mode", "good",
+        "--class", "L:1:0", "--class", "E1:1:0", "--points", "3",
+    )
+    assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert "verify.disjoint=fail" in lines
-    assert "verify.result=fail" in lines
-    assert any(line.startswith("verify.disjoint.witness=") for line in lines)
+    assert lines[0] == "  points: fail  (points=3, k(total)=2) witness L+E1"
+    assert lines[-1] == "result: fail"
 
 
 def test_parse_error_exit_code(capsys):

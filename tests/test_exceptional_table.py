@@ -137,6 +137,16 @@ def test_class_from_another_lattice_names_its_lattice_first():
         assert str(err.value) == want
 
 
+def test_class_from_another_lattice_on_a_model_without_exceptional_classes():
+    m = preset("cp2")
+    A = preset("s2xs2").parse("A1+A2")
+    assert m.minimal and not m.exceptional
+    for query in (k_prime, is_good_class, reduce_multicovers):
+        with pytest.raises(LatticeMismatchError) as err:
+            query(m, A)
+        assert str(err.value) == "classes live in different lattices (s2xs2 vs cp2)"
+
+
 @pytest.fixture
 def pair_calls(monkeypatch):
     calls = []
