@@ -73,9 +73,13 @@ def m_e(model: ManifoldModel, A: HClass, E: HClass) -> int:
 
 def k_prime(model: ManifoldModel, A: HClass) -> int:
     """k(A) plus the multi-cover correction over the stored exceptional set."""
+    return _k_prime(A, _exceptional_pairings(model, A))
+
+
+def _k_prime(A: HClass, pairings: tuple[int, ...]) -> int:
+    """k'(A) from A's exceptional pairings."""
     # m = -A.E when A.E < -1, so (m^2 - m)/2 = (p^2 + p)/2 for p = A.E.
-    extra = sum([(p * p + p) // 2 for p in _exceptional_pairings(model, A) if p < -1])
-    return k(A) + extra
+    return k(A) + sum([(p * p + p) // 2 for p in pairings if p < -1])
 
 
 def ell_g(A: HClass, g: int) -> int:
@@ -156,7 +160,8 @@ def reduce_multicovers(model: ManifoldModel, A: HClass) -> ReduceResult:
     Returns (B, strips) with B = A - sum m_E(A) E over the stored E with
     A.E < -1 and strips listing each stripped (E, m_E(A)).  Consistency
     (B good, k(B) = k'(A)) is verified; a warning is issued when the
-    stored exceptional set is too entangled for it to hold.
+    stored exceptional set is too entangled for it to hold.  A's pairings
+    are read once, for the strips and for k'(A) alike.
     """
     pairings = _exceptional_pairings(model, A)
     strips = tuple((E, -p) for E, p in zip(model.exceptional, pairings) if p < -1)
@@ -170,7 +175,7 @@ def reduce_multicovers(model: ManifoldModel, A: HClass) -> ReduceResult:
             for i, e in supports[r]:
                 coords[i] += p * e
     B = HClass(tuple(coords), A.lattice)
-    if not is_good_class(model, B) or k(B) != k_prime(model, A):
+    if not is_good_class(model, B) or k(B) != _k_prime(A, pairings):
         warnings.warn(
             ReductionConsistencyWarning(
                 f"reduction of {A} is inconsistent; stored exceptional classes "

@@ -54,8 +54,10 @@ of.  For each stored E it holds the nonzero entries e_i.E of E's covector
 only, so once per E on a diagonal Gram) and E's nonzero coordinates.  A.E
 for every E is then one pass over the covector entries, and
 reduce_multicovers strips each E along its sparse coordinates.  k and
-model construction never build the table; copy, deepcopy and pickle
-rebuild a model through its constructor and so drop it.
+model construction never build the table.  A model also keeps the search
+table of its sphere-table classes (spherical._sphere_candidates), whose
+rows pair through _covector.  copy, deepcopy, pickle and with_exceptional
+rebuild a model through its constructor and so drop both tables.
 
 The two constructors own every rule a model must satisfy; load_model only
 maps JSON onto them.  A violation raises ModelFileError whose path names
@@ -345,6 +347,17 @@ def _square(A: HClass) -> int:
     return A._square
 
 
+def _covector(A: HClass) -> tuple[int, ...]:
+    """Gram.A: the integer row with A.B = sum(b_i * row_i) for every class B
+    of A's lattice, so a pairing with A needs no Gram lookup."""
+    lat, a = A.lattice, A.coords
+    row = list(map(mul, lat._diagonal, a))
+    for i, j, x in lat._off_diagonal:
+        row[i] += x * a[j]
+        row[j] += x * a[i]
+    return tuple(row)
+
+
 class _ExceptionalTable(NamedTuple):
     """A model's exceptional classes as sparse integer rows, row r for E_r."""
 
@@ -522,8 +535,10 @@ class ManifoldModel:
     )
     sphere_table: Mapping[HClass, int] = field(default_factory=dict)
 
-    # The pairing table, written by _exceptional_table on first use.
+    # The pairing table, written by _exceptional_table on first use, and the
+    # sphere search table, written by spherical._sphere_candidates.
     _exceptional_table = None
+    _sphere_candidates = None
 
     def __post_init__(self) -> None:
         exc = tuple(self.exceptional)

@@ -11,6 +11,9 @@ budgets add up to the total k = c1(A) - p automatically.  The
 configurations come from the search shared with decompositions
 (structure._orthogonal_combinations), with cap none on exceptional and
 square-zero classes, cap 1 on every other class, and at most c1(A) parts.
+Its candidate table (the table classes with c1 >= 1, as integer rows) is
+built by _sphere_candidates on the model's first sphere search and kept on
+the model, as the exceptional pairing table is.
 
 Each configuration contributes the product of the table counts N(B_i).
 When a class repeats r >= 2 times with a positive per-copy budget, the
@@ -35,7 +38,7 @@ from .errors import (
 )
 from .invariants import genus_embedded
 from .lattice import HClass, ManifoldModel, _square, c1
-from .structure import _orthogonal_combinations
+from .structure import _CandidateTable, _candidate_table, _orthogonal_combinations
 
 
 @dataclass(frozen=True)
@@ -73,19 +76,35 @@ def k_for(A: HClass, p: int) -> int:
     return c - p
 
 
+def _sphere_candidates(model: ManifoldModel) -> _CandidateTable:
+    """The model's search table: its sphere-table classes with c1 >= 1 in
+    coordinate order, cap none on exceptional and square-zero classes and
+    cap 1 on the others.  Built on the model's first sphere search and kept
+    on the model; copies, pickles and with_exceptional rebuild a model
+    through its constructor and so drop it."""
+    table = model._sphere_candidates
+    if table is None:
+        keys = [B for B in sorted(model.sphere_table, key=lambda b: b.coords) if c1(B) >= 1]
+        table = _candidate_table(
+            keys, lambda B, sq: None if sq == 0 or B in model.exceptional else 1
+        )
+        object.__setattr__(model, "_sphere_candidates", table)
+    return table
+
+
 def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConfig]:
     """All admissible sphere configurations for A from the count table.
 
     Returns an empty list when c1(A) < 1 or nothing fits; order is
-    deterministic (sorted by part count, then coordinates).
+    deterministic (sorted by part count, then coordinates).  A from another
+    lattice than the model's raises LatticeMismatchError in either case.
     """
+    A.lattice._require_same(model.lattice)
     cA = c1(A)
     if cA < 1:
         return []
-    keys = [B for B in sorted(model.sphere_table, key=lambda b: b.coords) if c1(B) >= 1]
-    caps = [None if B in model.exceptional or _square(B) == 0 else 1 for B in keys]
     configs = []
-    for selection in _orthogonal_combinations(A, keys, caps, max_parts=cA):
+    for selection in _orthogonal_combinations(A, _sphere_candidates(model), max_parts=cA):
         configs.append(SphereConfig(tuple(B for B, r in selection for _ in range(r))))
     configs.sort(key=lambda cfg: (cfg.p, tuple(b.coords for b in cfg.parts)))
     return configs

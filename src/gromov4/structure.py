@@ -24,7 +24,12 @@ constructive bound, so nothing is inferred silently.
 Decompositions and the sphere configurations of spherical.py come from
 one search, _orthogonal_combinations: pairwise orthogonal candidates whose
 capped multiplicities sum to A.  Decompositions cap a negative square at
-0, a positive square at 1, and leave square zero uncapped.
+0, a positive square at 1, and leave square zero uncapped.  The search runs
+on a _CandidateTable of integer rows (each candidate's coordinates, its
+covector Gram.B, B.B, its area numerator and its cap), so every pairing in
+it is one dot product and the remaining class is an int tuple: the search
+neither pairs nor builds a class.  enumerate_decompositions builds its
+table once per call; the sphere table is built once per model.
 
 check_kmin_constraints flags violations of the constraints satisfied by
 the invariants of a minimal manifold with b2+ > 1: (i) Gr(A) != 0 forces
@@ -35,11 +40,21 @@ forces A.A = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error
 from .invariants import EXCEPTIONAL_SPHERE, classify_negative, ell_g, is_good_class, k, k_prime, m_e
-from .lattice import HClass, ManifoldModel, _area_numerator, _proportional, _square, b2_plus, pair
+from .lattice import (
+    HClass,
+    ManifoldModel,
+    _area_numerator,
+    _covector,
+    _proportional,
+    _square,
+    b2_plus,
+    pair,
+)
 from .report import Check, Report
 from .torus_series import gr_torus_class
 
@@ -270,53 +285,99 @@ class Decomposition:
         return True
 
 
-def _orthogonal_combinations(
-    A: HClass, cands: Sequence[HClass], caps: Sequence[int | None], max_parts: int | None = None
-) -> Iterator[list[tuple[HClass, int]]]:
-    """Every selection [(cand, n), ...] with n >= 1 and sum n * cand = A.
+class _CandidateTable(NamedTuple):
+    """The candidates of a search as integer rows, row i for candidate i."""
 
-    Candidates must have positive area.  Candidate i enters at most caps[i]
-    times, the multiplicities add up to at most max_parts (None: no bound
-    for either), and each picked candidate pairs to zero with every other
-    one, so A.B = n * B.B for each picked B.  That fixes n when B.B != 0 and
-    needs A.B = 0 when B.B = 0; candidates failing it are dropped up front.
-    The other rules prune inside the recursion; a branch ends once the
-    remaining class is zero or its area is not positive, and a candidate
-    that no later one can join takes the one multiplicity that would finish
-    the sum.  Each selection comes once, in candidate order.
+    classes: tuple[HClass, ...]
+    coords: tuple[tuple[int, ...], ...]
+    covectors: tuple[tuple[int, ...], ...]  # Gram.B: A.B is one dot product
+    squares: tuple[int, ...]
+    areas: tuple[int, ...]  # area numerators, all positive
+    caps: tuple[int | None, ...]  # most copies of B, None for no bound
+
+
+def _candidate_table(
+    cands: Sequence[HClass], cap: Callable[[HClass, int], int | None]
+) -> _CandidateTable:
+    """The rows of cands, in their order; cap(B, B.B) gives each cap."""
+    coords = tuple(B.coords for B in cands)
+    covs = tuple(map(_covector, cands))
+    squares = tuple(sum(map(mul, b, v)) for b, v in zip(coords, covs))
+    return _CandidateTable(
+        tuple(cands),
+        coords,
+        covs,
+        squares,
+        tuple(map(_area_numerator, cands)),
+        tuple(map(cap, cands, squares)),
+    )
+
+
+def _orthogonal_combinations(
+    A: HClass, table: _CandidateTable, max_parts: int | None = None
+) -> Iterator[list[tuple[HClass, int]]]:
+    """Every selection [(B, n), ...] of table classes with n >= 1 and
+    sum n * B = A.
+
+    Candidate B enters at most its cap times, the multiplicities add up to
+    at most max_parts (None: no bound for either), and each picked
+    candidate pairs to zero with every other one, so A.B = n * B.B for each
+    picked B.  That fixes n when B.B != 0 and needs A.B = 0 when B.B = 0;
+    candidates failing it are dropped up front.  The other rules prune
+    inside the recursion; a branch ends once the remaining class is zero or
+    its area is not positive, and a candidate that no later one can join
+    takes the one multiplicity that would finish the sum.  Each selection
+    comes once, in candidate order.
+
+    The search runs on the table's integer rows: A.B and the clashes
+    B.B' != 0 are dot products with the covectors, and the remaining class
+    is an int tuple, so no pairing is called and no class is built.  A must
+    live in the candidates' lattice; the callers check it.
     """
+    classes, coords, covs, areas = table.classes, table.coords, table.covectors, table.areas
     need = {}  # candidate index -> its one possible multiplicity, or None if free
-    for i, (cand, cap) in enumerate(zip(cands, caps)):
-        sq, ab = _square(cand), pair(A, cand)
+    for i, (cov, sq, cap) in enumerate(zip(covs, table.squares, table.caps)):
+        ab = sum(map(mul, A.coords, cov))
         if sq == 0 and ab == 0 and cap != 0:
             need[i] = None
         elif sq != 0 and ab % sq == 0 and 1 <= ab // sq <= (ab // sq if cap is None else cap):
             need[i] = ab // sq
-    areas = [_area_numerator(c) for c in cands]
-    clash = {i: {j for j in need if pair(cands[i], cands[j]) != 0} for i in need}
+    # The most copies of each kept candidate: its fixed multiplicity, else its cap.
+    most = {i: table.caps[i] if n is None else n for i, n in need.items()}
+    clash = {i: {j for j in need if sum(map(mul, coords[i], covs[j]))} for i in need}
 
-    def search(allowed: list, remaining: HClass, w_left, room, picked: list):
-        if remaining.is_zero:
+    def search(allowed: list, remaining: tuple, w_left, room, picked: list):
+        if not any(remaining):
             yield picked
             return
         if w_left <= 0:
             return
         for pos, i in enumerate(allowed):
-            top = min(b for b in (w_left // areas[i], caps[i], room, need[i]) if b is not None)
+            top = w_left // areas[i]
+            for bound in (most[i], room):
+                if bound is not None and bound < top:
+                    top = bound
             rest = [j for j in allowed[pos + 1 :] if j not in clash[i]]
+            b = coords[i]
             if not rest:  # nothing can follow candidate i: solve for its multiplicity
                 n, r = divmod(w_left, areas[i])
-                if r == 0 and n <= top and n * cands[i] == remaining:
-                    yield picked + [(cands[i], n)]
+                if r == 0 and n <= top and tuple([n * x for x in b]) == remaining:
+                    yield picked + [(classes[i], n)]
                 continue
             for n in range(need[i] or 1, top + 1):
                 left = None if room is None else room - n
-                rem = remaining - n * cands[i]
-                yield from search(rest, rem, w_left - n * areas[i], left, picked + [(cands[i], n)])
+                rem = tuple([y - n * x for x, y in zip(b, remaining)])
+                yield from search(rest, rem, w_left - n * areas[i], left, picked + [(classes[i], n)])
 
     w_total = _area_numerator(A)
     if w_total > 0:
-        yield from search(list(need), A, w_total, max_parts, [])
+        yield from search(list(need), A.coords, w_total, max_parts, [])
+
+
+def _decomposition_cap(B: HClass, sq: int) -> int | None:
+    # A negative square never enters; a second copy of a square-positive
+    # part would be proportional to it.
+    return 0 if sq < 0 else 1 if sq > 0 else None
 
 
 def enumerate_decompositions(
@@ -325,17 +386,20 @@ def enumerate_decompositions(
     """All decompositions of A generated by the candidate classes.
 
     The coefficients come from _orthogonal_combinations with the caps of
-    the module docstring (a second copy of a square-positive part would be
-    proportional to it).  Square-zero candidates on a common ray merge into
-    one part.  Orthogonal parts of positive area are never proportional, so
-    no further test is needed.  On a minimal model with b2+ > 1, candidates
-    with k != 0 are dropped up front: their Gr0 vanishes, so they cannot
-    carry a count.
+    the module docstring, on a table built once per call.  Every part is
+    n * B for a picked candidate B, and the parts on one primitive ray add
+    up to one part: only square-zero candidates can share a ray, since two
+    square-positive ones on a ray would pair nonzero.  Orthogonal parts of
+    positive area are never proportional, so no further test is needed.
+    On a minimal model with b2+ > 1, candidates with k != 0 are dropped up
+    front: their Gr0 vanishes, so they cannot carry a count.
 
     Candidates default to the classes the model has count data for (the
-    union of the gr0_table and torus_table keys).
+    union of the gr0_table and torus_table keys).  A from another lattice
+    than the model's raises LatticeMismatchError before anything else.
     """
-    lat = A.lattice
+    lat = model.lattice
+    A.lattice._require_same(lat)
     if candidates is None:
         candidates = sorted(
             set(model.gr0_table) | set(model.torus_table), key=lambda cand: cand.coords
@@ -348,18 +412,14 @@ def enumerate_decompositions(
     cands = sorted(set(candidates), key=lambda cand: cand.coords)
     if model.minimal and b2_plus(lat) > 1:
         cands = [cand for cand in cands if k(cand) == 0]
-    caps = [0 if sq < 0 else 1 if sq > 0 else None for sq in map(_square, cands)]
     found: dict[tuple, Decomposition] = {}
-    for selection in _orthogonal_combinations(A, cands, caps):
-        parts: list[HClass] = []
+    for selection in _orthogonal_combinations(A, _candidate_table(cands, _decomposition_cap)):
         rays: dict[tuple[int, ...], HClass] = {}
         for cand, n in selection:
-            if _square(cand) > 0:
-                parts.append(cand)
-            else:
-                key = cand.primitive().coords
-                rays[key] = rays.get(key, lat.zero()) + n * cand
-        dec = Decomposition(tuple(parts) + tuple(rays.values()))
+            key = cand.primitive().coords
+            part = n * cand
+            rays[key] = rays[key] + part if key in rays else part
+        dec = Decomposition(tuple(rays.values()))
         found[tuple(p.coords for p in dec.parts)] = dec
     return [found[key] for key in sorted(found)]
 
@@ -377,6 +437,7 @@ def gromov_via_decompositions(
     would fake a vanishing invariant.  Gr(0) = 1 by convention (the empty
     curve).
     """
+    A.lattice._require_same(model.lattice)
     if A.is_zero:
         return 1
     decs = enumerate_decompositions(model, A, candidates)

@@ -23,6 +23,7 @@ from gromov4 import (
     LatticeMismatchError,
     ManifoldModel,
     ReductionConsistencyWarning,
+    invariants,
     is_good_class,
     k,
     k_prime,
@@ -206,3 +207,20 @@ def test_copies_of_a_model_carry_no_table(rebuild):
     A = c.parse("L + 2E1 - 3E2")
     assert (k_prime(c, A), is_good_class(c, A)) == (-4, False)
     assert tuple(reduce_multicovers(c, A)) == (c.parse("L - 3E2"), ((c.exceptional[0], 2),))
+
+
+def test_reduction_reads_the_pairings_of_a_once(monkeypatch):
+    m = preset("cp2_blowup", 3)
+    A = m.parse("L + 2E1 - 3E2")
+    seen = []
+    original = invariants._exceptional_pairings
+
+    def counted(model, X):
+        seen.append(str(X))
+        return original(model, X)
+
+    monkeypatch.setattr(invariants, "_exceptional_pairings", counted)
+    B, strips = reduce_multicovers(m, A)
+    # A's pass gives the strips and k'(A); B's pass checks that B is good.
+    assert seen == ["L+2E1-3E2", "L-3E2"]
+    assert (str(B), strips) == ("L-3E2", ((m.exceptional[0], 2),))
