@@ -126,42 +126,8 @@ from .lattice import (
 
 __version__ = "0.1.0"
 
+# Every name bound above but underscore names and modules, then the lazy names.
 __all__ = [
-    "AssignmentAmbiguityWarning",
-    "ClassParseError",
-    "CoordinateError",
-    "DomainError",
-    "HClass",
-    "IntersectionLattice",
-    "InvalidCandidateError",
-    "LatticeMismatchError",
-    "ManifoldModel",
-    "ModelFileError",
-    "NegClassVerdict",
-    "NotInExceptionalSetError",
-    "PRESET_NAMES",
-    "PreconditionError",
-    "ReduceResult",
-    "ReductionConsistencyWarning",
-    "UnknownGr0Error",
-    "UnknownPresetError",
-    "UnknownSphereCountError",
-    "b2_plus",
-    "c1",
-    "classify_negative",
-    "ell_g",
-    "format_class",
-    "genus_embedded",
-    "in_forward_cone",
-    "is_good_class",
-    "k",
-    "k_prime",
-    "light_cone_pair_check",
-    "m_e",
-    "moduli_dimension",
-    "omega_area",
-    "pair",
-    "parse_class",
-    "preset",
-    "reduce_multicovers",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(sys))
 ] + list(_HOME)

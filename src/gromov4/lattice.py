@@ -234,14 +234,6 @@ class IntersectionLattice:
                 f"classes live in different lattices ({self.name} vs {other.name})"
             )
 
-    def symbol_index(self, sym: str) -> int:
-        try:
-            return self._symbol_index[sym]
-        except KeyError:
-            raise ClassParseError(
-                f"unknown symbol {sym!r} (basis of {self.name}: {', '.join(self.basis)})"
-            ) from None
-
 
 def _reject_non_integers(coords: tuple) -> None:
     for i, c in enumerate(coords):
@@ -496,7 +488,12 @@ def parse_class(lattice: IntersectionLattice, expr: str) -> HClass:
             raise ClassParseError(f"coefficient of {sym!r} has too many digits") from None
         if sign == "-":
             coeff = -coeff
-        coords[lattice.symbol_index(sym)] += coeff
+        try:
+            coords[lattice._symbol_index[sym]] += coeff
+        except KeyError:
+            raise ClassParseError(
+                f"unknown symbol {sym!r} (basis of {lattice.name}: {', '.join(lattice.basis)})"
+            ) from None
         pos = m.end()
         first = False
     return HClass(tuple(coords), lattice)

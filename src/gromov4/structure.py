@@ -99,15 +99,8 @@ class Configuration:
 
     @classmethod
     def of(cls, items: Iterable) -> "Configuration":
-        """Build from (cls, mult, genus) triples or ready Components."""
-        comps = []
-        for item in items:
-            if isinstance(item, Component):
-                comps.append(item)
-            else:
-                c, mult, genus = item
-                comps.append(Component(c, mult, genus))
-        return cls(tuple(comps))
+        """Build from (cls, mult, genus) triples."""
+        return cls(tuple(Component(c, mult, genus) for c, mult, genus in items))
 
 
 def _disjoint(comps: Sequence[Component]) -> Check:
@@ -401,9 +394,7 @@ def enumerate_decompositions(
     lat = model.lattice
     A.lattice._require_same(lat)
     if candidates is None:
-        candidates = sorted(
-            set(model.gr0_table) | set(model.torus_table), key=lambda cand: cand.coords
-        )
+        candidates = model.gr0_table.keys() | model.torus_table.keys()
     for cand in candidates:
         if cand.lattice != lat:
             raise InvalidCandidateError(f"candidate {cand} lives in another lattice")

@@ -48,11 +48,10 @@ class TorusLabel:
         try:
             return _INTERNED[sign, twists]
         except (KeyError, TypeError):  # not a label pair, or unhashable
+            # Equal numbers hash equal, so a valid sign means a bad twist count.
             if sign not in _SIGNS:
                 raise ValueError("torus label sign must be +1 or -1") from None
-            if twists not in _TWISTS:
-                raise ValueError("torus label twist count must lie in 0..3") from None
-            return ALL_LABELS[4 * _SIGNS.index(sign) + _TWISTS.index(twists)]
+            raise ValueError("torus label twist count must lie in 0..3") from None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

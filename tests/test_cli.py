@@ -183,6 +183,10 @@ def test_gr_missing_table_entry_is_domain_error(capsys):
     code, out, err = invoke(capsys, "gr", "--manifold", "s2xs2", "--class", "2A1")
     assert code == 1 and out == ""
     assert err == "error code=domain msg=unknown Gr0 value for class 2A1\n"
+    # a square-positive part without a gr0_table entry
+    code, out, err = invoke(capsys, "gr", "--manifold", "cp2", "--class", "4L", "--candidates", "4L")
+    assert (code, out) == (1, "")
+    assert err == "error code=domain msg=unknown Gr0 value for class 4L\n"
 
 
 def test_gr_tori_forms(capsys):

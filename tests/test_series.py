@@ -290,13 +290,22 @@ def test_each_label_is_one_object():
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(label, protocol)) is label
         assert repr(label) == f"TorusLabel(sign={label.sign}, twists={label.twists})"
-    assert TorusLabel(True, 0) is TorusLabel(1, 0) is ALL_LABELS[0]
+    assert TorusLabel(True, 0) is TorusLabel(1.0, 0) is TorusLabel(1, 0) is ALL_LABELS[0]
     assert copy.deepcopy([(ALL_LABELS[5], 2)])[0][0] is ALL_LABELS[5]
     # == and hash are object identity, which needs no Python call
     assert TorusLabel.__eq__ is object.__eq__ and TorusLabel.__hash__ is object.__hash__
     with pytest.raises(AttributeError):
         ALL_LABELS[0].sign = -1
-    for sign, twists, message in ((0, 0, "sign"), ([1], 0, "sign"), (1, 4, "twist"), (-1, [0], "twist")):
+    bad_sign = r"^torus label sign must be \+1 or -1$"
+    bad_twists = r"^torus label twist count must lie in 0\.\.3$"
+    for sign, twists, message in (
+        (0, 0, bad_sign),
+        (2, 0, bad_sign),
+        ([1], 0, bad_sign),
+        (1, 4, bad_twists),
+        (1, [0], bad_twists),
+        (-1, [0], bad_twists),
+    ):
         with pytest.raises(ValueError, match=message):
             TorusLabel(sign, twists)
 

@@ -7,11 +7,13 @@ its checks in a fresh interpreter, where a cold-path mistake shows.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import gromov4
@@ -47,6 +49,27 @@ def test_public_namespace_resolves_in_a_fresh_process():
         """
     )
     assert got == [[], [], True, []]
+
+
+def test_public_names_are_the_exports_of_their_home_modules():
+    # __all__ is derived from what the package binds, so a helper import
+    # there would leak into it.  Each name has one home: a module that
+    # binds it to the same object and, for a class or a function, defines
+    # it.  A lazy name's home is its _LAZY entry, an eager name's is not lazy.
+    names = gromov4.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        value = getattr(gromov4, name)
+        assert not isinstance(value, types.ModuleType), name
+        homes = [
+            m
+            for m in ("errors", "invariants", "lattice", *LAZY)
+            if getattr(importlib.import_module(f"gromov4.{m}"), name, None) is value
+            and getattr(value, "__module__", f"gromov4.{m}") == f"gromov4.{m}"
+        ]
+        assert len(homes) == 1, (name, homes)
+        assert gromov4._HOME.get(name, homes[0]) == homes[0], name
+        assert (homes[0] in LAZY) == (name in gromov4._HOME), name
 
 
 def test_running_a_lazy_module_binds_its_names_in_a_fresh_process():

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from gromov4 import (
     Component,
     Configuration,
+    Decomposition,
     IntersectionLattice,
     InvalidCandidateError,
     ManifoldModel,
     PreconditionError,
     UnknownGr0Error,
+    b2_plus,
     check_kmin_constraints,
     enumerate_decompositions,
     fiber_gr_table,
@@ -142,6 +144,15 @@ def test_good_configuration_rejects_covered_exceptional_sphere():
     assert not rep.check("multiplicity").passed
     # the stated point count disagrees with k(L+2E1) = 1 as well
     assert not rep.check("points").passed
+
+
+def test_good_configuration_rejects_a_negative_non_exceptional_component():
+    b2 = preset("cp2_blowup", 2)
+    D = b2.parse("E1 - E2")
+    rep = verify_good_configuration(b2, Configuration.of([(D, 1, 0)]), k(D))
+    check = rep.check("negative-exceptional")
+    assert not check.passed
+    assert check.witness == (D,)
 
 
 def test_good_configuration_square_zero_torus_may_be_covered():
@@ -275,6 +286,16 @@ def test_decomposition_objects():
     assert d.total() == P + Q
     assert d.satisfies_rules(P + Q)
     assert not d.satisfies_rules(P)
+    # Each total below is right, so only the part rules can say no.
+    b1 = preset("cp2_blowup", 1)
+    L, E1 = b1.parse("L"), b1.parse("E1")
+    assert not Decomposition((L - E1, E1)).satisfies_rules(L)  # E1.E1 < 0
+    assert not Decomposition((L, E1)).satisfies_rules(L + E1)  # E1.E1 < 0, L.E1 = 0
+    ss = preset("s2xs2")
+    A1, A2 = ss.parse("A1"), ss.parse("A2")
+    assert not Decomposition((A1, A1 + A2)).satisfies_rules(2 * A1 + A2)  # A1.(A1+A2) = 1
+    B = preset("s2xt2").parse("B")
+    assert not Decomposition((B, 2 * B)).satisfies_rules(3 * B)  # orthogonal but proportional
 
 
 def test_enumeration_matches_oracle():
@@ -416,6 +437,12 @@ def test_gromov_missing_count_is_an_error():
     with pytest.raises(UnknownGr0Error) as info:
         gromov_via_decompositions(ss, 2 * A1)
     assert any("A1" in str(c) for c in info.value.classes)
+    # a square-positive part without a gr0_table entry
+    cp2 = preset("cp2")
+    A = cp2.parse("4L")
+    with pytest.raises(UnknownGr0Error) as info:
+        gromov_via_decompositions(cp2, A, [A])
+    assert info.value.classes == (A,)
 
 
 def test_kmin_passes_consistent_tables():
@@ -452,6 +479,18 @@ def test_kmin_flags_nonzero_square_when_canonical_is_null():
     rep = check_kmin_constraints(el2, {F: 5, S: 1})
     assert not rep.check("iv").passed
     assert S in [w for w in rep.failed() if w.cond == "iv"][0].witness
+
+
+def test_kmin_square_clause_needs_a_null_canonical_class():
+    lat = IntersectionLattice(
+        "flat", ("P", "Q"), ((1, 0), (0, 1)), (1, 1), (Fraction(1), Fraction(1))
+    )
+    model = ManifoldModel(lattice=lat, minimal=True)
+    K = model.canonical_class()
+    assert (b2_plus(lat), pair(K, K)) == (2, 2)
+    rep = check_kmin_constraints(model, {lat.basis_class(0): 1})
+    assert rep.check("iv").passed
+    assert rep.check("iv").detail == "K.K != 0; clause not applicable"
 
 
 def test_kmin_preconditions():
