@@ -38,7 +38,7 @@ class UnknownGr0Error(DomainError):
 
 
 class UnknownSphereCountError(DomainError):
-    """A sphere configuration references a class missing from sphere_table."""
+    """A class has no connected sphere count in the model's sphere_table."""
 
 
 class ClassParseError(ValueError):

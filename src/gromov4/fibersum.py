@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, PreconditionError
 from .lattice import HClass, ManifoldModel, preset
-from .torus_series import gr_torus_class
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +151,7 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
 
 
 def fiber_gr_table(n: int, kmax: int | None = None) -> dict[HClass, int]:
-    """Counts of fiber multiples kF on V(n), from the torus weighting.
+    """Counts of fiber multiples kF on V(n), each read by the model's gr0.
 
     The default range covers the full nonzero row, k = 0 .. max(n-2, 1).
     """
@@ -160,7 +159,6 @@ def fiber_gr_table(n: int, kmax: int | None = None) -> dict[HClass, int]:
         raise PreconditionError("elliptic surfaces V(n) need n >= 1")
     model: ManifoldModel = preset("elliptic", n)
     F = model.lattice.basis_class(0)
-    labels = model.torus_table[F]
     if kmax is None:
         kmax = max(n - 2, 1)
-    return {k * F: gr_torus_class(labels, k) for k in range(kmax + 1)}
+    return {k * F: model.gr0(k * F) for k in range(kmax + 1)}

@@ -45,7 +45,9 @@ object.
 A ManifoldModel bundles a lattice with the finite data the counting
 formulas consume: the stored exceptional classes, a minimality flag, and
 the three count tables (Gr0 values for square-positive classes, torus
-labels for square-zero rays, connected rational-curve counts).
+labels for square-zero rays, connected rational-curve counts).  Only its
+methods gr0(B) and sphere_count(B) read a count value, and each raises its
+own error (UnknownGr0Error, UnknownSphereCountError) on missing data.
 
 The pairings read one integer table per model, which _exceptional_table
 builds on the model's first exceptional pairing and is the only writer
@@ -83,13 +85,15 @@ from .errors import (
     CoordinateError,
     LatticeMismatchError,
     ModelFileError,
+    UnknownGr0Error,
     UnknownPresetError,
+    UnknownSphereCountError,
     _int,
 )
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
-_TERM_RE = re.compile(r"([+-]?)(?:(\d+)\*?)?([A-Za-z_][A-Za-z_0-9]*)")
+_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+_TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)\*?)?([A-Za-z_][A-Za-z_0-9]*)")
 
 
 def _rational(value, path: str) -> Fraction:
@@ -474,14 +478,11 @@ def parse_class(lattice: IntersectionLattice, expr: str) -> HClass:
         return lattice.zero()
     coords = [0] * lattice.rank
     pos = 0
-    first = True
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if m is None:
             raise ClassParseError(f"malformed term at {s[pos:]!r} in {expr!r}")
         sign, digits, sym = m.groups()
-        if not first and sign == "":
-            raise ClassParseError(f"missing +/- before {sym!r} in {expr!r}")
         try:
             coeff = int(digits) if digits else 1
         except ValueError:  # past int()'s digit limit
@@ -495,7 +496,6 @@ def parse_class(lattice: IntersectionLattice, expr: str) -> HClass:
                 f"unknown symbol {sym!r} (basis of {lattice.name}: {', '.join(lattice.basis)})"
             ) from None
         pos = m.end()
-        first = False
     return HClass(tuple(coords), lattice)
 
 
@@ -606,6 +606,24 @@ class ManifoldModel:
 
     def canonical_class(self) -> HClass:
         return self.lattice.canonical_class()
+
+    def gr0(self, B: HClass) -> int:
+        """Gr0(B): 1 for the zero class, gr0_table for a square-positive B,
+        else the torus weighting of B's primitive ray at B's content."""
+        if B.is_zero:
+            return 1
+        if _square(B) > 0:
+            if B in self.gr0_table:
+                return self.gr0_table[B]
+        elif (ray := B.primitive()) in self.torus_table:
+            return torus_series.gr_torus_class(self.torus_table[ray], B.content())
+        raise UnknownGr0Error((B,))
+
+    def sphere_count(self, B: HClass) -> int:
+        """N(B), the connected rational-curve count of B, from sphere_table."""
+        if B not in self.sphere_table:
+            raise UnknownSphereCountError(f"no connected sphere count for {B}")
+        return self.sphere_table[B]
 
     def with_exceptional(self, *classes: HClass) -> "ManifoldModel":
         """A copy of the model whose stored exceptional set is extended."""
@@ -772,7 +790,7 @@ PRESET_NAMES: tuple[str, ...] = tuple(
 # sphere-table classes of rank n+1, so its memory grows as n^3.
 _PRESET_MAX_N = 64
 
-_PRESET_FORM = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(\s*(\d+)\s*\))?$")
+_PRESET_FORM = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(\s*([0-9]+)\s*\))?$")
 
 # A parameter of more digits is only reported as too large: int() of a digit
 # string past 4,300 digits raises ValueError, and so does str() of such an int.

@@ -15,7 +15,8 @@ Its candidate table (the table classes with c1 >= 1, as integer rows) is
 built by _sphere_candidates on the model's first sphere search and kept on
 the model, as the exceptional pairing table is.
 
-Each configuration contributes the product of the table counts N(B_i).
+Each configuration contributes the product of the counts N(B_i), read by
+ManifoldModel.sphere_count (missing data raises UnknownSphereCountError).
 When a class repeats r >= 2 times with a positive per-copy budget, the
 labelled generic points can be split among the identical copies; the
 combinatorial factor (multinomial over the budgets, divided by r! for each
@@ -110,13 +111,6 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     return configs
 
 
-def _count(model: ManifoldModel, B: HClass) -> int:
-    try:
-        return model.sphere_table[B]
-    except KeyError:
-        raise UnknownSphereCountError(f"no connected sphere count for {B}") from None
-
-
 def assignment_factor(model: ManifoldModel, config: SphereConfig) -> tuple[int, bool]:
     """Combinatorial weight of a configuration, with an ambiguity flag.
 
@@ -138,7 +132,7 @@ def assignment_factor(model: ManifoldModel, config: SphereConfig) -> tuple[int, 
                 if factor % sym != 0:
                     raise AssertionError("symmetry division must be exact")
                 factor //= sym
-            if _count(model, cls) > 1:
+            if model.sphere_count(cls) > 1:
                 ambiguous = True
     return factor, ambiguous
 
@@ -150,7 +144,7 @@ def gr_s(model: ManifoldModel, A: HClass) -> int:
     for config in enumerate_sphere_configs(model, A):
         prod = 1
         for B in config.parts:
-            prod *= _count(model, B)
+            prod *= model.sphere_count(B)
         factor, ambiguous = assignment_factor(model, config)
         if ambiguous:
             warnings.warn(
@@ -167,11 +161,12 @@ def gr_s(model: ManifoldModel, A: HClass) -> int:
 def embedded_sphere_rule(model: ManifoldModel, A: HClass) -> int | None:
     """Gr_s(A) = 1 for a represented embedded sphere of square >= -1.
 
-    Applies when the adjunction genus is 0, A.A >= -1, and the table marks
-    A as represented; returns None when the rule does not apply.
+    Applies when the adjunction genus is 0, A.A >= -1, and sphere_count(A)
+    >= 1 (no entry: not represented); returns None when it does not apply.
     """
     if genus_embedded(A) != 0 or _square(A) < -1:
         return None
-    if model.sphere_table.get(A, 0) < 1:
+    try:
+        return 1 if model.sphere_count(A) >= 1 else None
+    except UnknownSphereCountError:
         return None
-    return 1

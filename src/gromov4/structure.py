@@ -15,11 +15,10 @@ primitive class merge into a single part).  The total invariant is
 
     Gr(A) = sum over decompositions D of prod_i Gr0(B_i),
 
-with Gr0 read from the model's gr0_table for square-positive parts and
-from the torus weighting (gr_torus_class on the ray's labelled tori) for
-square-zero parts.  Candidate parts are always explicit inputs; the
-finiteness of relevant classes is a compactness statement with no
-constructive bound, so nothing is inferred silently.
+with each Gr0(B_i) read by the model's gr0 (lattice.ManifoldModel.gr0),
+the one reader of the Gr0 and torus tables.  Candidate parts are always
+explicit inputs; the finiteness of relevant classes is a compactness
+statement with no constructive bound, so nothing is inferred silently.
 
 Decompositions and the sphere configurations of spherical.py come from
 one search, _orthogonal_combinations: pairwise orthogonal candidates whose
@@ -56,7 +55,6 @@ from .lattice import (
     pair,
 )
 from .report import Check, Report
-from .torus_series import gr_torus_class
 
 
 @dataclass(frozen=True)
@@ -422,11 +420,10 @@ def gromov_via_decompositions(
 ) -> int:
     """Gr(A) as the sum over decompositions of the product of part counts.
 
-    Candidates default as in enumerate_decompositions.  Square-positive
-    parts read gr0_table; square-zero parts read the torus weighting of
-    their ray.  A part without data raises a structured error: a silent zero
-    would fake a vanishing invariant.  Gr(0) = 1 by convention (the empty
-    curve).
+    Candidates default as in enumerate_decompositions.  Each part's count
+    is model.gr0(part).  The parts without data raise one UnknownGr0Error
+    naming them all: a silent zero would fake a vanishing invariant.
+    Gr(0) = 1 by convention (the empty curve).
     """
     A.lattice._require_same(model.lattice)
     if A.is_zero:
@@ -437,20 +434,10 @@ def gromov_via_decompositions(
     for dec in decs:
         prod = 1
         for part in dec.parts:
-            sq = _square(part)
-            if sq > 0:
-                value = model.gr0_table.get(part)
-                if value is None:
-                    missing.append(part)
-                    continue
-                prod *= value
-            else:
-                prim = part.primitive()
-                entries = model.torus_table.get(prim)
-                if entries is None:
-                    missing.append(part)
-                    continue
-                prod *= gr_torus_class(entries, part.content())
+            try:
+                prod *= model.gr0(part)
+            except UnknownGr0Error:
+                missing.append(part)
         total += prod
     if missing:
         uniq = sorted(set(missing), key=lambda cand: cand.coords)

@@ -1,6 +1,10 @@
-"""Prints a one-line verdict per acceptance criterion after the run."""
+"""Prints a one-line verdict per acceptance criterion after the run, and
+provides a model file that no count source covers."""
 
+import json
 import re
+
+import pytest
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 _results = {}
@@ -25,3 +29,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, name in sorted(_results):
         terminalreporter.write_line(f"criterion {num} ({name}): {_results[(num, name)]}")
+
+
+@pytest.fixture
+def bare_model_file(tmp_path):
+    """A model file with an odd positive-definite form (b2+ = 2, no b1) and
+    no count tables: every count on it is missing data."""
+    doc = {"name": "bare", "basis": ["P", "Q"], "gram": [[1, 0], [0, 1]], "K": [1, 1], "area": [1, 1]}
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path

@@ -179,7 +179,7 @@ def test_decomp_and_gr(capsys):
     assert err == "error code=parse msg=unknown symbol 'Z' (basis of s2xt2: S, B)\n"
 
 
-def test_gr_missing_table_entry_is_domain_error(capsys):
+def test_gr_missing_table_entry_is_domain_error(capsys, bare_model_file):
     code, out, err = invoke(capsys, "gr", "--manifold", "s2xs2", "--class", "2A1")
     assert code == 1 and out == ""
     assert err == "error code=domain msg=unknown Gr0 value for class 2A1\n"
@@ -187,6 +187,11 @@ def test_gr_missing_table_entry_is_domain_error(capsys):
     code, out, err = invoke(capsys, "gr", "--manifold", "cp2", "--class", "4L", "--candidates", "4L")
     assert (code, out) == (1, "")
     assert err == "error code=domain msg=unknown Gr0 value for class 4L\n"
+    # a file model with no tables: one record names every missing part
+    argv = ("gr", "--manifold", str(bare_model_file), "--class", "P+Q", "--candidates", "P,Q,P+Q")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error code=domain msg=unknown Gr0 value for class Q, P, P+Q\n"
 
 
 def test_gr_tori_forms(capsys):
@@ -303,6 +308,38 @@ def test_parse_error_exit_code(capsys):
     assert (code, out, err) == (2, "", "error code=parse msg=malformed term at '*L' in '*L'\n")
     code, out, err = invoke(capsys, "kprime", "--manifold", "cp2_blowup(2)", "--class", "L+*E1")
     assert (code, out, err) == (2, "", "error code=parse msg=malformed term at '+*E1' in 'L+*E1'\n")
+    # A coefficient is ASCII digits only; "\u0663" is ARABIC-INDIC DIGIT THREE.
+    code, out, err = invoke(capsys, "k", "--manifold", "cp2", "--class", "\u0663L")
+    assert (code, out, err) == (2, "", "error code=parse msg=malformed term at '\u0663L' in '\u0663L'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("k", "--manifold", "no/such/model.json", "--class", "L"),
+         "manifold 'no/such/model.json' is neither a preset nor a file"),
+        (("k", "--manifold", "cp2"), "at least one --class is required"),
+        (("gr-tori", "--tori", "+0:x", "--k", "1"), "bad cover multiplicity in torus token '+0:x'"),
+        (("gr-tori", "--tori", " , ", "--k", "1"), "--tori needs at least one label"),
+        (("decomp", "--manifold", "cp2", "--class", "L", "--class", "2L"),
+         "decomp takes exactly one --class"),
+        (("verify", "--manifold", "cp2", "--points", "1"),
+         "verify needs at least one --class component (expr[:mult[:genus]])"),
+        (("verify", "--manifold", "cp2", "--class", "L:1:0:0", "--points", "1"),
+         "component 'L:1:0:0' must be expr[:mult[:genus]]"),
+        (("verify", "--manifold", "cp2", "--class", "L:x", "--points", "1"),
+         "bad integers in component 'L:x'"),
+    ],
+)
+def test_usage_error_records(capsys, argv, message):
+    assert invoke(capsys, *argv) == (2, "", f"error code=usage msg={message}\n")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gr", "-h")])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gromov4")
 
 
 def test_unknown_preset_and_command(capsys):

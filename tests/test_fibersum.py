@@ -12,6 +12,7 @@ import pytest
 from gromov4 import (
     cli,
     DomainError,
+    Piece,
     PreconditionError,
     base_pieces,
     check_kmin_constraints,
@@ -46,6 +47,13 @@ def test_n_past_the_ledger_limit_is_a_domain_error(monkeypatch, capsys):
         gr_elliptic_fiber(over)
     assert cli.run(["fibersum", "--n", str(over)]) == 1
     assert capsys.readouterr() == ("", f"error code=domain msg=n past the ledger limit {over - 1}\n")
+
+
+def test_bad_piece_and_bad_row_are_refused():
+    with pytest.raises(ValueError, match="^boundary count must be non-negative$"):
+        Piece("hole", -1, 0)
+    with pytest.raises(PreconditionError, match="^elliptic surfaces V\\(n\\) need n >= 1$"):
+        fiber_gr_table(0)
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])

@@ -211,6 +211,9 @@ def test_parse_error_messages():
         ("L E1", f"unknown symbol 'LE1' {basis}"),
         ("L+E9", f"unknown symbol 'E9' {basis}"),
         ("9" * 5000 + "L", "coefficient of 'L' has too many digits"),
+        # a coefficient is ASCII digits only: "\u0663" is ARABIC-INDIC DIGIT THREE
+        ("\u0663L", "malformed term at '\u0663L' in '\u0663L'"),
+        ("L\u0663E1", "malformed term at '\u0663E1' in 'L\u0663E1'"),
     ):
         with pytest.raises(ClassParseError) as info:
             m.parse(expr)
@@ -334,6 +337,8 @@ def test_preset_lookup_forms():
         preset("elliptic", 0)
     with pytest.raises(UnknownPresetError):
         preset("cp2", 5)
+    with pytest.raises(UnknownPresetError, match="bad preset name"):
+        preset("elliptic(\u0663)")  # ARABIC-INDIC DIGIT THREE: ASCII digits only
 
 
 def test_preset_parameter_limit(monkeypatch):

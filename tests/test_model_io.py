@@ -109,8 +109,9 @@ def test_area_validation(tmp_path):
     expect_error(tmp_path, lambda d: d.__setitem__("area", ["3/2"]), "$.area")
     expect_error(tmp_path, lambda d: d.__setitem__("area", ["x", 1]), "$.area[0]")
     expect_error(tmp_path, lambda d: d.__setitem__("area", ["1/0", 1]), "$.area[0]")
-    # only an integer or "p/q": no decimals, exponents or digit separators
-    for text in ("0.5", "1e50", "1_0"):
+    # only an integer or "p/q": no decimals, exponents, digit separators or
+    # non-ASCII digits ("\u0663" is ARABIC-INDIC DIGIT THREE)
+    for text in ("0.5", "1e50", "1_0", "\u0663", "1/\u0663"):
         expect_error(tmp_path, lambda d: d.__setitem__("area", [text, 1]), "$.area[0]")
     expect_error(tmp_path, lambda d: d.__setitem__("area", [True, 1]), "$.area[0]")
 

@@ -252,6 +252,9 @@ def test_embedded_sphere_rule():
     # right genus and square, but not represented in the table
     b2 = preset("cp2_blowup", 2)
     assert embedded_sphere_rule(b2, b2.parse("2L - E1 - E2")) is None
+    # an entry of 0 is read, and marks the class as not represented
+    L = cp2.parse("L")
+    assert embedded_sphere_rule(ManifoldModel(cp2.lattice, sphere_table={L: 0}), L) is None
 
 
 def orthogonal_multiple(A, B):

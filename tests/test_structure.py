@@ -24,6 +24,7 @@ from gromov4 import (
     fiber_gr_table,
     gromov_via_decompositions,
     k,
+    load_model,
     omega_area,
     pair,
     preset,
@@ -431,7 +432,7 @@ def test_gromov_trivial_and_unreachable():
     assert gromov_via_decompositions(cp2, cp2.parse("5L")) == 0
 
 
-def test_gromov_missing_count_is_an_error():
+def test_gromov_missing_count_is_an_error(bare_model_file):
     ss = preset("s2xs2")
     A1 = ss.parse("A1")
     with pytest.raises(UnknownGr0Error) as info:
@@ -443,6 +444,13 @@ def test_gromov_missing_count_is_an_error():
     with pytest.raises(UnknownGr0Error) as info:
         gromov_via_decompositions(cp2, A, [A])
     assert info.value.classes == (A,)
+    # a file model with no tables: every part of every decomposition is
+    # missing, and one error names them all in coordinate order
+    bare = load_model(bare_model_file)
+    P, Q = bare.parse("P"), bare.parse("Q")
+    with pytest.raises(UnknownGr0Error) as info:
+        gromov_via_decompositions(bare, P + Q, [P, Q, P + Q])
+    assert info.value.classes == (Q, P, P + Q)
 
 
 def test_kmin_passes_consistent_tables():
