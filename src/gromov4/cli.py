@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import warnings
 from itertools import chain
@@ -82,6 +83,17 @@ def _classes(model: ManifoldModel, args) -> list[HClass]:
     return [model.parse(e) for e in exprs]
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An optionally signed run of ASCII digits as an int.  int() alone
+    also reads other Unicode digits, "_" separators and outer spaces."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
@@ -91,7 +103,7 @@ def _parse_tori(text: str) -> tuple[tuple[torus_series.TorusLabel, int], ...]:
     for token in filter(None, (t.strip() for t in text.split(","))):
         label, colon, cover = token.partition(":")
         try:
-            tori.append((label, int(cover)) if colon else label)
+            tori.append((label, integer(cover)) if colon else label)
         except ValueError:
             raise UsageError(f"bad cover multiplicity in torus token {token!r}") from None
     if not tori:
@@ -108,8 +120,8 @@ def _parse_component(text: str) -> tuple[str, int, int]:
         raise UsageError(f"component {text!r} must be expr[:mult[:genus]]")
     expr = fields[0]
     try:
-        mult = int(fields[1]) if len(fields) > 1 and fields[1] else 1
-        genus = int(fields[2]) if len(fields) > 2 and fields[2] else 0
+        mult = integer(fields[1]) if len(fields) > 1 and fields[1] else 1
+        genus = integer(fields[2]) if len(fields) > 2 and fields[2] else 0
     except ValueError:
         raise UsageError(f"bad integers in component {text!r}") from None
     return expr, mult, genus
@@ -368,7 +380,7 @@ def build_parser() -> _Parser:
     new("kprime", _cmd_per_class, "corrected point budget k'(A)")
     new("genus", _cmd_per_class, "adjunction genus of an embedded representative")
     p = new("dim", _cmd_per_class, "moduli dimension at a given genus")
-    p.add_argument("--genus", type=int, default=0)
+    p.add_argument("--genus", type=integer, default=0)
     new("good", _cmd_per_class, "is the class good (no forced exceptional multi-covers)")
     new("reduce", _cmd_per_class, "strip multiply covered exceptional spheres")
     new("classify-neg", _cmd_per_class, "classify a negative-square class")
@@ -381,15 +393,15 @@ def build_parser() -> _Parser:
     p.add_argument("--candidates", help="comma-separated candidate class expressions")
     p = new("gr-tori", _cmd_gr_tori, "torus-list count at degree k", model=False)
     p.add_argument("--tori", required=True, help="comma-separated labels, e.g. +0,+0 or -1:2")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=integer, default=None)
     new("gr-s", _cmd_per_class, "spherical invariant Gr_s(A)")
     p = new("fibersum", _cmd_fibersum, "fiber-class count of V(n) by the ledger", model=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     # verify --mode kmin builds its own preset, so --manifold is optional there.
     p = new("verify", _cmd_verify, "verify a configuration or an invariant table", required=False)
     p.add_argument("--mode", choices=("good", "kprime", "kmin"), default="good")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--points", type=integer, default=None)
+    p.add_argument("--n", type=integer, default=None)
     return parser
 
 

@@ -7,10 +7,12 @@ with sum A, pairwise disjoint representatives (distinct parts must pair to
 zero; a class may repeat only if it is exceptional or has square zero, so
 that parallel disjoint copies exist), and every part must satisfy
 c1(B_i) >= 1: the per-part point budget is k_i = c1(B_i) - 1, and these
-budgets add up to the total k = c1(A) - p automatically.  The
+budgets add up to the total k = c1(A) - p automatically.  Since every
+budget is non-negative, p = c1(A) - k <= c1(A) holds for every multiset
+that sums to A, so the part count needs no bound of its own.  The
 configurations come from the search shared with decompositions
 (structure._orthogonal_combinations), with cap none on exceptional and
-square-zero classes, cap 1 on every other class, and at most c1(A) parts.
+square-zero classes and cap 1 on every other class.
 Its candidate table (the table classes with c1 >= 1, as integer rows) is
 built by _sphere_candidates on the model's first sphere search and kept on
 the model, as the exceptional pairing table is.
@@ -105,7 +107,7 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     if cA < 1:
         return []
     configs = []
-    for selection in _orthogonal_combinations(A, _sphere_candidates(model), max_parts=cA):
+    for selection in _orthogonal_combinations(A, _sphere_candidates(model)):
         configs.append(SphereConfig(tuple(B for B, r in selection for _ in range(r))))
     configs.sort(key=lambda cfg: (cfg.p, tuple(b.coords for b in cfg.parts)))
     return configs

@@ -23,12 +23,15 @@ statement with no constructive bound, so nothing is inferred silently.
 Decompositions and the sphere configurations of spherical.py come from
 one search, _orthogonal_combinations: pairwise orthogonal candidates whose
 capped multiplicities sum to A.  Decompositions cap a negative square at
-0, a positive square at 1, and leave square zero uncapped.  The search runs
-on a _CandidateTable of integer rows (each candidate's coordinates, its
-covector Gram.B, B.B, its area numerator and its cap), so every pairing in
-it is one dot product and the remaining class is an int tuple: the search
-neither pairs nor builds a class.  enumerate_decompositions builds its
-table once per call; the sphere table is built once per model.
+0, a positive square at 1, and leave square zero uncapped.  Caps and area
+are the only bounds: a sphere configuration needs none on its part count
+p, since its parts have c1 >= 1 and so p <= sum of c1 = c1(A).  The
+search runs on a _CandidateTable of integer rows (each candidate's
+coordinates, its covector Gram.B, B.B, its area numerator and its cap), so
+every pairing in it is one dot product and the remaining class is an int
+tuple: the search neither pairs nor builds a class.
+enumerate_decompositions builds its table once per call; the sphere table
+is built once per model.
 
 check_kmin_constraints flags violations of the constraints satisfied by
 the invariants of a minimal manifold with b2+ > 1: (i) Gr(A) != 0 forces
@@ -304,21 +307,18 @@ def _candidate_table(
     )
 
 
-def _orthogonal_combinations(
-    A: HClass, table: _CandidateTable, max_parts: int | None = None
-) -> Iterator[list[tuple[HClass, int]]]:
+def _orthogonal_combinations(A: HClass, table: _CandidateTable) -> Iterator[list[tuple[HClass, int]]]:
     """Every selection [(B, n), ...] of table classes with n >= 1 and
     sum n * B = A.
 
-    Candidate B enters at most its cap times, the multiplicities add up to
-    at most max_parts (None: no bound for either), and each picked
-    candidate pairs to zero with every other one, so A.B = n * B.B for each
-    picked B.  That fixes n when B.B != 0 and needs A.B = 0 when B.B = 0;
-    candidates failing it are dropped up front.  The other rules prune
-    inside the recursion; a branch ends once the remaining class is zero or
-    its area is not positive, and a candidate that no later one can join
-    takes the one multiplicity that would finish the sum.  Each selection
-    comes once, in candidate order.
+    Candidate B enters at most its cap times (None: no bound), and each
+    picked candidate pairs to zero with every other one, so A.B = n * B.B
+    for each picked B.  That fixes n when B.B != 0 and needs A.B = 0 when
+    B.B = 0; candidates failing it are dropped up front.  The other rules
+    prune inside the recursion; a branch ends once the remaining class is
+    zero or its area is not positive, and a candidate that no later one can
+    join takes the one multiplicity that would finish the sum.  Each
+    selection comes once, in candidate order.
 
     The search runs on the table's integer rows: A.B and the clashes
     B.B' != 0 are dot products with the covectors, and the remaining class
@@ -326,28 +326,26 @@ def _orthogonal_combinations(
     live in the candidates' lattice; the callers check it.
     """
     classes, coords, covs, areas = table.classes, table.coords, table.covectors, table.areas
-    need = {}  # candidate index -> its one possible multiplicity, or None if free
+    copies = {}  # kept candidate index -> (fewest, most) copies; most None for no bound
     for i, (cov, sq, cap) in enumerate(zip(covs, table.squares, table.caps)):
         ab = sum(map(mul, A.coords, cov))
         if sq == 0 and ab == 0 and cap != 0:
-            need[i] = None
+            copies[i] = (1, cap)
         elif sq != 0 and ab % sq == 0 and 1 <= ab // sq <= (ab // sq if cap is None else cap):
-            need[i] = ab // sq
-    # The most copies of each kept candidate: its fixed multiplicity, else its cap.
-    most = {i: table.caps[i] if n is None else n for i, n in need.items()}
-    clash = {i: {j for j in need if sum(map(mul, coords[i], covs[j]))} for i in need}
+            copies[i] = (ab // sq, ab // sq)
+    clash = {i: {j for j in copies if sum(map(mul, coords[i], covs[j]))} for i in copies}
 
-    def search(allowed: list, remaining: tuple, w_left, room, picked: list):
+    def search(allowed: list, remaining: tuple, w_left, picked: list):
         if not any(remaining):
             yield picked
             return
         if w_left <= 0:
             return
         for pos, i in enumerate(allowed):
+            fewest, most = copies[i]
             top = w_left // areas[i]
-            for bound in (most[i], room):
-                if bound is not None and bound < top:
-                    top = bound
+            if most is not None and most < top:
+                top = most
             rest = [j for j in allowed[pos + 1 :] if j not in clash[i]]
             b = coords[i]
             if not rest:  # nothing can follow candidate i: solve for its multiplicity
@@ -355,14 +353,13 @@ def _orthogonal_combinations(
                 if r == 0 and n <= top and tuple([n * x for x in b]) == remaining:
                     yield picked + [(classes[i], n)]
                 continue
-            for n in range(need[i] or 1, top + 1):
-                left = None if room is None else room - n
+            for n in range(fewest, top + 1):
                 rem = tuple([y - n * x for x, y in zip(b, remaining)])
-                yield from search(rest, rem, w_left - n * areas[i], left, picked + [(classes[i], n)])
+                yield from search(rest, rem, w_left - n * areas[i], picked + [(classes[i], n)])
 
     w_total = _area_numerator(A)
     if w_total > 0:
-        yield from search(list(need), A.coords, w_total, max_parts, [])
+        yield from search(list(copies), A.coords, w_total, [])
 
 
 def _decomposition_cap(B: HClass, sq: int) -> int | None:

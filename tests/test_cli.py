@@ -329,6 +329,25 @@ def test_parse_error_exit_code(capsys):
          "component 'L:1:0:0' must be expr[:mult[:genus]]"),
         (("verify", "--manifold", "cp2", "--class", "L:x", "--points", "1"),
          "bad integers in component 'L:x'"),
+        # Integers are ASCII digits with an optional sign: no other Unicode
+        # digit ("\u0661" is ARABIC-INDIC DIGIT ONE), no "_", no spaces.
+        (("gr-tori", "--tori", "+0:\u0661", "--k", "3"),
+         "bad cover multiplicity in torus token '+0:\u0661'"),
+        (("gr-tori", "--tori", "+0:1_0", "--k", "12"), "bad cover multiplicity in torus token '+0:1_0'"),
+        (("gr-tori", "--tori", "+0: 2", "--k", "12"), "bad cover multiplicity in torus token '+0: 2'"),
+        (("gr-tori", "--tori", "+0", "--k", "\u0663"), "argument --k: invalid integer value: '\u0663'"),
+        (("gr-tori", "--tori", "+0", "--k", "1_2"), "argument --k: invalid integer value: '1_2'"),
+        (("gr-tori", "--tori", "+0", "--k", " 4"), "argument --k: invalid integer value: ' 4'"),
+        (("dim", "--manifold", "cp2", "--class", "L", "--genus", "\u0662"),
+         "argument --genus: invalid integer value: '\u0662'"),
+        (("fibersum", "--n", "\u0663"), "argument --n: invalid integer value: '\u0663'"),
+        (("verify", "--mode", "kmin", "--n", "1_0"), "argument --n: invalid integer value: '1_0'"),
+        (("verify", "--manifold", "cp2_blowup(1)", "--mode", "kprime", "--class", "E1:\u0662"),
+         "bad integers in component 'E1:\u0662'"),
+        (("verify", "--manifold", "cp2", "--class", "L:1:0_0", "--points", "1"),
+         "bad integers in component 'L:1:0_0'"),
+        (("verify", "--manifold", "cp2", "--class", "L", "--points", "\u0662"),
+         "argument --points: invalid integer value: '\u0662'"),
     ],
 )
 def test_usage_error_records(capsys, argv, message):

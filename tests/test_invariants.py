@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
+    NegClassVerdict,
     NotInExceptionalSetError,
     PreconditionError,
     ReductionConsistencyWarning,
@@ -183,6 +184,8 @@ def test_classify_negative_square_classes():
     b1 = preset("cp2_blowup", 1)
     far = classify_negative(b1.lattice.class_from_coords((-10**30, -10**30 - 1)))
     assert (far.kind, far.witness) == ("NotRepresentable", None)
+    with pytest.raises(ValueError, match=r"^bad verdict kind 'Sphere'$"):
+        NegClassVerdict("Sphere")
 
 
 def test_classify_negative_matches_charge_one_square_minus_one():

@@ -374,3 +374,38 @@ def test_model_exceptional_validation():
         m.with_exceptional(m.parse("L"))
     twisted = m.with_exceptional(m.parse("L - E1 - E2"))
     assert m.parse("L - E1 - E2") in twisted.exceptional
+
+
+def _with_foreign_key():
+    m, A1 = preset("cp2"), preset("s2xs2").parse("A1")
+    return ManifoldModel(m.lattice, gr0_table={A1: 1})
+
+
+def _with_duplicate_exceptional():
+    m = preset("cp2_blowup", 2)
+    E1 = m.parse("E1")
+    return ManifoldModel(m.lattice, exceptional=(E1, m.parse("E2"), E1))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (_with_foreign_key, ModelFileError, "$.gr0_table[0].class: A1 belongs to a different lattice"),
+        (_with_duplicate_exceptional, ModelFileError, "$: duplicate exceptional classes"),
+        (lambda: preset("cp2").with_exceptional(), ValueError,
+         "a minimal model has no exceptional classes to extend"),
+        (lambda: preset("cp2_blowup(2)", 3), UnknownPresetError,
+         "conflicting parameters for preset 'cp2_blowup(2)'"),
+    ],
+    ids=["foreign-table-key", "duplicate-exceptional", "minimal-with-exceptional", "conflicting-parameters"],
+)
+def test_model_and_preset_rejections(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_lattice_equality_and_class_repr():
+    lat = preset("cp2").lattice
+    assert lat.__eq__("cp2") is NotImplemented and lat != "cp2"
+    assert repr(lat.parse("2L")) == "<2L in cp2>"

@@ -362,6 +362,15 @@ def test_non_integer_coordinates_are_rejected(bad, index):
         assert f"coordinate {index}" in str(info.value)
 
 
+def test_an_int_subclass_is_an_integer_coordinate():
+    class Count(int):
+        pass
+
+    lat = preset("cp2_blowup(2)").lattice
+    A = HClass((Count(2), 1, 0), lat)
+    assert A == lat.class_from_coords((2, 1, 0)) and A.coords[0] == 2
+
+
 def test_coordinate_lists_become_tuples():
     lat = preset("cp2_blowup(2)").lattice
     A = HClass([3, -1, 0], lat)

@@ -56,10 +56,10 @@ def dot(lat, u, v):
     return sum(u[r] * lat.gram[r][s] * v[s] for r in range(lat.rank) for s in range(lat.rank))
 
 
-def brute_force(A, classes, caps, max_parts):
+def brute_force(A, classes, caps):
     """Every selection [(index, n), ...] in lexicographic order: each
     multiplicity vector within the area and cap bounds whose picked classes
-    pair pairwise to zero, sum to A, and number at most max_parts."""
+    pair pairwise to zero and sum to A."""
     lat, w = A.lattice, omega_area(A)
     if w <= 0:
         return []
@@ -77,8 +77,6 @@ def brute_force(A, classes, caps, max_parts):
     out = []
     for vec in vectors(0, w):
         picked = [(i, n) for i, n in enumerate(vec) if n]
-        if max_parts is not None and sum(vec) > max_parts:
-            continue
         total = tuple(sum(n * classes[i].coords[r] for i, n in picked) for r in range(lat.rank))
         if total != A.coords:
             continue
@@ -87,11 +85,11 @@ def brute_force(A, classes, caps, max_parts):
     return sorted(out)
 
 
-def kernel(A, classes, caps, max_parts):
+def kernel(A, classes, caps):
     """The kernel's selections as [(index, n), ...], in the order it yields them."""
     index = {id(B): i for i, B in enumerate(classes)}
     table = _candidate_table(classes, lambda B, sq: caps[index[id(B)]])
-    return [[(index[id(B)], n) for B, n in sel] for sel in _orthogonal_combinations(A, table, max_parts)]
+    return [[(index[id(B)], n) for B, n in sel] for sel in _orthogonal_combinations(A, table)]
 
 
 def positive_class(lat, coords):
@@ -110,7 +108,6 @@ def test_kernel_matches_brute_force(data):
         classes += [n * base for n in range(2, data.draw(st.integers(2, 4)))]
     classes = [B for B in classes if omega_area(B) <= 6]
     caps = data.draw(st.lists(st.sampled_from([0, 1, None]), min_size=len(classes), max_size=len(classes)))
-    max_parts = data.draw(st.one_of(st.none(), st.integers(0, 5)))
     A = lat.class_from_coords(data.draw(coords))
     if classes and data.draw(st.booleans()):  # a sum of candidates, so that answers are not all empty
         A = lat.zero()
@@ -118,7 +115,7 @@ def test_kernel_matches_brute_force(data):
             A = A + data.draw(st.integers(0, 2)) * B
     if omega_area(A) > 10:
         A = classes[0]
-    assert kernel(A, classes, caps, max_parts) == brute_force(A, classes, caps, max_parts)
+    assert kernel(A, classes, caps) == brute_force(A, classes, caps)
 
 
 def test_kernel_on_hand_cases():
@@ -127,24 +124,29 @@ def test_kernel_on_hand_cases():
     # All clash: every pair of multiples of L pairs nonzero, so each
     # selection has one part, and 2L cannot reach 3L (6 / 4 is no integer).
     clash = [L, 2 * L, 3 * L]
-    assert kernel(3 * L, clash, [None] * 3, None) == [[(0, 3)], [(2, 1)]]
-    assert kernel(3 * L, clash, [1, None, None], None) == [[(2, 1)]]
-    assert kernel(3 * L, clash, [None, None, 0], 2) == []
-    assert kernel(3 * L, [], [], None) == []
-    assert kernel(cp2.zero(), clash, [None] * 3, None) == []
-    # A square-zero ray: the multiples add up freely, within max_parts.
+    assert kernel(3 * L, clash, [None] * 3) == [[(0, 3)], [(2, 1)]]
+    assert kernel(3 * L, clash, [1, None, None]) == [[(2, 1)]]
+    assert kernel(3 * L, clash, [2, None, 0]) == []
+    assert kernel(3 * L, [], []) == []
+    assert kernel(cp2.zero(), clash, [None] * 3) == []
+    # A square-zero ray: the multiples add up freely, within their caps.
     ruled = preset("s2xt2").lattice
     B = ruled.parse("B")
     ray = [B, 2 * B, 3 * B]
-    assert kernel(3 * B, ray, [None] * 3, None) == [[(0, 1), (1, 1)], [(0, 3)], [(2, 1)]]
-    assert kernel(3 * B, ray, [None] * 3, 2) == [[(0, 1), (1, 1)], [(2, 1)]]
-    assert kernel(3 * B, ray, [0, None, 1], None) == [[(2, 1)]]
+    assert kernel(3 * B, ray, [None] * 3) == [[(0, 1), (1, 1)], [(0, 3)], [(2, 1)]]
+    assert kernel(3 * B, ray, [2, None, None]) == [[(0, 1), (1, 1)], [(2, 1)]]
+    assert kernel(3 * B, ray, [0, None, 1]) == [[(2, 1)]]
     # Four classes that are not pairwise orthogonal, yet A.B = B.B for each
     # of them and for their sum A: only the clash test rejects the sum.
     b3 = preset("cp2_blowup", 3).lattice
     four = [b3.parse(e) for e in ("2L+E1", "L+E1+E2", "E1-E2+E3", "E2")]
     A = b3.parse("3L+3E1+E2+E3")
-    assert kernel(A, four, [None] * 4, None) == brute_force(A, four, [None] * 4, None) == []
+    assert kernel(A, four, [None] * 4) == brute_force(A, four, [None] * 4) == []
+    # L+E1 twice leaves -L-E1+2E2+2E3, of zero area: that branch ends
+    # there, before any candidate is tried on it.
+    three = [b3.parse(e) for e in ("L+E1", "E3", "2L+E1+E2")]
+    A = b3.parse("2L+2E1+2E2+2E3")
+    assert kernel(A, three, [None] * 3) == brute_force(A, three, [None] * 3) == []
 
 
 def test_kernel_pairs_nothing_and_builds_no_class(monkeypatch):

@@ -101,6 +101,21 @@ def test_label_parse_and_text():
         TorusLabel(1, 5)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TruncSeries(()), "a series needs at least its constant coefficient"),
+        (lambda: TruncSeries((1, 2.0)), "series coefficients must be integers"),
+        (lambda: TruncSeries.from_poly([1], -1), "truncation order must be non-negative"),
+    ],
+    ids=["empty", "float-coefficient", "negative-order"],
+)
+def test_series_rejects_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_series_arithmetic():
     a = TruncSeries.from_poly([1, 2, 3], 4)
     b = TruncSeries.from_poly([1, -1], 2)
@@ -296,6 +311,8 @@ def test_each_label_is_one_object():
     assert TorusLabel.__eq__ is object.__eq__ and TorusLabel.__hash__ is object.__hash__
     with pytest.raises(AttributeError):
         ALL_LABELS[0].sign = -1
+    with pytest.raises(AttributeError, match="^cannot delete field 'sign'$"):
+        del ALL_LABELS[0].sign
     bad_sign = r"^torus label sign must be \+1 or -1$"
     bad_twists = r"^torus label twist count must lie in 0\.\.3$"
     for sign, twists, message in (

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gromov4 import (
     AssignmentAmbiguityWarning,
+    IntersectionLattice,
     ManifoldModel,
     PreconditionError,
     SphereConfig,
@@ -39,8 +42,10 @@ def test_point_budget_for_given_component_count():
 
 
 # Brute-force oracle: walk every multiplicity vector on the table keys
-# within the area bound omega(A), and keep those that satisfy the rules of
-# the module docstring, computed from the raw Gram matrix, K and areas.
+# within the area bound omega(A) and the part bound p <= c1(A), and keep
+# those that satisfy the rules of the module docstring, computed from the
+# raw Gram matrix, K and areas.  The search itself has no part bound: it
+# relies on every part having c1 >= 1, which this walk does not assume.
 def oracle_sphere_configs(model, A):
     lat = model.lattice
     rank = lat.rank
@@ -51,21 +56,22 @@ def oracle_sphere_configs(model, A):
     def area(u):
         return sum(w * x for w, x in zip(lat.area, u))
 
-    def vectors(i, w_left):
+    def vectors(i, w_left, parts_left):
         if i == len(keys):
             yield ()
             return
         n = 0
-        while n * area(keys[i]) <= w_left:
-            for rest in vectors(i + 1, w_left - n * area(keys[i])):
+        while n <= parts_left and n * areas[i] <= w_left:
+            for rest in vectors(i + 1, w_left - n * areas[i], parts_left - n):
                 yield (n,) + rest
             n += 1
 
     keys = sorted(B.coords for B in model.sphere_table)
+    areas = [area(B) for B in keys]
     exceptional = {E.coords for E in model.exceptional}
     cA = -dot(lat.canonical, A.coords)
     found = []
-    for vec in vectors(0, area(A.coords)):
+    for vec in vectors(0, area(A.coords), cA):
         picked = [(B, n) for B, n in zip(keys, vec) if n]
         p = sum(vec)
         if (
@@ -74,7 +80,6 @@ def oracle_sphere_configs(model, A):
             and all(dot(B, C) == 0 for (B, _), (C, _) in combinations(picked, 2))
             and all(n == 1 or B in exceptional or dot(B, B) == 0 for B, n in picked)
             and all(-dot(lat.canonical, B) >= 1 for B, _ in picked)
-            and p <= cA
         ):
             found.append((tuple(B for B, n in picked for _ in range(n)), cA - p, p))
     return sorted(found, key=lambda cfg: (cfg[2], cfg[0]))
@@ -99,6 +104,49 @@ def test_config_enumeration_matches_oracle():
                 assert cfg.k == c1(A) - cfg.p and cfg.p == len(cfg.parts), (model.name, expr)
             nonempty += bool(got)
     assert nonempty >= 15
+
+
+def _uneven_blowup() -> ManifoldModel:
+    """The plane blown up at four points with areas not proportional to c1:
+    omega(L) = 7/2 and omega(E_i) = 1/5, so the area bound admits far more
+    parts than c1(A) does.  Three L-E_i-E_j classes of the sphere table are
+    not stored as exceptional, so they are capped at one copy."""
+    n = 4
+    lat = IntersectionLattice(
+        name="cp2#4",
+        basis=("L",) + tuple(f"E{i}" for i in range(1, n + 1)),
+        gram=tuple(tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n + 1)) for i in range(n + 1)),
+        canonical=(-3,) + (1,) * n,
+        area=(Fraction(7, 2),) + (Fraction(1, 5),) * n,
+    )
+    L, Es = lat.basis_class(0), [lat.basis_class(i) for i in range(1, n + 1)]
+    spheres = {L: 1, 2 * L: 1, 3 * L: 12}
+    for E in Es:
+        spheres[E] = spheres[L - E] = 1
+    for i, j in ((0, 1), (0, 2), (2, 3)):
+        spheres[L - Es[i] - Es[j]] = 1
+    return ManifoldModel(lat, exceptional=tuple(Es), sphere_table=spheres)
+
+
+UNEVEN = _uneven_blowup()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_config_enumeration_matches_oracle_on_uneven_areas(data):
+    # Only here could a part bound in the search cut what the area bound
+    # lets through; the oracle applies p <= c1(A) itself.
+    lat = UNEVEN.lattice
+    if data.draw(st.booleans()):  # a sum of table classes, so that answers are not all empty
+        small = sorted((B for B in UNEVEN.sphere_table if c1(B) <= 3), key=lambda B: B.coords)
+        A = lat.zero()
+        for B in data.draw(st.lists(st.sampled_from(small), min_size=1, max_size=3)):
+            A = A + B
+    else:
+        A = lat.class_from_coords([data.draw(st.integers(0, 2))] + data.draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4)))
+    assume(c1(A) <= 7)  # the oracle's walk grows fast with c1(A)
+    got = [(tuple(B.coords for B in cfg.parts), cfg.k, cfg.p) for cfg in enumerate_sphere_configs(UNEVEN, A)]
+    assert got == oracle_sphere_configs(UNEVEN, A)
 
 
 def test_config_enumeration_blowup():

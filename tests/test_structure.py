@@ -119,6 +119,8 @@ def test_component_and_configuration_validation():
         Component(L, 1, -1)
     with pytest.raises(ValueError):
         Configuration(())
+    with pytest.raises(ValueError, match="^a decomposition needs at least one part$"):
+        Decomposition(())
     other = preset("s2xs2").parse("A1")
     with pytest.raises(Exception):
         Configuration((Component(L), Component(other)))
@@ -145,6 +147,9 @@ def test_good_configuration_rejects_covered_exceptional_sphere():
     assert not rep.check("multiplicity").passed
     # the stated point count disagrees with k(L+2E1) = 1 as well
     assert not rep.check("points").passed
+    with pytest.raises(KeyError) as info:
+        rep.check("genus")
+    assert info.value.args == ("no condition named 'genus' in this report",)
 
 
 def test_good_configuration_rejects_a_negative_non_exceptional_component():
