@@ -52,7 +52,7 @@ from .lattice import (
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -416,9 +416,6 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         lines = args.handler(args)
-    except UsageError as exc:
-        _error_record("usage", str(exc))
-        return 2
     except ClassParseError as exc:
         _error_record("parse", str(exc))
         return 2

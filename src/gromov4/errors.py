@@ -82,6 +82,13 @@ def _int(value, path: str) -> int:
     raise ModelFileError(path, "expected an integer")
 
 
+def _require_int(value, what: str) -> None:
+    """Raise ValueError("<what> must be an integer") unless value is an int
+    other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer")
+
+
 class ReductionConsistencyWarning(UserWarning):
     """k(B) = k'(A) failed; the stored exceptional set is not orthogonal."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _require_int
 from .lattice import HClass, ManifoldModel, preset
 
 
@@ -34,8 +34,8 @@ class Piece:
     """A (possibly bounded) piece with its signed fiber-class torus count.
 
     A stock piece has its own label and notes.  glue keeps only the two
-    operands and its one note, with {} for their names; name and notes walk
-    the operands again on each read, so the ledger is never held whole.
+    operands and its one note, with {} for their names; notes walks the
+    operands again on each read, so the ledger is never held whole.
     Pieces compare by identity, so no comparison recurses into operands.
     """
 
@@ -52,18 +52,6 @@ class Piece:
     @property
     def closed(self) -> bool:
         return self.boundary_count == 0
-
-    @property
-    def name(self) -> str:
-        """The stock labels of the glued pieces, left to right, joined by +."""
-        labels, todo = [], [self]
-        while todo:
-            piece = todo.pop()
-            if piece.operands is None:
-                labels.append(piece.label)
-            else:
-                todo += reversed(piece.operands)
-        return "+".join(labels)
 
     @property
     def notes(self) -> Ledger:
@@ -134,8 +122,7 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
     2n+1 notes, made as it is read.  An n that is not an int (a bool
     included) raises ValueError; an n past _N_MAX raises DomainError.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("n must be an integer")
+    _require_int(n, "n")
     if n < 1:
         raise PreconditionError("elliptic surfaces V(n) need n >= 1")
     if n > _N_MAX:
@@ -150,15 +137,12 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
     return EllipticFiberCount(closed.fiber_gr, closed.notes)
 
 
-def fiber_gr_table(n: int, kmax: int | None = None) -> dict[HClass, int]:
-    """Counts of fiber multiples kF on V(n), each read by the model's gr0.
-
-    The default range covers the full nonzero row, k = 0 .. max(n-2, 1).
-    """
+def fiber_gr_table(n: int) -> dict[HClass, int]:
+    """Counts of fiber multiples kF on V(n), each read by the model's gr0,
+    over the full nonzero row k = 0 .. max(n-2, 1)."""
+    _require_int(n, "n")
     if n < 1:
         raise PreconditionError("elliptic surfaces V(n) need n >= 1")
     model: ManifoldModel = preset("elliptic", n)
     F = model.lattice.basis_class(0)
-    if kmax is None:
-        kmax = max(n - 2, 1)
-    return {k * F: model.gr0(k * F) for k in range(kmax + 1)}
+    return {k * F: model.gr0(k * F) for k in range(max(n - 2, 1) + 1)}

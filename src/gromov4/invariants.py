@@ -37,7 +37,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import report
-from .errors import NotInExceptionalSetError, PreconditionError, ReductionConsistencyWarning
+from .errors import (
+    NotInExceptionalSetError,
+    PreconditionError,
+    ReductionConsistencyWarning,
+    _require_int,
+)
 from .lattice import (
     HClass,
     ManifoldModel,
@@ -84,6 +89,7 @@ def _k_prime(A: HClass, pairings: tuple[int, ...]) -> int:
 
 def ell_g(A: HClass, g: int) -> int:
     """Point budget c1(A) + g - 1 of a connected genus-g curve in A."""
+    _require_int(g, "genus")
     if g < 0:
         raise PreconditionError("genus must be non-negative")
     return c1(A) + g - 1

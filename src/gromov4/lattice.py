@@ -422,42 +422,36 @@ def omega_area(A: HClass) -> Fraction:
 
 
 def _positive_index(gram: Sequence[Sequence[int]]) -> int:
-    """Positive inertia index by symmetric congruence reduction over Q."""
-    n = len(gram)
+    """Positive inertia index by symmetric congruence reduction over Q.
+
+    Each step pivots on the first nonzero diagonal entry d, counts it when
+    d > 0 and goes on with the Schur complement of d.  When the whole
+    diagonal is zero, e_0 += e_j for the first j with m[0][j] != 0 puts
+    2*m[0][j] on the diagonal; a zero row 0 is dropped.
+    """
     m = [[Fraction(x) for x in row] for row in gram]
     positives = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            # Prefer swapping in a nonzero diagonal entry from below.
-            for j in range(i + 1, n):
-                if m[j][j] != 0:
-                    m[i], m[j] = m[j], m[i]
-                    for row in m:
-                        row[i], row[j] = row[j], row[i]
-                    break
-        if m[i][i] == 0:
-            # Hyperbolic-style block: e_i += e_j with m[i][j] != 0 puts
-            # 2*m[i][j] on the diagonal.
-            for j in range(i + 1, n):
-                if m[i][j] != 0:
-                    for col in range(n):
-                        m[i][col] += m[j][col]
-                    for row in m:
-                        row[i] += row[j]
-                    break
-        d = m[i][i]
-        if d == 0:
-            continue
+    while m:
+        i = next((i for i, row in enumerate(m) if row[i]), None)
+        if i is None:
+            j = next((j for j, x in enumerate(m[0]) if x), None)
+            if j is None:
+                del m[0]
+                for row in m:
+                    del row[0]
+                continue
+            m[0] = [a + b for a, b in zip(m[0], m[j])]
+            for row in m:
+                row[0] += row[j]
+            i = 0
+        pivot = m.pop(i)
+        d = pivot.pop(i)
         if d > 0:
             positives += 1
-        for j in range(i + 1, n):
-            f = m[i][j] / d
-            if f == 0:
-                continue
-            for col in range(n):
-                m[j][col] -= f * m[i][col]
-            for row in m:
-                row[j] -= f * row[i]
+        for row in m:
+            f = row.pop(i) / d
+            if f:
+                row[:] = [x - f * p for x, p in zip(row, pivot)]
     return positives
 
 
@@ -819,6 +813,8 @@ def preset(name: str, n: int | None = None) -> ManifoldModel:
     if takes_n:
         if n is None:
             raise UnknownPresetError(f"preset {base!r} needs a parameter, e.g. {base}(2)")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise UnknownPresetError(f"preset {base!r} needs an integer n, got {n!r}")
         if n < 1:
             raise UnknownPresetError(f"preset {base!r} needs n >= 1")
         if n > _PRESET_MAX_N:

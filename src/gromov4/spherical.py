@@ -38,6 +38,7 @@ from .errors import (
     AssignmentAmbiguityWarning,
     PreconditionError,
     UnknownSphereCountError,
+    _require_int,
 )
 from .invariants import genus_embedded
 from .lattice import HClass, ManifoldModel, _square, c1
@@ -73,6 +74,7 @@ class SphereConfig:
 
 def k_for(A: HClass, p: int) -> int:
     """The point count k = c1(A) - p for a p-component sphere count."""
+    _require_int(p, "p")
     c = c1(A)
     if not 1 <= p <= c:
         raise PreconditionError(f"p must lie in 1..c1(A) = {c}, got {p}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error
+from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error, _require_int
 from .invariants import EXCEPTIONAL_SPHERE, classify_negative, ell_g, is_good_class, k, k_prime, m_e
 from .lattice import (
     HClass,
@@ -69,6 +69,8 @@ class Component:
     genus: int = 0
 
     def __post_init__(self) -> None:
+        _require_int(self.mult, "component multiplicity")
+        _require_int(self.genus, "component genus")
         if self.mult < 1:
             raise ValueError("component multiplicity must be >= 1")
         if self.genus < 0:
@@ -369,7 +371,7 @@ def _decomposition_cap(B: HClass, sq: int) -> int | None:
 
 
 def enumerate_decompositions(
-    model: ManifoldModel, A: HClass, candidates: Sequence[HClass] | None = None
+    model: ManifoldModel, A: HClass, candidates: Iterable[HClass] | None = None
 ) -> list[Decomposition]:
     """All decompositions of A generated by the candidate classes.
 
@@ -382,14 +384,16 @@ def enumerate_decompositions(
     On a minimal model with b2+ > 1, candidates with k != 0 are dropped up
     front: their Gr0 vanishes, so they cannot carry a count.
 
-    Candidates default to the classes the model has count data for (the
-    union of the gr0_table and torus_table keys).  A from another lattice
-    than the model's raises LatticeMismatchError before anything else.
+    Candidates, any iterable and read once, default to the classes the
+    model has count data for (the union of the gr0_table and torus_table
+    keys).  A from another lattice than the model's raises
+    LatticeMismatchError before anything else.
     """
     lat = model.lattice
     A.lattice._require_same(lat)
     if candidates is None:
         candidates = model.gr0_table.keys() | model.torus_table.keys()
+    candidates = list(candidates)
     for cand in candidates:
         if cand.lattice != lat:
             raise InvalidCandidateError(f"candidate {cand} lives in another lattice")
@@ -413,7 +417,7 @@ def enumerate_decompositions(
 def gromov_via_decompositions(
     model: ManifoldModel,
     A: HClass,
-    candidates: Sequence[HClass] | None = None,
+    candidates: Iterable[HClass] | None = None,
 ) -> int:
     """Gr(A) as the sum over decompositions of the product of part counts.
 

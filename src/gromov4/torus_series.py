@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ModelFileError, _int
+from .errors import DomainError, ModelFileError, _int, _require_int
 
 
 class TorusLabel:
@@ -257,8 +257,7 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     degree that is not an int (a bool included) or is negative raises
     ValueError; a degree past _ORDER_MAX raises DomainError.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError("degree must be an integer")
+    _require_int(k, "degree")
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k > _ORDER_MAX:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
     ClassParseError,
+    Component,
     IntersectionLattice,
     LatticeMismatchError,
     ManifoldModel,
@@ -17,9 +18,13 @@ from gromov4 import (
     UnknownPresetError,
     b2_plus,
     c1,
+    ell_g,
+    fiber_gr_table,
     format_class,
     genus_embedded,
     k,
+    k_for,
+    moduli_dimension,
     omega_area,
     pair,
     parse_class,
@@ -400,6 +405,36 @@ def _with_duplicate_exceptional():
     ids=["foreign-table-key", "duplicate-exceptional", "minimal-with-exceptional", "conflicting-parameters"],
 )
 def test_model_and_preset_rejections(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _L():
+    return preset("cp2").parse("L")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: preset("cp2_blowup", True), UnknownPresetError,
+         "preset 'cp2_blowup' needs an integer n, got True"),
+        (lambda: preset("elliptic", 2.0), UnknownPresetError,
+         "preset 'elliptic' needs an integer n, got 2.0"),
+        (lambda: preset("cp2_blowup", "2"), UnknownPresetError,
+         "preset 'cp2_blowup' needs an integer n, got '2'"),
+        (lambda: Component(_L(), 1.5), ValueError, "component multiplicity must be an integer"),
+        (lambda: Component(_L(), True), ValueError, "component multiplicity must be an integer"),
+        (lambda: Component(_L(), 1, 0.5), ValueError, "component genus must be an integer"),
+        (lambda: ell_g(_L(), True), ValueError, "genus must be an integer"),
+        (lambda: moduli_dimension(_L(), 0.5), ValueError, "genus must be an integer"),
+        (lambda: k_for(_L(), True), ValueError, "p must be an integer"),
+        (lambda: fiber_gr_table("2"), ValueError, "n must be an integer"),
+    ],
+    ids=["preset-bool", "preset-float", "preset-str", "mult-float", "mult-bool", "genus-float",
+         "ell_g-bool", "moduli-float", "k_for-bool", "fiber-table-str"],
+)
+def test_integer_parameters_refuse_non_integers(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error and str(info.value) == message

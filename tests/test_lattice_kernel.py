@@ -215,6 +215,9 @@ def symmetric_matrices(draw):
 @example([[0, 1], [1, 0]])
 @example([[0, 0, 2], [0, 0, 0], [2, 0, 0]])
 @example([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+@example([[0, 0, 0], [0, 0, 1], [0, 1, 0]])  # zero row 0, then a hyperbolic block
+@example([[0, 0], [0, 0]])  # the zero form
+@example([[0, 2, 1], [2, -3, 0], [1, 0, 0]])  # first nonzero pivot at index 1
 def test_positive_index_matches_descartes_count(m):
     assert _positive_index(m) == positive_roots_by_descartes(char_poly(m))
 
@@ -229,6 +232,7 @@ def test_cached_b2_plus_matches_fresh_computation_on_presets():
         assert b2_plus(lat) == want  # the second call reads the cache
         plain = replace(lat, b2plus_override=None)
         assert b2_plus(plain) == _positive_index(lat.gram)
+    assert b2_plus(replace(preset("cp2_blowup(64)").lattice, b2plus_override=None)) == 1
 
 
 # --- equality, hashing and copies ----------------------------------------------------

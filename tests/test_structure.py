@@ -245,6 +245,18 @@ def test_enumeration_two_orthogonal_positive_parts():
     }
 
 
+def test_enumeration_reads_a_one_shot_iterable_once():
+    m = preset("s2xs2")
+    A1, A2 = m.parse("A1"), m.parse("A2")
+    cands = [A1, A2, A1 + A2]
+    want = enumerate_decompositions(m, A1 + A2, cands)
+    assert len(want) == 1
+    assert enumerate_decompositions(m, A1 + A2, iter(cands)) == want
+    assert gromov_via_decompositions(m, A1 + A2, iter(cands)) == 1
+    with pytest.raises(InvalidCandidateError, match="^candidate -A1 must have positive area$"):
+        enumerate_decompositions(m, A1, (c for c in [A2, -A1, A1 - A2]))
+
+
 def test_enumeration_groups_square_zero_ray():
     st = preset("s2xt2")
     B = st.parse("B")

@@ -9,7 +9,8 @@ pytest it runs:
 
     python tools/never_run.py [pytest arguments]
 
-With no arguments it runs the Tier-1 suite (`-q --continue-on-collection-errors`).
+With no arguments it runs the Tier-1 suite (`-q --continue-on-collection-errors`)
+with `--hypothesis-seed=0`, so the list changes only when code or tests do.
 When GITHUB_STEP_SUMMARY names a file, the report is appended to it too.
 The exit code is pytest's; the list itself gates nothing.
 """
@@ -91,7 +92,9 @@ def main(argv: list[str]) -> int:
     threading.settrace(_global)
     sys.settrace(_global)
     try:
-        code = pytest.main(argv or ["-q", "--continue-on-collection-errors"])
+        code = pytest.main(
+            argv or ["-q", "--continue-on-collection-errors", "--hypothesis-seed=0"]
+        )
     finally:
         sys.settrace(None)
         threading.settrace(None)
