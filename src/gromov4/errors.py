@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, with the integer
+checks and the immutable record base every module uses.
 
 DomainError covers violations of mathematical preconditions (the CLI maps
 these to exit code 1); ValueError subclasses cover malformed input such as
@@ -87,6 +88,45 @@ def _require_int(value, what: str) -> None:
     other than a bool."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer")
+
+
+class _Frozen:
+    """Base of the package's immutable records.
+
+    A record names its constructor arguments in _fields, and its __init__
+    sets them past __setattr__, with object.__setattr__.  Assigning or
+    deleting an attribute raises AttributeError; copy, deepcopy and pickle
+    rebuild the record through its constructor; == and hash compare the
+    fields' values (a record of another class is never equal), and repr
+    shows them as name=value.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
 
 
 class ReductionConsistencyWarning(UserWarning):

@@ -22,32 +22,47 @@ bundle: glue(D2xT2, D2xT2) = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, PreconditionError, _require_int
+from .errors import DomainError, PreconditionError, _Frozen, _require_int
 from .lattice import HClass, ManifoldModel, preset
 
 
-@dataclass(frozen=True, eq=False)
-class Piece:
+class Piece(_Frozen):
     """A (possibly bounded) piece with its signed fiber-class torus count.
 
     A stock piece has its own label and notes.  glue keeps only the two
     operands and its one note, with {} for their names; notes walks the
     operands again on each read, so the ledger is never held whole.
-    Pieces compare by identity, so no comparison recurses into operands.
+    Pieces compare by identity and repr leaves the operands out, so
+    neither recurses into them.
     """
 
-    label: str
-    boundary_count: int
-    fiber_gr: int
-    own_notes: tuple[str, ...] = ()
-    operands: tuple[Piece, Piece] | None = field(default=None, repr=False)
+    _fields = ("label", "boundary_count", "fiber_gr", "own_notes", "operands")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.boundary_count < 0:
+    def __init__(
+        self,
+        label: str,
+        boundary_count: int,
+        fiber_gr: int,
+        own_notes: tuple[str, ...] = (),
+        operands: tuple[Piece, Piece] | None = None,
+    ) -> None:
+        if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "boundary_count", boundary_count)
+        object.__setattr__(self, "fiber_gr", fiber_gr)
+        object.__setattr__(self, "own_notes", own_notes)
+        object.__setattr__(self, "operands", operands)
+
+    def __repr__(self) -> str:
+        return (
+            f"Piece(label={self.label!r}, boundary_count={self.boundary_count!r}, "
+            f"fiber_gr={self.fiber_gr!r}, own_notes={self.own_notes!r})"
+        )
 
     @property
     def closed(self) -> bool:

@@ -33,7 +33,6 @@ non-negatively, with a zero product only for proportional null classes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import report
@@ -41,6 +40,7 @@ from .errors import (
     NotInExceptionalSetError,
     PreconditionError,
     ReductionConsistencyWarning,
+    _Frozen,
     _require_int,
 )
 from .lattice import (
@@ -114,8 +114,7 @@ def is_good_class(model: ManifoldModel, A: HClass) -> bool:
     return min(_exceptional_pairings(model, A), default=0) >= -1
 
 
-@dataclass(frozen=True)
-class NegClassVerdict:
+class NegClassVerdict(_Frozen):
     """Outcome of classify_negative.
 
     kind is ExceptionalSphere or NotRepresentable; the witness triple
@@ -123,11 +122,12 @@ class NegClassVerdict:
     the constraint arithmetic forces it to be (0, 1, -1).
     """
 
-    kind: str
+    _fields = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in (EXCEPTIONAL_SPHERE, NOT_REPRESENTABLE):
-            raise ValueError(f"bad verdict kind {self.kind!r}")
+    def __init__(self, kind: str) -> None:
+        if kind not in (EXCEPTIONAL_SPHERE, NOT_REPRESENTABLE):
+            raise ValueError(f"bad verdict kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def is_exceptional_sphere(self) -> bool:

@@ -26,7 +26,7 @@ what the arithmetic reads:
 b2+ (the positive index of inertia of Q) is found by symmetric congruence
 reduction over the rationals, once per lattice on first use; no floating
 point is involved anywhere.  The derived data never travels with a copy:
-replace(), copy.deepcopy and pickle all rebuild the lattice through its
+copy, deepcopy and pickle all rebuild the lattice through its
 constructor, so a hash from another process is never reused.
 
 Class coordinates must be ints (bools, floats and Fractions raise
@@ -73,7 +73,6 @@ integers must be ints, and areas ints, Fractions or "p"/"p/q" strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -88,7 +87,9 @@ from .errors import (
     UnknownGr0Error,
     UnknownPresetError,
     UnknownSphereCountError,
+    _Frozen,
     _int,
+    _require_int,
 )
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -110,19 +111,21 @@ def _rational(value, path: str) -> Fraction:
     raise ModelFileError(path, f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class IntersectionLattice:
+class IntersectionLattice(_Frozen):
     """Basis, intersection form, canonical class and area of H_2(M; Z)."""
 
-    name: str
-    basis: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
-    area: tuple[Fraction, ...]
-    b2plus_override: int | None = None
+    _fields = ("name", "basis", "gram", "canonical", "area", "b2plus_override")
 
-    def __post_init__(self) -> None:
-        basis = tuple(self.basis)
+    def __init__(
+        self,
+        name: str,
+        basis: Sequence[str],
+        gram: Sequence[Sequence[int]],
+        canonical: Sequence[int],
+        area: Sequence[Fraction | int | str],
+        b2plus_override: int | None = None,
+    ) -> None:
+        basis = tuple(basis)
         if not basis:
             raise ModelFileError("$.basis", "expected a nonempty symbol list")
         for i, sym in enumerate(basis):
@@ -131,7 +134,7 @@ class IntersectionLattice:
         if len(set(basis)) != len(basis):
             raise ModelFileError("$.basis", "symbols must be distinct")
         n = len(basis)
-        gram = tuple(self.gram)
+        gram = tuple(gram)
         if len(gram) != n:
             raise ModelFileError("$.gram", f"expected {n} rows")
         for i, row in enumerate(gram):
@@ -146,16 +149,16 @@ class IntersectionLattice:
                 for j in range(i + 1, n):
                     if gram[i][j] != gram[j][i]:
                         raise ModelFileError(f"$.gram[{j}][{i}]", "gram matrix must be symmetric")
-        canonical = tuple(self.canonical)
+        canonical = tuple(canonical)
         if len(canonical) != n:
             raise ModelFileError("$.K", f"expected {n} coordinates")
         for i, x in enumerate(canonical):
             _int(x, f"$.K[{i}]")
-        area = tuple(self.area)
+        area = tuple(area)
         if len(area) != n:
             raise ModelFileError("$.area", f"expected {n} entries")
         area = tuple(_rational(x, f"$.area[{i}]") for i, x in enumerate(area))
-        if self.b2plus_override is not None and _int(self.b2plus_override, "$.b2plus") < 0:
+        if b2plus_override is not None and _int(b2plus_override, "$.b2plus") < 0:
             raise ModelFileError("$.b2plus", "must be non-negative")
         diagonal = tuple(gram[i][i] for i in range(n))
         off_diagonal = tuple(
@@ -174,12 +177,14 @@ class IntersectionLattice:
                 )
         area_den = lcm(*(w.denominator for w in area))
         area_num = tuple(w.numerator * (area_den // w.denominator) for w in area)
-        key = (self.name, basis, gram, canonical, area_num, area_den, self.b2plus_override)
+        key = (name, basis, gram, canonical, area_num, area_den, b2plus_override)
         for attr, value in (
+            ("name", name),
             ("basis", basis),
             ("gram", gram),
             ("canonical", canonical),
             ("area", area),
+            ("b2plus_override", b2plus_override),
             ("_diagonal", diagonal),
             ("_off_diagonal", off_diagonal),
             ("_c1", tuple(map(neg, k_dot))),
@@ -188,7 +193,7 @@ class IntersectionLattice:
             ("_symbol_index", {sym: i for i, sym in enumerate(basis)}),
             ("_key", key),
             ("_hash", hash(key)),
-            ("_b2plus", self.b2plus_override),
+            ("_b2plus", b2plus_override),
         ):
             object.__setattr__(self, attr, value)
 
@@ -202,15 +207,6 @@ class IntersectionLattice:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # Copies and pickles go through the constructor, which derives the
-        # caches afresh (a pickled hash would be stale under another
-        # PYTHONHASHSEED).
-        return (
-            type(self),
-            (self.name, self.basis, self.gram, self.canonical, self.area, self.b2plus_override),
-        )
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -219,6 +215,9 @@ class IntersectionLattice:
         return HClass((0,) * self.rank, self)
 
     def basis_class(self, i: int) -> "HClass":
+        _require_int(i, "basis index")
+        if not 0 <= i < self.rank:
+            raise ValueError(f"basis index {i} is outside 0..{self.rank - 1} for rank {self.rank}")
         coords = [0] * self.rank
         coords[i] = 1
         return HClass(tuple(coords), self)
@@ -245,22 +244,25 @@ def _reject_non_integers(coords: tuple) -> None:
             raise CoordinateError(f"coordinate {i} is {c!r}, not an integer", index=i)
 
 
-@dataclass(frozen=True)
-class HClass:
+class HClass(_Frozen):
     """A homology class: integer coordinates in its lattice's basis."""
 
-    coords: tuple[int, ...]
-    lattice: IntersectionLattice
+    # _c1 and _square are c1(A) and A.A, kept on first use.
+    __slots__ = ("coords", "lattice", "_c1", "_square")
+    _fields = ("coords", "lattice")
 
-    # c1(A) and A.A, kept on first use.
-    _c1 = None
-    _square = None
+    def __init__(self, coords: Sequence[int], lattice: IntersectionLattice) -> None:
+        _set_coords(self, coords)
+        _set_lattice(self, lattice)
+        _set_c1(self, None)
+        _set_square(self, None)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         coords = self.coords
         if type(coords) is not tuple:
             coords = tuple(coords)
-            object.__setattr__(self, "coords", coords)
+            _set_coords(self, coords)
         if len(coords) != self.lattice.rank:
             raise CoordinateError("coordinate vector has wrong length for this lattice")
         for c in coords:
@@ -268,12 +270,15 @@ class HClass:
                 _reject_non_integers(coords)
                 break
 
+    def __eq__(self, other) -> bool:
+        # The base's comparison without its getattr loop: every table lookup
+        # of a class that is not the stored key object compares classes.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coords, self.lattice) == (other.coords, other.lattice)
+
     def __hash__(self) -> int:
         return hash((self.coords, self.lattice._hash))
-
-    def __reduce__(self):
-        # Through the constructor, like the lattice: no copy carries a memo.
-        return (type(self), (self.coords, self.lattice))
 
     def __add__(self, other: "HClass") -> "HClass":
         self.lattice._require_same(other.lattice)
@@ -315,6 +320,13 @@ class HClass:
         return f"<{format_class(self)} in {self.lattice.name}>"
 
 
+# The slots' own setters.  HClass is built more often than any other object,
+# and a slot's setter takes under half the time of object.__setattr__.
+_set_coords, _set_lattice, _set_c1, _set_square = (
+    HClass.__dict__[name].__set__ for name in HClass.__slots__
+)
+
+
 def pair(A: HClass, B: HClass) -> int:
     """Intersection number A.B."""
     lat = A.lattice
@@ -332,14 +344,14 @@ def c1(A: HClass) -> int:
     value = A._c1
     if value is None:
         value = sum(map(mul, A.lattice._c1, A.coords))
-        object.__setattr__(A, "_c1", value)
+        _set_c1(A, value)
     return value
 
 
 def _square(A: HClass) -> int:
     """A.A, paired once and kept on A."""
     if A._square is None:
-        object.__setattr__(A, "_square", pair(A, A))
+        _set_square(A, pair(A, A))
     return A._square
 
 
@@ -503,8 +515,7 @@ def format_class(A: HClass) -> str:
     return out.removeprefix("+") or "0"
 
 
-@dataclass(frozen=True, eq=False)
-class ManifoldModel:
+class ManifoldModel(_Frozen):
     """A lattice plus the finite count data the invariants consume.
 
     exceptional stores the finitely many exceptional classes the model
@@ -514,25 +525,31 @@ class ManifoldModel:
 
     torus_table maps a primitive square-zero class to the labelled tori on
     its ray.  An empty entry means "known: no tori", which is different
-    from a missing entry ("unknown", an error when consulted).
+    from a missing entry ("unknown", an error when consulted).  Each table
+    is copied into a new dict; models compare by identity.
     """
 
-    lattice: IntersectionLattice
-    exceptional: tuple[HClass, ...] = ()
-    minimal: bool = False
-    gr0_table: Mapping[HClass, int] = field(default_factory=dict)
-    torus_table: Mapping[HClass, tuple[tuple[torus_series.TorusLabel, int], ...]] = field(
-        default_factory=dict
-    )
-    sphere_table: Mapping[HClass, int] = field(default_factory=dict)
+    _fields = ("lattice", "exceptional", "minimal", "gr0_table", "torus_table", "sphere_table")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     # The pairing table, written by _exceptional_table on first use, and the
     # sphere search table, written by spherical._sphere_candidates.
     _exceptional_table = None
     _sphere_candidates = None
 
-    def __post_init__(self) -> None:
-        exc = tuple(self.exceptional)
+    def __init__(
+        self,
+        lattice: IntersectionLattice,
+        exceptional: Sequence[HClass] = (),
+        minimal: bool = False,
+        gr0_table: Mapping[HClass, int] | None = None,
+        torus_table: Mapping[HClass, Sequence] | None = None,
+        sphere_table: Mapping[HClass, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "minimal", minimal)
+        exc = tuple(exceptional)
         for i, E in enumerate(exc):
             path = f"$.exceptional[{i}]"
             self._check_owned(E, path)
@@ -540,14 +557,14 @@ class ManifoldModel:
                 raise ModelFileError(path, f"{E} is not exceptional (needs E.E = -1 and c1(E) = 1)")
         if len(set(exc)) != len(exc):
             raise ModelFileError("$", "duplicate exceptional classes")
-        if self.minimal and exc:
+        if minimal and exc:
             raise ModelFileError("$.minimal", "a minimal model cannot list exceptional classes")
         gr0 = {}
-        for i, (A, v) in enumerate(dict(self.gr0_table).items()):
+        for i, (A, v) in enumerate(dict(gr0_table or {}).items()):
             self._check_table_key(A, f"$.gr0_table[{i}].class")
             gr0[A] = _int(v, f"$.gr0_table[{i}].value")
         tori = {}
-        for i, (A, entries) in enumerate(dict(self.torus_table).items()):
+        for i, (A, entries) in enumerate(dict(torus_table or {}).items()):
             path = f"$.torus_table[{i}]"
             self._check_table_key(A, f"{path}.class")
             if A.content() != 1:
@@ -557,7 +574,7 @@ class ManifoldModel:
             except ModelFileError as err:
                 raise ModelFileError(f"{path}.tori{err.path[1:]}", err.message) from None
         spheres = {}
-        for i, (A, v) in enumerate(dict(self.sphere_table).items()):
+        for i, (A, v) in enumerate(dict(sphere_table or {}).items()):
             path = f"$.sphere_table[{i}]"
             self._check_table_key(A, f"{path}.class")
             if _int(v, f"{path}.count") < 0:
@@ -567,20 +584,6 @@ class ManifoldModel:
         object.__setattr__(self, "gr0_table", gr0)
         object.__setattr__(self, "torus_table", tori)
         object.__setattr__(self, "sphere_table", spheres)
-
-    def __reduce__(self):
-        # Through the constructor, like the lattice: no copy carries the table.
-        return (
-            type(self),
-            (
-                self.lattice,
-                self.exceptional,
-                self.minimal,
-                self.gr0_table,
-                self.torus_table,
-                self.sphere_table,
-            ),
-        )
 
     def _check_owned(self, A: HClass, path: str) -> None:
         if A.lattice != self.lattice:
@@ -627,7 +630,9 @@ class ManifoldModel:
         for E in classes:
             if E not in merged:
                 merged.append(E)
-        return replace(self, exceptional=tuple(merged))
+        return ManifoldModel(
+            self.lattice, merged, self.minimal, self.gr0_table, self.torus_table, self.sphere_table
+        )
 
 
 # ---------------------------------------------------------------------------

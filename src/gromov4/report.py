@@ -7,20 +7,24 @@ on individual clauses instead of a single boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import _Frozen
 
 
-@dataclass(frozen=True)
-class Check:
-    cond: str
-    passed: bool
-    witness: tuple = ()
-    detail: str = ""
+class Check(_Frozen):
+    _fields = ("cond", "passed", "witness", "detail")
+
+    def __init__(self, cond: str, passed: bool, witness: tuple = (), detail: str = "") -> None:
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[Check, ...]
+class Report(_Frozen):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...]) -> None:
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import (
     AssignmentAmbiguityWarning,
     PreconditionError,
     UnknownSphereCountError,
+    _Frozen,
     _require_int,
 )
 from .invariants import genus_embedded
@@ -45,15 +46,14 @@ from .lattice import HClass, ManifoldModel, _square, c1
 from .structure import _CandidateTable, _candidate_table, _orthogonal_combinations
 
 
-@dataclass(frozen=True)
-class SphereConfig:
+class SphereConfig(_Frozen):
     """A multiset of sphere classes; its point split (k, p) follows from
     the parts: p parts and k = sum of the budgets c1(B_i) - 1."""
 
-    parts: tuple[HClass, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, key=lambda b: b.coords))
+    def __init__(self, parts: Iterable[HClass]) -> None:
+        parts = tuple(sorted(parts, key=lambda b: b.coords))
         if not parts:
             raise ValueError("a sphere configuration needs at least one part")
         object.__setattr__(self, "parts", parts)

@@ -41,11 +41,10 @@ forces A.A = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error, _require_int
+from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error, _Frozen, _require_int
 from .invariants import EXCEPTIONAL_SPHERE, classify_negative, ell_g, is_good_class, k, k_prime, m_e
 from .lattice import (
     HClass,
@@ -60,31 +59,30 @@ from .lattice import (
 from .report import Check, Report
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Frozen):
     """A curve component: underlying class, covering multiplicity, genus."""
 
-    cls: HClass
-    mult: int = 1
-    genus: int = 0
+    _fields = ("cls", "mult", "genus")
 
-    def __post_init__(self) -> None:
-        _require_int(self.mult, "component multiplicity")
-        _require_int(self.genus, "component genus")
-        if self.mult < 1:
+    def __init__(self, cls: HClass, mult: int = 1, genus: int = 0) -> None:
+        _require_int(mult, "component multiplicity")
+        _require_int(genus, "component genus")
+        if mult < 1:
             raise ValueError("component multiplicity must be >= 1")
-        if self.genus < 0:
+        if genus < 0:
             raise ValueError("component genus must be non-negative")
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Frozen):
     """A nonempty multiset of components; the total class is recomputed."""
 
-    components: tuple[Component, ...]
+    _fields = ("components",)
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+    def __init__(self, components: Sequence[Component]) -> None:
+        comps = tuple(components)
         if not comps:
             raise ValueError("a configuration needs at least one component")
         lat = comps[0].cls.lattice
@@ -250,14 +248,13 @@ def verify_kprime_configuration(
     return Report(tuple(checks))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Frozen):
     """Pairwise orthogonal, non-proportional parts of non-negative square."""
 
-    parts: tuple[HClass, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, key=lambda p: p.coords))
+    def __init__(self, parts: Iterable[HClass]) -> None:
+        parts = tuple(sorted(parts, key=lambda p: p.coords))
         if not parts:
             raise ValueError("a decomposition needs at least one part")
         object.__setattr__(self, "parts", parts)

@@ -27,13 +27,12 @@ and compares by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ModelFileError, _int, _require_int
+from .errors import DomainError, ModelFileError, _Frozen, _int, _require_int
 
 
-class TorusLabel:
+class TorusLabel(_Frozen):
     """One of the eight torus types (sign, i) with i in 0..3.
 
     There is one object per type: the constructor, parse, copy and pickle
@@ -41,8 +40,9 @@ class TorusLabel:
     """
 
     __slots__ = ("sign", "twists")
-    sign: int
-    twists: int
+    _fields = ("sign", "twists")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, sign: int, twists: int) -> "TorusLabel":
         try:
@@ -52,15 +52,6 @@ class TorusLabel:
             if sign not in _SIGNS:
                 raise ValueError("torus label sign must be +1 or -1") from None
             raise ValueError("torus label twist count must lie in 0..3") from None
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (TorusLabel, (self.sign, self.twists))
 
     @classmethod
     def parse(cls, text: str) -> "TorusLabel":
@@ -72,9 +63,6 @@ class TorusLabel:
 
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + str(self.twists)
-
-    def __repr__(self) -> str:
-        return f"TorusLabel(sign={self.sign!r}, twists={self.twists!r})"
 
 
 def _make_label(sign: int, twists: int) -> TorusLabel:
@@ -90,23 +78,22 @@ _INTERNED = {(label.sign, label.twists): label for label in ALL_LABELS}
 _CANONICAL = {str(label): label for label in ALL_LABELS}
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(_Frozen):
     """Integer power series truncated at a fixed order.
 
     coeffs stores c0..cN; the truncation order N is implicit in the length.
     A product of mismatched orders truncates to the shorter; nothing reads past cN.
     """
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: Sequence[int]) -> None:
+        if len(coeffs) == 0:
             raise ValueError("a series needs at least its constant coefficient")
-        for c in self.coeffs:
+        for c in coeffs:
             if not isinstance(c, int):
                 raise ValueError("series coefficients must be integers")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def order(self) -> int:
@@ -114,6 +101,7 @@ class TruncSeries:
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[int], order: int) -> "TruncSeries":
+        _require_int(order, "truncation order")
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         cs = list(coeffs[: order + 1])
@@ -199,6 +187,7 @@ def _coefficients(tori: Sequence[tuple[TorusLabel, int]], order: int) -> list[in
 
 def f_series(label: TorusLabel, order: int) -> TruncSeries:
     """Expansion of the generating function attached to a torus label."""
+    _require_int(order, "truncation order")
     return TruncSeries.from_poly(_coefficients(((label, 1),), order), order)
 
 

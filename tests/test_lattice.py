@@ -430,9 +430,16 @@ def _L():
         (lambda: moduli_dimension(_L(), 0.5), ValueError, "genus must be an integer"),
         (lambda: k_for(_L(), True), ValueError, "p must be an integer"),
         (lambda: fiber_gr_table("2"), ValueError, "n must be an integer"),
+        (lambda: preset("cp2").lattice.basis_class(-1), ValueError,
+         "basis index -1 is outside 0..0 for rank 1"),
+        (lambda: preset("cp2_blowup(2)").lattice.basis_class(3), ValueError,
+         "basis index 3 is outside 0..2 for rank 3"),
+        (lambda: preset("cp2").lattice.basis_class(0.5), ValueError, "basis index must be an integer"),
+        (lambda: preset("cp2").lattice.basis_class(True), ValueError, "basis index must be an integer"),
     ],
     ids=["preset-bool", "preset-float", "preset-str", "mult-float", "mult-bool", "genus-float",
-         "ell_g-bool", "moduli-float", "k_for-bool", "fiber-table-str"],
+         "ell_g-bool", "moduli-float", "k_for-bool", "fiber-table-str", "basis-negative",
+         "basis-rank", "basis-float", "basis-bool"],
 )
 def test_integer_parameters_refuse_non_integers(build, error, message):
     with pytest.raises(error) as info:

@@ -107,8 +107,10 @@ def test_label_parse_and_text():
         (lambda: TruncSeries(()), "a series needs at least its constant coefficient"),
         (lambda: TruncSeries((1, 2.0)), "series coefficients must be integers"),
         (lambda: TruncSeries.from_poly([1], -1), "truncation order must be non-negative"),
+        (lambda: TruncSeries.from_poly([1], 2.5), "truncation order must be an integer"),
+        (lambda: f_series(ALL_LABELS[0], 2.5), "truncation order must be an integer"),
     ],
-    ids=["empty", "float-coefficient", "negative-order"],
+    ids=["empty", "float-coefficient", "negative-order", "float-order", "f-series-float-order"],
 )
 def test_series_rejects_bad_input(build, message):
     with pytest.raises(ValueError) as info:

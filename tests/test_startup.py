@@ -119,3 +119,48 @@ def test_per_class_call_leaves_the_lazy_modules_unexecuted():
     assert registered == submodules
     assert code == 0
     assert run == sorted(set(submodules) - set(LAZY))
+
+
+MODEL_DOC = {
+    "name": "custom",
+    "basis": ["L", "E1"],
+    "gram": [[1, 0], [0, -1]],
+    "K": [-3, 1],
+    "area": ["3", "1/2"],
+    "exceptional": ["E1"],
+    "sphere_table": [{"class": "L", "count": 1}, {"class": "L-E1", "count": 1}],
+}
+
+
+def test_no_call_imports_dataclasses_or_inspect(tmp_path):
+    # dataclasses also loads inspect, ast, dis and tokenize at every call's
+    # start-up; no record class of the package needs them.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MODEL_DOC), encoding="utf-8")
+    calls = [
+        ["k", "--manifold", "cp2", "--class", "3L"],
+        ["reduce", "--manifold", "cp2_blowup(1)", "--class", "L+2E1"],
+        ["classify-neg", "--manifold", "cp2_blowup(1)", "--class", "E1"],
+        ["lightcone", "--manifold", "s2xs2", "--class", "A1", "--class", "A2"],
+        ["decomp", "--manifold", "cp2_blowup(2)", "--class", "2L"],
+        ["gr", "--manifold", "cp2", "--class", "3L"],
+        ["gr-s", "--manifold", "cp2_blowup(2)", "--class", "2L"],
+        ["gr-tori", "--tori", "+0,-1:2", "--k", "3"],
+        ["verify", "--manifold", "cp2_blowup(1)", "--mode", "good",
+         "--class", "L", "--class", "E1", "--points", "2"],
+        ["verify", "--mode", "kmin", "--n", "2"],
+        ["fibersum", "--n", "3"],
+        ["k", "--manifold", str(model), "--class", "L-E1"],
+    ]
+    got = fresh(
+        f"""
+        import json, sys
+        heavy = ("dataclasses", "inspect")
+        import gromov4
+        on_import = [m for m in heavy if m in sys.modules]
+        import gromov4.cli
+        codes = [gromov4.cli.run(argv) for argv in {calls!r}]
+        print(json.dumps([on_import, codes, [m for m in heavy if m in sys.modules]]))
+        """
+    )
+    assert got == [[], [0] * len(calls), []]
