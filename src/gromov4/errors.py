@@ -125,7 +125,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        shown = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self._values())])
         return f"{type(self).__qualname__}({shown})"
 
 

@@ -48,6 +48,9 @@ the three count tables (Gr0 values for square-positive classes, torus
 labels for square-zero rays, connected rational-curve counts).  Only its
 methods gr0(B) and sphere_count(B) read a count value, and each raises its
 own error (UnknownGr0Error, UnknownSphereCountError) on missing data.
+The tables are read-only views (types.MappingProxyType) of dicts the
+constructor validated, so the search tables built from them stay true;
+writing to one raises TypeError.
 
 The pairings read one integer table per model, which _exceptional_table
 builds on the model's first exceptional pairing and is the only writer
@@ -56,10 +59,13 @@ of.  For each stored E it holds the nonzero entries e_i.E of E's covector
 only, so once per E on a diagonal Gram) and E's nonzero coordinates.  A.E
 for every E is then one pass over the covector entries, and
 reduce_multicovers strips each E along its sparse coordinates.  k and
-model construction never build the table.  A model also keeps the search
-table of its sphere-table classes (spherical._sphere_candidates), whose
-rows pair through _covector.  copy, deepcopy, pickle and with_exceptional
-rebuild a model through its constructor and so drop both tables.
+model construction never build the table.  A model also keeps two search
+tables, whose rows pair through _covector: the one of its sphere-table
+classes (spherical._sphere_candidates), and the one of its last
+decomposition search with the candidate set it was built for
+(structure.enumerate_decompositions).  copy, deepcopy, pickle and
+with_exceptional rebuild a model through its constructor and so drop all
+three tables.
 
 The two constructors own every rule a model must satisfy; load_model only
 maps JSON onto them.  A violation raises ModelFileError whose path names
@@ -76,6 +82,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, neg, sub
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from . import torus_series
@@ -526,17 +533,21 @@ class ManifoldModel(_Frozen):
     torus_table maps a primitive square-zero class to the labelled tori on
     its ray.  An empty entry means "known: no tori", which is different
     from a missing entry ("unknown", an error when consulted).  Each table
-    is copied into a new dict; models compare by identity.
+    is copied into a new dict and kept behind a read-only view; models
+    compare by identity.
     """
 
     _fields = ("lattice", "exceptional", "minimal", "gr0_table", "torus_table", "sphere_table")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    # The pairing table, written by _exceptional_table on first use, and the
-    # sphere search table, written by spherical._sphere_candidates.
+    # The pairing table, written by _exceptional_table on first use, the
+    # sphere search table, written by spherical._sphere_candidates, and the
+    # (candidate coordinate set, table) pair of the last decomposition
+    # search, written by structure.enumerate_decompositions.
     _exceptional_table = None
     _sphere_candidates = None
+    _decomposition_candidates = None
 
     def __init__(
         self,
@@ -581,9 +592,15 @@ class ManifoldModel(_Frozen):
                 raise ModelFileError(f"{path}.count", "sphere counts must be non-negative")
             spheres[A] = v
         object.__setattr__(self, "exceptional", exc)
-        object.__setattr__(self, "gr0_table", gr0)
-        object.__setattr__(self, "torus_table", tori)
-        object.__setattr__(self, "sphere_table", spheres)
+        object.__setattr__(self, "gr0_table", MappingProxyType(gr0))
+        object.__setattr__(self, "torus_table", MappingProxyType(tori))
+        object.__setattr__(self, "sphere_table", MappingProxyType(spheres))
+
+    def _values(self) -> tuple:
+        # Plain dicts for __reduce__ and repr: a mappingproxy can be neither
+        # pickled nor deep-copied.
+        tables = (self.gr0_table, self.torus_table, self.sphere_table)
+        return (self.lattice, self.exceptional, self.minimal, *map(dict, tables))
 
     def _check_owned(self, A: HClass, path: str) -> None:
         if A.lattice != self.lattice:

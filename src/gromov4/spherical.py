@@ -15,7 +15,9 @@ configurations come from the search shared with decompositions
 square-zero classes and cap 1 on every other class.
 Its candidate table (the table classes with c1 >= 1, as integer rows) is
 built by _sphere_candidates on the model's first sphere search and kept on
-the model, as the exceptional pairing table is.
+the model, as the exceptional pairing table and the table of the last
+decomposition search are.  The model's sphere_table is read-only, so the
+kept rows stay true to it.
 
 Each configuration contributes the product of the counts N(B_i), read by
 ManifoldModel.sphere_count (missing data raises UnknownSphereCountError).

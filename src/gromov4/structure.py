@@ -29,9 +29,12 @@ p, since its parts have c1 >= 1 and so p <= sum of c1 = c1(A).  The
 search runs on a _CandidateTable of integer rows (each candidate's
 coordinates, its covector Gram.B, B.B, its area numerator and its cap), so
 every pairing in it is one dot product and the remaining class is an int
-tuple: the search neither pairs nor builds a class.
-enumerate_decompositions builds its table once per call; the sphere table
-is built once per model.
+tuple: the search neither pairs nor builds a class.  A model keeps the
+table of its last decomposition search, keyed by the set of candidate
+coordinate tuples, so a later search on the same set (in any order, with
+repeats, or as a generator) reuses the rows and any other set replaces
+them; the sphere table is built once per model.  The clash sets between
+the kept candidates depend on A and are found per query.
 
 check_kmin_constraints flags violations of the constraints satisfied by
 the invariants of a minimal manifold with b2+ > 1: (i) Gr(A) != 0 forces
@@ -373,18 +376,21 @@ def enumerate_decompositions(
     """All decompositions of A generated by the candidate classes.
 
     The coefficients come from _orthogonal_combinations with the caps of
-    the module docstring, on a table built once per call.  Every part is
-    n * B for a picked candidate B, and the parts on one primitive ray add
-    up to one part: only square-zero candidates can share a ray, since two
-    square-positive ones on a ray would pair nonzero.  Orthogonal parts of
-    positive area are never proportional, so no further test is needed.
-    On a minimal model with b2+ > 1, candidates with k != 0 are dropped up
-    front: their Gr0 vanishes, so they cannot carry a count.
+    the module docstring, on the model's table for this candidate set.
+    Every part is n * B for a picked candidate B, and the parts on one
+    primitive ray add up to one part: only square-zero candidates can share
+    a ray, since two square-positive ones on a ray would pair nonzero.
+    Orthogonal parts of positive area are never proportional, so no further
+    test is needed.  On a minimal model with b2+ > 1, candidates with
+    k != 0 are dropped up front: their Gr0 vanishes, so they cannot carry a
+    count.
 
     Candidates, any iterable and read once, default to the classes the
     model has count data for (the union of the gr0_table and torus_table
     keys).  A from another lattice than the model's raises
-    LatticeMismatchError before anything else.
+    LatticeMismatchError before anything else; then the first candidate,
+    in input order, from another lattice or of non-positive area raises
+    InvalidCandidateError, on a kept table as on a new one.
     """
     lat = model.lattice
     A.lattice._require_same(lat)
@@ -396,11 +402,18 @@ def enumerate_decompositions(
             raise InvalidCandidateError(f"candidate {cand} lives in another lattice")
         if _area_numerator(cand) <= 0:
             raise InvalidCandidateError(f"candidate {cand} must have positive area")
-    cands = sorted(set(candidates), key=lambda cand: cand.coords)
-    if model.minimal and b2_plus(lat) > 1:
-        cands = [cand for cand in cands if k(cand) == 0]
+    coord_set = frozenset([cand.coords for cand in candidates])
+    held = model._decomposition_candidates
+    if held is not None and held[0] == coord_set:
+        table = held[1]
+    else:
+        cands = sorted(set(candidates), key=lambda cand: cand.coords)
+        if model.minimal and b2_plus(lat) > 1:
+            cands = [cand for cand in cands if k(cand) == 0]
+        table = _candidate_table(cands, _decomposition_cap)
+        object.__setattr__(model, "_decomposition_candidates", (coord_set, table))
     found: dict[tuple, Decomposition] = {}
-    for selection in _orthogonal_combinations(A, _candidate_table(cands, _decomposition_cap)):
+    for selection in _orthogonal_combinations(A, table):
         rays: dict[tuple[int, ...], HClass] = {}
         for cand, n in selection:
             key = cand.primitive().coords

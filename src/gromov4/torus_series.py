@@ -185,9 +185,14 @@ def _coefficients(tori: Sequence[tuple[TorusLabel, int]], order: int) -> list[in
     return c
 
 
-def f_series(label: TorusLabel, order: int) -> TruncSeries:
-    """Expansion of the generating function attached to a torus label."""
+def f_series(label: TorusLabel | str, order: int) -> TruncSeries:
+    """Expansion of the generating function attached to a torus label,
+    given as a TorusLabel or its text ("+0" ... "-3")."""
     _require_int(order, "truncation order")
+    if isinstance(label, str):
+        label = TorusLabel.parse(label)
+    elif not isinstance(label, TorusLabel):
+        raise ValueError(f"bad torus label {label!r}; expected a TorusLabel or its text")
     return TruncSeries.from_poly(_coefficients(((label, 1),), order), order)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gromov4
-from gromov4 import ManifoldModel, UnknownGr0Error, UnknownSphereCountError, preset
+from gromov4 import ManifoldModel, UnknownGr0Error, UnknownSphereCountError, gr_s, preset
 
 PACKAGE = Path(gromov4.__file__).resolve().parent
 TABLES = {"gr0_table", "torus_table", "sphere_table"}
@@ -60,6 +60,24 @@ def test_sphere_count_reads_the_sphere_table():
         cp2.sphere_count(4 * L)
     # a zero entry is known data, not a missing one
     assert ManifoldModel(cp2.lattice, sphere_table={L: 0}).sphere_count(L) == 0
+
+
+def test_count_tables_are_read_only():
+    m = preset("cp2")
+    L4 = m.parse("4L")
+    assert gr_s(m, L4) == 0  # the sphere search table is now kept on m
+    for name in sorted(TABLES):
+        table = getattr(m, name)
+        with pytest.raises(TypeError):
+            table[L4] = 620
+        with pytest.raises(TypeError):
+            table[preset("s2xs2").parse("A1")] = -1
+        with pytest.raises(TypeError):
+            del table[m.parse("L")]
+    assert L4 not in m.sphere_table and gr_s(m, L4) == 0
+    # the entry belongs in the constructor, which validates it
+    with_4L = ManifoldModel(m.lattice, minimal=True, sphere_table={**m.sphere_table, L4: 620})
+    assert gr_s(with_4L, L4) == 620
 
 
 def table_reads(directory: Path) -> list[str]:

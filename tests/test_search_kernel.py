@@ -3,8 +3,10 @@
 _orthogonal_combinations runs on a candidate table of integer rows.  The
 tests here compare it with a brute-force walk over every multiplicity
 vector, check that it pairs nothing and builds no class, check that a
-model's sphere table is built once and that copies drop it, and check that
-every search rejects a class from another lattice before any early return.
+model's sphere table is built once, that its decomposition table is kept
+for one candidate set and every candidate still checked, and that copies
+drop both, and check that every search rejects a class from another
+lattice before any early return.
 """
 
 from __future__ import annotations
@@ -19,16 +21,26 @@ from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
     IntersectionLattice,
+    InvalidCandidateError,
     LatticeMismatchError,
+    ManifoldModel,
+    b2_plus,
     enumerate_decompositions,
     enumerate_sphere_configs,
     gr_s,
     gromov_via_decompositions,
+    k,
     lattice,
     omega_area,
+    pair,
     preset,
 )
-from gromov4.structure import _CandidateTable, _candidate_table, _orthogonal_combinations
+from gromov4.structure import (
+    _CandidateTable,
+    _candidate_table,
+    _decomposition_cap,
+    _orthogonal_combinations,
+)
 
 
 def _s2xs2_blown_up() -> IntersectionLattice:
@@ -202,13 +214,21 @@ def test_copies_of_a_model_carry_no_sphere_table(rebuild):
     m = preset("cp2_blowup", 2)
     A = m.parse("L+E1")
     want = [cfg.parts for cfg in enumerate_sphere_configs(m, A)]
-    assert "_sphere_candidates" in vars(m)
-    # A wrong table on the original must not reach the copy.
+    cands = [m.parse(e) for e in ("L", "L-E1", "L-E2", "2L", "E1", "E2")]
+    B = m.parse("2L")
+    decs = enumerate_decompositions(m, B, cands)
+    assert [d.parts for d in decs] == [(B,)]
+    assert "_sphere_candidates" in vars(m) and "_decomposition_candidates" in vars(m)
+    # Wrong tables on the original must not reach the copy.
     object.__setattr__(m, "_sphere_candidates", _candidate_table([m.parse("L")], lambda B, sq: 1))
+    wrong = _candidate_table([m.parse("L")], _decomposition_cap)
+    object.__setattr__(m, "_decomposition_candidates", (frozenset(c.coords for c in cands), wrong))
+    assert enumerate_decompositions(m, B, cands) == []
     c = rebuild(m)
-    assert "_sphere_candidates" not in vars(c)
+    assert "_sphere_candidates" not in vars(c) and "_decomposition_candidates" not in vars(c)
     assert c.sphere_table == m.sphere_table
     assert [cfg.parts for cfg in enumerate_sphere_configs(c, c.parse("L+E1"))] == want
+    assert enumerate_decompositions(c, c.parse("2L"), [c.parse(str(x)) for x in cands]) == decs
 
 
 def test_an_added_exceptional_class_changes_the_copy_cap():
@@ -218,6 +238,72 @@ def test_an_added_exceptional_class_changes_the_copy_cap():
     e = m.with_exceptional(m.parse("L-E1-E2"))
     assert [[str(B) for B in cfg.parts] for cfg in enumerate_sphere_configs(e, A)] == [["L-E1-E2", "L-E1-E2"]]
     assert m._sphere_candidates is not e._sphere_candidates
+
+
+# --- the decomposition table, one slot per model -----------------------------------
+
+
+BLOWUP4 = ("L", "L-E1", "L-E2", "L-E3", "L-E4", "2L", "E1", "E2", "E3")
+
+
+def test_a_decomposition_table_is_kept_for_its_candidate_set():
+    m = preset("cp2_blowup", 4)
+    cands = [m.parse(e) for e in BLOWUP4]
+    assert m._decomposition_candidates is None
+    want = {d: enumerate_decompositions(preset("cp2_blowup", 4), m.parse(d), cands) for d in ("2L", "3L")}
+    assert [d.parts for d in want["2L"]] == [(m.parse("2L"),)] and want["3L"] == []
+    assert enumerate_decompositions(m, m.parse("2L"), cands) == want["2L"]
+    held = m._decomposition_candidates
+    key, table = held
+    assert key == frozenset(c.coords for c in cands)
+    assert [str(B) for B in table.classes] == sorted(BLOWUP4, key=lambda e: m.parse(e).coords)
+    # The same set in another order, with repeats, as new objects or as a
+    # generator: the kept rows answer.
+    again = [m.parse(e) for e in reversed(BLOWUP4)] + [m.parse("E2")]
+    assert enumerate_decompositions(m, m.parse("3L"), again) == want["3L"]
+    assert enumerate_decompositions(m, m.parse("2L"), (c for c in again)) == want["2L"]
+    assert gromov_via_decompositions(m, m.parse("3L"), again) == 0
+    assert m._decomposition_candidates is held
+    # Another set replaces the table, and the first set builds it again.
+    assert enumerate_decompositions(m, m.parse("2L"), cands[:-1]) == want["2L"]
+    assert m._decomposition_candidates[0] == key - {m.parse("E3").coords}
+    assert enumerate_decompositions(m, m.parse("2L"), cands) == want["2L"]
+    assert m._decomposition_candidates[0] == key and m._decomposition_candidates is not held
+
+
+def test_every_candidate_is_checked_with_a_table_kept():
+    m = preset("s2xs2")
+    A1, A2 = m.parse("A1"), m.parse("A2")
+    foreign = preset("s2xt2").parse("S+B")  # the coordinates of A1 + A2
+    assert foreign.coords == (A1 + A2).coords
+    for warm in (False, True):
+        m = preset("s2xs2")
+        if warm:
+            assert len(enumerate_decompositions(m, A1 + A2, [A1, A2, A1 + A2])) == 1
+            assert m._decomposition_candidates[0] == frozenset([A1.coords, A2.coords, foreign.coords])
+        for query in (enumerate_decompositions, gromov_via_decompositions):
+            with pytest.raises(InvalidCandidateError, match="^candidate S\\+B lives in another lattice$"):
+                query(m, A1 + A2, [A1, A2, foreign])
+            # The first bad candidate in input order is reported.
+            with pytest.raises(InvalidCandidateError, match="^candidate -A1 must have positive area$"):
+                query(m, A1 + A2, [A2, -A1, foreign])
+            with pytest.raises(InvalidCandidateError, match="^candidate S\\+B lives in another lattice$"):
+                query(m, A1 + A2, [A2, foreign, -A1])
+        assert (m._decomposition_candidates is None) is not warm
+
+
+def test_the_minimal_model_filter_holds_on_a_kept_table():
+    el = preset("elliptic", 3)
+    F, C = el.parse("F"), el.parse("S+3F")
+    assert el.minimal and b2_plus(el.lattice) > 1 and k(C) == 1 and pair(C, C) > 0
+    # Without the filter C alone decomposes C.
+    assert [d.parts for d in enumerate_decompositions(ManifoldModel(el.lattice), C, [F, C])] == [(C,)]
+    assert [d.parts for d in enumerate_decompositions(el, 5 * F, [F, C])] == [(5 * F,)]
+    held = el._decomposition_candidates
+    assert held[1].classes == (F,)
+    assert enumerate_decompositions(el, C, [C, F, C]) == []
+    assert [d.parts for d in enumerate_decompositions(el, 3 * F, [C, F])] == [(3 * F,)]
+    assert el._decomposition_candidates is held
 
 
 # --- a class from another lattice --------------------------------------------------

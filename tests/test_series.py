@@ -76,6 +76,8 @@ def test_frozen_expansions():
     assert list(plus2.coeffs) == [1, 1, -1, -1, 1, 1, -1, -1]
     plus3 = f_series(TorusLabel.parse("+3"), 7)
     assert list(plus3.coeffs) == [1, 1, -2, -2, 2, 2, -2, -2]
+    # label text is read as gr_torus_class reads it
+    assert f_series("+0", 6) == plus0 and f_series("−0", 6) == minus0
 
 
 def test_opposite_labels_are_reciprocal():
@@ -109,8 +111,18 @@ def test_label_parse_and_text():
         (lambda: TruncSeries.from_poly([1], -1), "truncation order must be non-negative"),
         (lambda: TruncSeries.from_poly([1], 2.5), "truncation order must be an integer"),
         (lambda: f_series(ALL_LABELS[0], 2.5), "truncation order must be an integer"),
+        (lambda: f_series(None, 3), "bad torus label None; expected a TorusLabel or its text"),
+        (lambda: f_series("+4", 3), "bad torus label '+4'; expected +0, +1, ... or -3"),
     ],
-    ids=["empty", "float-coefficient", "negative-order", "float-order", "f-series-float-order"],
+    ids=[
+        "empty",
+        "float-coefficient",
+        "negative-order",
+        "float-order",
+        "f-series-float-order",
+        "f-series-none-label",
+        "f-series-bad-label-text",
+    ],
 )
 def test_series_rejects_bad_input(build, message):
     with pytest.raises(ValueError) as info:

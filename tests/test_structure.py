@@ -403,10 +403,13 @@ def test_enumeration_matches_oracle_on_drawn_candidates(data):
         A = A + model.parse(data.draw(st.sampled_from(pool)))
     if _oracle_vectors(A, candidates) > 4000:
         A = candidates[0]
-    got = enumerate_decompositions(model, A, candidates)
-    assert all(d.satisfies_rules(A) for d in got)
     want = sorted(oracle_decompositions(model, A, candidates))
-    assert [tuple(p.coords for p in d.parts) for d in got] == want, (name, A.coords)
+    # The second search reads the table the first one left on the model.
+    again = data.draw(st.permutations(candidates + [data.draw(st.sampled_from(candidates))]))
+    for cands in (candidates, again):
+        got = enumerate_decompositions(model, A, cands)
+        assert all(d.satisfies_rules(A) for d in got)
+        assert [tuple(p.coords for p in d.parts) for d in got] == want, (name, A.coords)
 
 
 def test_empty_answers_of_large_searches():
@@ -465,9 +468,11 @@ def test_gromov_missing_count_is_an_error(bare_model_file):
     # missing, and one error names them all in coordinate order
     bare = load_model(bare_model_file)
     P, Q = bare.parse("P"), bare.parse("Q")
-    with pytest.raises(UnknownGr0Error) as info:
-        gromov_via_decompositions(bare, P + Q, [P, Q, P + Q])
-    assert info.value.classes == (Q, P, P + Q)
+    for cands in ([P, Q, P + Q], [P + Q, Q, P, Q]):  # the second reuses the kept table
+        with pytest.raises(UnknownGr0Error) as info:
+            gromov_via_decompositions(bare, P + Q, cands)
+        assert info.value.classes == (Q, P, P + Q)
+    assert bare._decomposition_candidates is not None
 
 
 def test_kmin_passes_consistent_tables():
