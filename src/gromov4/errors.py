@@ -26,7 +26,8 @@ class NotInExceptionalSetError(DomainError):
 
 
 class InvalidCandidateError(DomainError):
-    """A decomposition candidate has non-positive area."""
+    """A decomposition candidate is not a class, lives in another lattice
+    or has non-positive area."""
 
 
 class UnknownGr0Error(DomainError):

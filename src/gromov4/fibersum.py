@@ -50,6 +50,8 @@ class Piece(_Frozen):
         own_notes: tuple[str, ...] = (),
         operands: tuple[Piece, Piece] | None = None,
     ) -> None:
+        _require_int(boundary_count, "boundary count")
+        _require_int(fiber_gr, "fiber count")
         if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
         object.__setattr__(self, "label", label)

@@ -389,15 +389,18 @@ def enumerate_decompositions(
     model has count data for (the union of the gr0_table and torus_table
     keys).  A from another lattice than the model's raises
     LatticeMismatchError before anything else; then the first candidate,
-    in input order, from another lattice or of non-positive area raises
-    InvalidCandidateError, on a kept table as on a new one.
+    in input order, that is not an HClass, is from another lattice or has
+    non-positive area raises InvalidCandidateError, on a kept table as on
+    a new one.
     """
     lat = model.lattice
     A.lattice._require_same(lat)
     if candidates is None:
         candidates = model.gr0_table.keys() | model.torus_table.keys()
     candidates = list(candidates)
-    for cand in candidates:
+    for i, cand in enumerate(candidates):
+        if not isinstance(cand, HClass):
+            raise InvalidCandidateError(f"candidate {i} is not a homology class: {cand!r}")
         if cand.lattice != lat:
             raise InvalidCandidateError(f"candidate {cand} lives in another lattice")
         if _area_numerator(cand) <= 0:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from test_structure import oracle_decompositions
-
 from gromov4 import (
     ALL_LABELS,
     Component,
@@ -42,6 +40,7 @@ from gromov4 import (
     reduce_multicovers,
     verify_kprime_configuration,
 )
+from oracle import ref_model, refs
 
 
 def _all_presets():
@@ -200,9 +199,7 @@ def _decompositions_match_oracle():
     for model, candidates in cases:
         assert model.lattice.rank <= 3
         assert len(candidates) <= 4
-        effective = list(candidates)
-        if model.minimal and b2_plus(model.lattice) > 1:
-            effective = [cand for cand in effective if k(cand) == 0]
+        ref = ref_model(model)
         targets = {}
         for vec in itertools.product(range(3), repeat=len(candidates)):
             A = model.lattice.zero()
@@ -221,7 +218,8 @@ def _decompositions_match_oracle():
             for dec in got:
                 assert dec.satisfies_rules(A)
             got_keys = {tuple(sorted(p.coords for p in dec.parts)) for dec in got}
-            assert got_keys == oracle_decompositions(model, A, effective), (
+            want = set(refs.decompositions(ref, A.coords, [c.coords for c in candidates]))
+            assert got_keys == want, (
                 model.name,
                 A.coords,
             )

@@ -56,6 +56,15 @@ def test_bad_piece_and_bad_row_are_refused():
         fiber_gr_table(0)
 
 
+@pytest.mark.parametrize(
+    "boundary_count, fiber_gr, what",
+    [(True, "a", "boundary count"), (1.0, 0, "boundary count"), (1, "a", "fiber count"), (1, False, "fiber count")],
+)
+def test_piece_counts_must_be_integers(boundary_count, fiber_gr, what):
+    with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
+        Piece("x", boundary_count, fiber_gr)
+
+
 @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
 def test_non_integer_n_is_a_value_error(n):
     with pytest.raises(ValueError, match="^n must be an integer$"):

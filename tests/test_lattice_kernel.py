@@ -3,9 +3,9 @@
 pair, c1 and omega_area read data each lattice derives once (diagonal and
 off-diagonal Gram entries, the vector -K.Q, integer area numerators over a
 common denominator, a cached hash and b2+).  The tests here recompute
-everything from the lattice's fields with the textbook formulas, count
-positive eigenvalues by an independent route, and pin the semantics of
-the caches under equality, copies and pickling.
+everything from the lattice's fields with the textbook formulas of
+bench/refs.py, count positive eigenvalues by an independent route, and
+pin the semantics of the caches under equality, copies and pickling.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from gromov4 import (
     HClass,
     IntersectionLattice,
     LatticeMismatchError,
+    ManifoldModel,
     b2_plus,
     c1,
     in_forward_cone,
@@ -36,6 +37,7 @@ from gromov4 import (
     preset,
 )
 from gromov4.lattice import _positive_index
+from oracle import ref_model, refs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,33 +68,27 @@ def rebuilt(lat, **changes):
     return IntersectionLattice(**{**fields, **changes})
 
 
-# --- naive formulas, read off the lattice's fields ---------------------------------
+# --- the bench/refs.py formulas, on the lattice's fields --------------------------
 
 
-def naive_pair(lat, a, b):
-    n = lat.rank
-    return sum(a[i] * lat.gram[i][j] * b[j] for i in range(n) for j in range(n))
-
-
-def naive_c1(lat, a):
-    return -naive_pair(lat, lat.canonical, a)
-
-
-def naive_area(lat, a):
-    return sum((Fraction(w) * x for w, x in zip(lat.area, a)), start=Fraction(0))
-
-
-def check_against_naive(lat, a, b):
+def check_against_refs(lat, a, b):
+    M = ref_model(ManifoldModel(lat))
     A, B = lat.class_from_coords(a), lat.class_from_coords(b)
-    assert pair(A, B) == naive_pair(lat, a, b)
-    assert pair(A, A) == naive_pair(lat, a, a)
-    assert c1(A) == naive_c1(lat, a)
-    w = omega_area(A)
-    assert type(w) is Fraction
-    assert w == naive_area(lat, a)
-    sq = naive_pair(lat, a, a)
-    assert in_forward_cone(A) == (sq >= 0 and w >= 0)
-    assert in_forward_cone(A, strict=True) == (sq > 0 and w > 0)
+    assert pair(A, B) == refs.pair(M, a, b)
+    assert pair(A, A) == refs.pair(M, a, a)
+    assert c1(A) == refs.c1(M, a)
+    assert type(omega_area(A)) is Fraction
+    assert omega_area(A) == refs.area(M, a)
+    assert in_forward_cone(A) == refs.in_cone(M, a)
+    assert in_forward_cone(A, strict=True) == refs.in_cone(M, a, strict=True)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_the_oracle_copy_of_a_preset_is_the_one_refs_writes_down(name):
+    # A field the copy dropped would let every oracle built on it pass.
+    got, want = ref_model(preset(name)), refs.preset_ref(name)
+    for field in ("name", "basis", "gram", "K", "area", "b2plus", "exceptional", "minimal", "gr0", "tori", "spheres"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 def coords_for(rank):
@@ -108,7 +104,7 @@ NON_DIAGONAL = ("s2xs2", "s2xt2", "elliptic(1)", "elliptic(3)")
 def test_kernel_matches_naive_formulas_on_presets(data):
     name = data.draw(st.sampled_from(DIAGONAL + NON_DIAGONAL))
     lat = preset(name).lattice
-    check_against_naive(lat, data.draw(coords_for(lat.rank)), data.draw(coords_for(lat.rank)))
+    check_against_refs(lat, data.draw(coords_for(lat.rank)), data.draw(coords_for(lat.rank)))
 
 
 # Areas with mixed denominators, zero and negative entries: the sign tests
@@ -127,7 +123,7 @@ def test_kernel_matches_naive_formulas_after_area_replace(data):
     base = preset(name).lattice
     area = data.draw(st.lists(AREA_ENTRY, min_size=base.rank, max_size=base.rank))
     lat = rebuilt(base, area=tuple(area))
-    check_against_naive(lat, data.draw(coords_for(lat.rank)), data.draw(coords_for(lat.rank)))
+    check_against_refs(lat, data.draw(coords_for(lat.rank)), data.draw(coords_for(lat.rank)))
 
 
 def test_replaced_area_edge_cases():
@@ -169,7 +165,7 @@ def dense_lattices(draw):
 @given(st.data())
 def test_kernel_matches_naive_formulas_on_dense_grams(data):
     lat = data.draw(dense_lattices())
-    check_against_naive(lat, data.draw(coords_for(lat.rank)), data.draw(coords_for(lat.rank)))
+    check_against_refs(lat, data.draw(coords_for(lat.rank)), data.draw(coords_for(lat.rank)))
 
 
 # --- b2+ against Descartes' rule on the characteristic polynomial ------------------

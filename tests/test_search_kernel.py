@@ -41,6 +41,7 @@ from gromov4.structure import (
     _decomposition_cap,
     _orthogonal_combinations,
 )
+from oracle import ref_model, refs
 
 
 def _s2xs2_blown_up() -> IntersectionLattice:
@@ -64,10 +65,6 @@ LATTICES = [
 ]
 
 
-def dot(lat, u, v):
-    return sum(u[r] * lat.gram[r][s] * v[s] for r in range(lat.rank) for s in range(lat.rank))
-
-
 def brute_force(A, classes, caps):
     """Every selection [(index, n), ...] in lexicographic order: each
     multiplicity vector within the area and cap bounds whose picked classes
@@ -75,6 +72,7 @@ def brute_force(A, classes, caps):
     lat, w = A.lattice, omega_area(A)
     if w <= 0:
         return []
+    ref = ref_model(ManifoldModel(lat))
 
     def vectors(i, w_left):
         if i == len(classes):
@@ -92,7 +90,7 @@ def brute_force(A, classes, caps):
         total = tuple(sum(n * classes[i].coords[r] for i, n in picked) for r in range(lat.rank))
         if total != A.coords:
             continue
-        if all(dot(lat, classes[i].coords, classes[j].coords) == 0 for (i, _), (j, _) in itertools.combinations(picked, 2)):
+        if all(refs.pair(ref, classes[i].coords, classes[j].coords) == 0 for (i, _), (j, _) in itertools.combinations(picked, 2)):
             out.append(picked)
     return sorted(out)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import itertools
 import pickle
 import random
 
@@ -21,49 +20,14 @@ from gromov4 import (
     parse_tori,
 )
 from gromov4 import torus_series
-
-
-# Oracle: expand num/den as a power series by exact long division.  The
-# denominator must have unit constant term so every step stays in Z.
-def divide(num: list[int], den: list[int], order: int) -> list[int]:
-    assert den[0] in (1, -1)
-    out = []
-    for n in range(order + 1):
-        acc = num[n] if n < len(num) else 0
-        for i in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[i] * out[n - i]
-        q, r = divmod(acc, den[0])
-        assert r == 0
-        out.append(q)
-    return out
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-# Each label's generating function as a (numerator, denominator) pair.
-RATIONAL_FORMS = {
-    "+0": ([1], [1, -1]),
-    "+1": ([1, 1], [1]),
-    "+2": ([1, 1], [1, 0, 1]),
-    "+3": (poly_mul([1, 1], [1, 0, -1]), [1, 0, 1]),
-    "-0": ([1, -1], [1]),
-    "-1": ([1], [1, 1]),
-    "-2": ([1, 0, 1], [1, 1]),
-    "-3": ([1, 0, 1], poly_mul([1, 1], [1, 0, -1])),
-}
+from oracle import refs
 
 
 def test_all_labels_match_long_division_oracle():
-    for text, (num, den) in RATIONAL_FORMS.items():
+    for text, (num, den) in refs.RATIONAL.items():
         label = TorusLabel.parse(text)
         got = f_series(label, 16)
-        want = divide(num, den, 16)
+        want = refs.divide(num, den, 16)
         assert list(got.coeffs) == want, text
 
 
@@ -222,42 +186,14 @@ def test_pair_birth_cancellation_across_structures():
         assert gr_torus_class(before, k) == gr_torus_class(after, k)
 
 
-def spread(poly: list[int], m: int) -> list[int]:
-    out = [0] * ((len(poly) - 1) * m + 1)
-    for j, c in enumerate(poly):
-        out[j * m] = c
-    return out
-
-
-def oracle_counts(tori, order: int) -> list[int]:
-    """Coefficients t^0..t^order of the product, by one long division."""
-    num, den = [1], [1]
-    for text, m in tori:
-        a, b = RATIONAL_FORMS[text]
-        num, den = poly_mul(num, spread(a, m)), poly_mul(den, spread(b, m))
-    return divide(num, den, order)
-
-
-LABEL_TEXTS = sorted(RATIONAL_FORMS)
-
-
+LABEL_TEXTS = sorted(refs.RATIONAL)
 TORUS_LISTS = st.lists(st.tuples(st.sampled_from(LABEL_TEXTS), st.integers(1, 4)), max_size=6)
-
-
-def series_product(tori, order: int) -> tuple[int, ...]:
-    """Coefficients t^0..t^order of the product, by TruncSeries arithmetic."""
-    product = TruncSeries.one(order)
-    for text, m in tori:
-        product = product * f_series(TorusLabel.parse(text), order).substitute_power(m)
-    return product.coeffs
 
 
 @settings(max_examples=200, deadline=None)
 @given(TORUS_LISTS, st.integers(0, 48))
 def test_counts_match_series_products_and_long_division(tori, k):
-    got = gr_torus_class(tori, k)
-    assert got == series_product(tori, k)[k]
-    assert got == oracle_counts(tori, k)[k]
+    assert gr_torus_class(tori, k) == refs.torus_counts(tori, k)[k]
 
 
 # One step of a query sequence: ("k", list, k) asks one degree; ("sweep",
@@ -275,7 +211,7 @@ QUERY_STEPS = st.one_of(
 def test_query_sequences_match_the_series_oracle(pool, steps):
     # covers 1..4 in the pool, 5 and up in the eviction lists
     pool = [[]] + pool
-    want = [series_product(tori, 60) for tori in pool]
+    want = [refs.torus_counts(tori, 60) for tori in pool]
     torus_series._vectors.clear()
     for step in steps:
         if step[0] == "evict":
@@ -303,7 +239,7 @@ def test_a_degree_sweep_builds_each_list_once(monkeypatch):
     torus_series._vectors.clear()
     tori = [("+3", 1), ("-2", 2)]
     first = torus_series._ORDER_FIRST
-    want = oracle_counts(tori, 2 * first + 1)
+    want = refs.torus_counts(tori, 2 * first + 1)
     assert [gr_torus_class(tori, k) for k in range(first + 1)] == want[: first + 1]
     assert builds == [first]
     assert gr_torus_class(tori, first + 1) == want[first + 1]
@@ -372,7 +308,7 @@ def test_cached_list_still_validates_every_call():
 
 def test_degree_past_the_cached_order_rebuilds():
     tori = [("+3", 1), ("-2", 2), ("+0", 3), ("-1", 1)]
-    want = oracle_counts(tori, 48)
+    want = refs.torus_counts(tori, 48)
     torus_series._vectors.clear()
     assert gr_torus_class(tori, 3) == want[3]
     assert gr_torus_class(tori, 48) == want[48]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +24,7 @@ from gromov4 import (
     pair,
     preset,
 )
+from oracle import ref_model, refs
 
 
 def test_point_budget_for_given_component_count():
@@ -41,50 +41,6 @@ def test_point_budget_for_given_component_count():
         k_for(cp2.parse("2L"), 7)
 
 
-# Brute-force oracle: walk every multiplicity vector on the table keys
-# within the area bound omega(A) and the part bound p <= c1(A), and keep
-# those that satisfy the rules of the module docstring, computed from the
-# raw Gram matrix, K and areas.  The search itself has no part bound: it
-# relies on every part having c1 >= 1, which this walk does not assume.
-def oracle_sphere_configs(model, A):
-    lat = model.lattice
-    rank = lat.rank
-
-    def dot(u, v):
-        return sum(u[r] * lat.gram[r][s] * v[s] for r in range(rank) for s in range(rank))
-
-    def area(u):
-        return sum(w * x for w, x in zip(lat.area, u))
-
-    def vectors(i, w_left, parts_left):
-        if i == len(keys):
-            yield ()
-            return
-        n = 0
-        while n <= parts_left and n * areas[i] <= w_left:
-            for rest in vectors(i + 1, w_left - n * areas[i], parts_left - n):
-                yield (n,) + rest
-            n += 1
-
-    keys = sorted(B.coords for B in model.sphere_table)
-    areas = [area(B) for B in keys]
-    exceptional = {E.coords for E in model.exceptional}
-    cA = -dot(lat.canonical, A.coords)
-    found = []
-    for vec in vectors(0, area(A.coords), cA):
-        picked = [(B, n) for B, n in zip(keys, vec) if n]
-        p = sum(vec)
-        if (
-            picked
-            and tuple(sum(n * B[r] for B, n in picked) for r in range(rank)) == A.coords
-            and all(dot(B, C) == 0 for (B, _), (C, _) in combinations(picked, 2))
-            and all(n == 1 or B in exceptional or dot(B, B) == 0 for B, n in picked)
-            and all(-dot(lat.canonical, B) >= 1 for B, _ in picked)
-        ):
-            found.append((tuple(B for B, n in picked for _ in range(n)), cA - p, p))
-    return sorted(found, key=lambda cfg: (cfg[2], cfg[0]))
-
-
 def test_config_enumeration_matches_oracle():
     cases = [
         (preset("cp2"), ["L", "2L", "3L", "4L", "5L", "6L", "-L"]),
@@ -95,11 +51,12 @@ def test_config_enumeration_matches_oracle():
     ]
     nonempty = 0
     for model, targets in cases:
+        ref = ref_model(model)
         for expr in targets:
             A = model.parse(expr)
             configs = enumerate_sphere_configs(model, A)
             got = [(tuple(B.coords for B in cfg.parts), cfg.k, cfg.p) for cfg in configs]
-            assert got == oracle_sphere_configs(model, A), (model.name, expr)
+            assert got == refs.sphere_configs(ref, A.coords, ref.spheres), (model.name, expr)
             for cfg in configs:
                 assert cfg.k == c1(A) - cfg.p and cfg.p == len(cfg.parts), (model.name, expr)
             nonempty += bool(got)
@@ -129,6 +86,7 @@ def _uneven_blowup() -> ManifoldModel:
 
 
 UNEVEN = _uneven_blowup()
+UNEVEN_REF = ref_model(UNEVEN)
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,7 +104,7 @@ def test_config_enumeration_matches_oracle_on_uneven_areas(data):
         A = lat.class_from_coords([data.draw(st.integers(0, 2))] + data.draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4)))
     assume(c1(A) <= 7)  # the oracle's walk grows fast with c1(A)
     got = [(tuple(B.coords for B in cfg.parts), cfg.k, cfg.p) for cfg in enumerate_sphere_configs(UNEVEN, A)]
-    assert got == oracle_sphere_configs(UNEVEN, A)
+    assert got == refs.sphere_configs(UNEVEN_REF, A.coords, UNEVEN_REF.spheres)
 
 
 def test_config_enumeration_blowup():
@@ -320,6 +278,7 @@ def test_orthogonality_filter_keeps_the_oracle_answers():
         (preset("cp2_blowup", 3), ["L-E1+E2-E3", "L+E1-E2+E3", "L-E1-E2+2E3"]),
     ]
     for model, targets in cases:
+        ref = ref_model(model)
         for expr in targets:
             A = model.parse(expr)
             fits = [B for B in model.sphere_table if omega_area(B) <= omega_area(A)]
@@ -328,7 +287,7 @@ def test_orthogonality_filter_keeps_the_oracle_answers():
                 (tuple(B.coords for B in cfg.parts), cfg.k, cfg.p)
                 for cfg in enumerate_sphere_configs(model, A)
             ]
-            assert got and got == oracle_sphere_configs(model, A), (model.name, expr)
+            assert got and got == refs.sphere_configs(ref, A.coords, ref.spheres), (model.name, expr)
 
 
 def test_large_exceptional_set_configuration():

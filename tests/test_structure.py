@@ -1,10 +1,9 @@
-"""Configuration verdicts, decomposition enumeration against a brute-force oracle."""
+"""Configuration verdicts, decomposition enumeration against the bench/refs.py oracle."""
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,68 +30,7 @@ from gromov4 import (
     verify_good_configuration,
     verify_kprime_configuration,
 )
-
-
-# Brute-force oracle: walk every coefficient vector within the area bound,
-# group square-zero parts by ray, filter by the decomposition rules.
-def oracle_decompositions(model, A, candidates):
-    w_total = omega_area(A)
-    bounds = [int(w_total / omega_area(c)) for c in candidates]
-    found = set()
-    rank = model.lattice.rank
-    for vec in itertools.product(*(range(b + 1) for b in bounds)):
-        if not any(vec):
-            continue
-        coords = [0] * rank
-        for c, n in zip(candidates, vec):
-            for i in range(rank):
-                coords[i] += n * c.coords[i]
-        if tuple(coords) != A.coords:
-            continue
-        parts = []
-        rays = {}
-        bad = False
-        for c, n in zip(candidates, vec):
-            if n == 0:
-                continue
-            sq = pair(c, c)
-            if sq < 0 or (sq > 0 and n != 1):
-                bad = True
-                break
-            if sq > 0:
-                parts.append(c)
-            else:
-                d = 0
-                for x in c.coords:
-                    d = gcd(d, abs(x))
-                key = tuple(x // d for x in c.coords)
-                rays[key] = tuple(
-                    a + n * b for a, b in zip(rays.get(key, (0,) * rank), c.coords)
-                )
-        if bad:
-            continue
-        all_parts = [p.coords for p in parts] + list(rays.values())
-        ok = True
-        for i in range(len(all_parts)):
-            for j in range(i + 1, len(all_parts)):
-                u, v = all_parts[i], all_parts[j]
-                prod = sum(
-                    u[r] * model.lattice.gram[r][s] * v[s]
-                    for r in range(rank)
-                    for s in range(rank)
-                )
-                if prod != 0:
-                    ok = False
-                minors = all(
-                    u[r] * v[s] - u[s] * v[r] == 0
-                    for r in range(rank)
-                    for s in range(r + 1, rank)
-                )
-                if minors:
-                    ok = False
-        if ok:
-            found.add(tuple(sorted(all_parts)))
-    return found
+from oracle import ref_model, refs
 
 
 def _diag11():
@@ -286,6 +224,19 @@ def test_enumeration_rejects_bad_candidates():
         enumerate_decompositions(ss, A1, [preset("cp2").parse("L")])
 
 
+def test_enumeration_rejects_a_candidate_that_is_not_a_class():
+    ss = preset("s2xs2")
+    A = ss.parse("A1 + A2")
+    for bad in (None, "A1", (1, 0)):
+        for search in (enumerate_decompositions, gromov_via_decompositions):
+            for cands, i in (([bad], 0), ([A, bad], 1)):
+                with pytest.raises(InvalidCandidateError) as info:
+                    search(ss, A, cands)
+                assert str(info.value) == f"candidate {i} is not a homology class: {bad!r}"
+            # from the second round on, the search holds a kept table
+            assert search(ss, A, [A])
+
+
 def test_enumeration_filters_nonzero_budget_candidates_on_minimal_models():
     el = preset("elliptic", 3)
     F, S = el.parse("F"), el.parse("S")
@@ -338,12 +289,13 @@ def test_enumeration_matches_oracle():
         (el1, [F, F + Sec], [2 * F, 3 * F, F + Sec, 2 * F + Sec]),
     ]
     for model, candidates, targets in cases:
+        ref = ref_model(model)
         for A in targets:
             got = enumerate_decompositions(model, A, candidates)
             for d in got:
                 assert d.satisfies_rules(A)
             got_keys = {tuple(sorted(p.coords for p in d.parts)) for d in got}
-            want = oracle_decompositions(model, A, candidates)
+            want = set(refs.decompositions(ref, A.coords, [c.coords for c in candidates]))
             assert got_keys == want, (model.name, A.coords)
 
 
@@ -376,10 +328,11 @@ _DIFF_CASES = {
     ),
 }
 _DIFF_MODELS = {"flat": _diag11(), "s2xt2": preset("s2xt2"), "cp2_blowup(2)": preset("cp2_blowup", 2)}
+_DIFF_REFS = {name: ref_model(model) for name, model in _DIFF_MODELS.items()}
 
 
 def _oracle_vectors(A, candidates):
-    # the number of coefficient vectors oracle_decompositions walks
+    # the coefficient vectors within the area bound: capped, they keep targets small
     n = 1
     for c in candidates:
         n *= int(omega_area(A) / omega_area(c)) + 1
@@ -403,7 +356,7 @@ def test_enumeration_matches_oracle_on_drawn_candidates(data):
         A = A + model.parse(data.draw(st.sampled_from(pool)))
     if _oracle_vectors(A, candidates) > 4000:
         A = candidates[0]
-    want = sorted(oracle_decompositions(model, A, candidates))
+    want = refs.decompositions(_DIFF_REFS[name], A.coords, [c.coords for c in candidates])
     # The second search reads the table the first one left on the model.
     again = data.draw(st.permutations(candidates + [data.draw(st.sampled_from(candidates))]))
     for cands in (candidates, again):
