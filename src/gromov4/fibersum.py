@@ -113,6 +113,9 @@ def base_pieces() -> dict[str, Piece]:
 
 def glue(a: Piece, b: Piece) -> Piece:
     """Glue two pieces along one boundary torus each; fiber counts add."""
+    for name, piece in (("a", a), ("b", b)):
+        if not isinstance(piece, Piece):
+            raise PreconditionError(f"{name} is not a Piece: {piece!r}")
     if a.boundary_count < 1 or b.boundary_count < 1:
         raise PreconditionError("glue needs a boundary torus on each piece")
     fiber = a.fiber_gr + b.fiber_gr

@@ -103,9 +103,12 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     """All admissible sphere configurations for A from the count table.
 
     Returns an empty list when c1(A) < 1 or nothing fits; order is
-    deterministic (sorted by part count, then coordinates).  A from another
-    lattice than the model's raises LatticeMismatchError in either case.
+    deterministic (sorted by part count, then coordinates).  In either case
+    an A that is not a class raises PreconditionError, and A from another
+    lattice than the model's LatticeMismatchError.
     """
+    if not isinstance(A, HClass):
+        raise PreconditionError(f"A is not a homology class: {A!r}")
     A.lattice._require_same(model.lattice)
     cA = c1(A)
     if cA < 1:

@@ -387,12 +387,14 @@ def enumerate_decompositions(
 
     Candidates, any iterable and read once, default to the classes the
     model has count data for (the union of the gr0_table and torus_table
-    keys).  A from another lattice than the model's raises
-    LatticeMismatchError before anything else; then the first candidate,
-    in input order, that is not an HClass, is from another lattice or has
-    non-positive area raises InvalidCandidateError, on a kept table as on
-    a new one.
+    keys).  An A that is not a class raises PreconditionError, and A from
+    another lattice than the model's LatticeMismatchError, before anything
+    else; then the first candidate, in input order, that is not an HClass,
+    is from another lattice or has non-positive area raises
+    InvalidCandidateError, on a kept table as on a new one.
     """
+    if not isinstance(A, HClass):
+        raise PreconditionError(f"A is not a homology class: {A!r}")
     lat = model.lattice
     A.lattice._require_same(lat)
     if candidates is None:
@@ -439,6 +441,8 @@ def gromov_via_decompositions(
     naming them all: a silent zero would fake a vanishing invariant.
     Gr(0) = 1 by convention (the empty curve).
     """
+    if not isinstance(A, HClass):
+        raise PreconditionError(f"A is not a homology class: {A!r}")
     A.lattice._require_same(model.lattice)
     if A.is_zero:
         return 1

@@ -18,11 +18,12 @@ a cover m turns a into m*a), so a torus list's product is one integer vector
 c[0..K] built from c = 1: multiplying by a factor is a descending pass
 c[i] += s*c[i-a], dividing by one an ascending pass c[i] -= s*c[i-a].
 gr_torus_class keeps the vectors of recent lists in a bounded cache keyed on
-the validated list as given.  A list's first vector covers a fixed minimum
-degree, enough for the usual degree sweeps, and a k past a cached vector
-rebuilds it at max(k, twice its order); no degree past a fixed series-order
-limit is computed.  There is exactly one object per label, so a key hashes
-and compares by identity.
+the list as parse_tori returns it: one pass reads the exact forms callers
+send, and a checked loop behind it every other spelling and error.  A
+list's first vector covers a fixed minimum degree, enough for the usual
+degree sweeps, and a k past a cached vector rebuilds it at max(k, twice its
+order); no degree past a fixed series-order limit is computed.  There is
+exactly one object per label, so a key hashes and compares by identity.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class TorusLabel(_Frozen):
     @classmethod
     def parse(cls, text: str) -> "TorusLabel":
         # "−" is the typographic minus; accept it alongside ASCII "-".
-        label = _CANONICAL.get(text.strip().replace("−", "-"))
+        label = _LABELS.get(text.strip().replace("−", "-"))
         if label is None:
             raise ValueError(f"bad torus label {text!r}; expected +0, +1, ... or -3")
         return label
@@ -75,7 +76,8 @@ def _make_label(sign: int, twists: int) -> TorusLabel:
 _SIGNS, _TWISTS = (1, -1), (0, 1, 2, 3)
 ALL_LABELS: tuple[TorusLabel, ...] = tuple(_make_label(sign, i) for sign in _SIGNS for i in _TWISTS)
 _INTERNED = {(label.sign, label.twists): label for label in ALL_LABELS}
-_CANONICAL = {str(label): label for label in ALL_LABELS}
+_LABELS = {str(label): label for label in ALL_LABELS} | {label: label for label in ALL_LABELS}
+_LABEL_TYPES = (str, TorusLabel)
 
 
 class TruncSeries(_Frozen):
@@ -201,10 +203,27 @@ def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
 
     Each entry is a label (a TorusLabel or its text; cover 1) or a
     (label, cover) pair whose cover is an integer >= 1.  A bad entry j
-    raises ModelFileError at "$[j]", "$[j].label" or "$[j].cover".
+    raises ModelFileError at "$[j]", "$[j].label" or "$[j].cover".  One pass
+    of exact-type tests takes canonical label text, and 2-tuples of it or a
+    TorusLabel with an int >= 1; other entries send tuple(tori) to _parse_checked.
     """
+    entries, out = tuple(tori), []
+    try:
+        for entry in entries:
+            label, cover = entry if entry.__class__ is tuple else (entry, 1) if entry.__class__ is str else ()
+            if label.__class__ not in _LABEL_TYPES or cover.__class__ is not int or cover < 1:
+                break
+            out.append((_LABELS[label], cover))
+        else:
+            return tuple(out)
+    except (KeyError, ValueError):  # not a canonical label, or not a pair
+        pass
+    return _parse_checked(entries)
+
+
+def _parse_checked(entries: tuple) -> tuple[tuple[TorusLabel, int], ...]:
     out = []
-    for j, entry in enumerate(tori):
+    for j, entry in enumerate(entries):
         if isinstance(entry, (str, TorusLabel)):
             label, cover = entry, 1
         else:
@@ -214,7 +233,7 @@ def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
                 raise ModelFileError(f"$[{j}]", "expected a label or a (label, cover) pair") from None
         if isinstance(label, str):
             try:
-                label = _CANONICAL.get(label) or TorusLabel.parse(label)
+                label = _LABELS.get(label) or TorusLabel.parse(label)
             except ValueError as exc:
                 raise ModelFileError(f"$[{j}].label", str(exc)) from None
         elif not isinstance(label, TorusLabel):
@@ -251,7 +270,8 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     degree that is not an int (a bool included) or is negative raises
     ValueError; a degree past _ORDER_MAX raises DomainError.
     """
-    _require_int(k, "degree")
+    if k.__class__ is not int:
+        _require_int(k, "degree")
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k > _ORDER_MAX:

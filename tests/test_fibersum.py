@@ -82,6 +82,17 @@ def test_glue_adds_counts_and_boundaries():
         glue(pieces["V1"], cap)
 
 
+def test_glue_refuses_what_is_not_a_piece():
+    cap = base_pieces()["D2xT2"]
+    for a, b, message in (
+        (None, cap, "^a is not a Piece: None$"),
+        (cap, (1, 1), "^b is not a Piece: \\(1, 1\\)$"),
+        ("D2xT2", cap, "^a is not a Piece: 'D2xT2'$"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            glue(a, b)
+
+
 def test_fiber_count_of_elliptic_surfaces():
     assert gr_elliptic_fiber(2).value == 0
     for n in range(1, 21):

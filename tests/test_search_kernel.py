@@ -2,11 +2,12 @@
 
 _orthogonal_combinations runs on a candidate table of integer rows.  The
 tests here compare it with a brute-force walk over every multiplicity
-vector, check that it pairs nothing and builds no class, check that a
-model's sphere table is built once, that its decomposition table is kept
-for one candidate set and every candidate still checked, and that copies
-drop both, and check that every search rejects a class from another
-lattice before any early return.
+vector, also on drawn parts that each fit A but clash pairwise, check
+that it pairs nothing and builds no class, check that a model's sphere
+table is built once, that its decomposition table is kept for one
+candidate set and every candidate still checked, and that copies drop
+both, and check that every search rejects a target that is not a class,
+or a class from another lattice, before any early return.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from gromov4 import (
     InvalidCandidateError,
     LatticeMismatchError,
     ManifoldModel,
+    PreconditionError,
     b2_plus,
     enumerate_decompositions,
     enumerate_sphere_configs,
@@ -157,6 +159,43 @@ def test_kernel_on_hand_cases():
     three = [b3.parse(e) for e in ("L+E1", "E3", "2L+E1+E2")]
     A = b3.parse("2L+2E1+2E2+2E3")
     assert kernel(A, three, [None] * 3) == brute_force(A, three, [None] * 3) == []
+
+
+# The hand case's four cp2_blowup(3) classes as coordinates on (L, E1, E2, E3):
+# 2L+E1, L+E1+E2, E1-E2+E3 and E2.  They pair pairwise nonzero, yet the
+# cross pairings cancel in A.B for their sum A, so A.B = B.B for each.
+CLASHING_FOUR = ((2, 1, 0, 0), (1, 1, 1, 0), (0, 1, -1, 1), (0, 0, 1, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_rejects_clashing_parts_that_each_fit(data):
+    # The four with the E_i moved by a permutation on cp2_blowup(3..6), all
+    # taken t times, plus disjoint E_j parts: A.B = n * B.B holds for every
+    # part, so only the clash test keeps the kernel from summing them.
+    n = data.draw(st.integers(3, 6))
+    lat = preset("cp2_blowup", n).lattice
+    moved = data.draw(st.permutations(range(1, n + 1)))
+    t = data.draw(st.integers(1, 2))
+    classes, caps = [], []
+    for row in CLASHING_FOUR:
+        coords = [0] * (n + 1)
+        coords[0] = row[0]
+        for i, x in enumerate(row[1:]):
+            coords[moved[i]] = x
+        classes.append(lat.class_from_coords(coords))
+        caps.append(data.draw(st.integers(t, 3)))
+    A = t * sum(classes[1:], classes[0])
+    for j in moved[3:]:
+        m = data.draw(st.integers(0, 2))
+        E = lat.class_from_coords([int(r == j) for r in range(n + 1)])
+        A = A + m * E
+        if data.draw(st.booleans()):
+            classes.append(E)
+            caps.append(data.draw(st.integers(m, 3)))
+    order = data.draw(st.permutations(range(len(classes))))
+    classes, caps = [classes[i] for i in order], [caps[i] for i in order]
+    assert kernel(A, classes, caps) == brute_force(A, classes, caps)
 
 
 def test_kernel_pairs_nothing_and_builds_no_class(monkeypatch):
@@ -304,7 +343,25 @@ def test_the_minimal_model_filter_holds_on_a_kept_table():
     assert el._decomposition_candidates is held
 
 
-# --- a class from another lattice --------------------------------------------------
+# --- a target that is not a class, or from another lattice ---------------------------
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda m, A: enumerate_decompositions(m, A, [m.parse("A1")]),
+        lambda m, A: enumerate_decompositions(m, A),
+        lambda m, A: gromov_via_decompositions(m, A),
+        lambda m, A: enumerate_sphere_configs(m, A),
+        lambda m, A: gr_s(m, A),
+    ],
+    ids=["decompositions", "decompositions-default", "gr", "spheres", "gr_s"],
+)
+@pytest.mark.parametrize("A", [None, "A1", (1, 1)], ids=["None", "text", "coordinates"])
+def test_a_target_that_is_not_a_class_is_a_precondition_error(query, A):
+    with pytest.raises(PreconditionError) as err:
+        query(preset("s2xs2"), A)
+    assert str(err.value) == f"A is not a homology class: {A!r}"
 
 
 MISMATCH = "classes live in different lattices (s2xs2 vs cp2)"

@@ -1,10 +1,12 @@
-"""Torus label series: oracle by polynomial long division, then the counting laws."""
+"""Torus label series: oracle by polynomial long division, then the counting
+laws, and parse_tori's exact-type pass against its checked loop."""
 
 from __future__ import annotations
 
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +147,63 @@ def test_parse_tori_takes_bare_labels_and_integer_covers():
     for cover in (2.7, "2", True, 0):
         with pytest.raises(ValueError):
             gr_torus_class([("+0", cover)], 4)
+
+
+class _Text(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# Entry kinds for parse_tori: the exact forms of its one pass, and the
+# spellings and mistakes that only the checked loop reads.
+EXACT_LABELS = st.sampled_from(sorted(refs.RATIONAL)) | st.sampled_from(ALL_LABELS)
+EXACT_ENTRIES = st.tuples(EXACT_LABELS, st.integers(1, 4)) | st.sampled_from(sorted(refs.RATIONAL))
+LABEL_INPUTS = st.one_of(
+    EXACT_LABELS,
+    st.sampled_from(sorted(refs.RATIONAL)).map(lambda text: f" {text} "),
+    st.sampled_from(sorted(refs.RATIONAL)).map(lambda text: text.replace("-", "−")),
+    st.sampled_from(sorted(refs.RATIONAL)).map(_Text),
+    st.sampled_from(["+9", "", "0", 5, None, b"+1"]),
+)
+COVER_INPUTS = st.one_of(
+    st.integers(-1, 4),
+    st.integers(0, 3).map(_Int),
+    st.sampled_from([True, False, 1.0, 2.5, Fraction(2), Fraction(3, 2), "2", None]),
+)
+ODD_ENTRIES = st.one_of(
+    st.tuples(EXACT_LABELS, COVER_INPUTS),
+    st.tuples(LABEL_INPUTS, st.integers(1, 4)),
+    st.tuples(LABEL_INPUTS, COVER_INPUTS),
+    LABEL_INPUTS,
+    st.tuples(LABEL_INPUTS, COVER_INPUTS).map(list),
+    st.tuples(LABEL_INPUTS),
+    st.tuples(LABEL_INPUTS, COVER_INPUTS, COVER_INPUTS),
+)
+
+
+def _parsed(parse, tori):
+    """parse(tori) as (label, cover, type of cover) triples, or the
+    ModelFileError's path and message."""
+    try:
+        return [(label, cover, type(cover)) for label, cover in parse(tori)]
+    except ModelFileError as exc:
+        return exc.path, exc.message
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(EXACT_ENTRIES, max_size=5),
+    st.lists(ODD_ENTRIES, max_size=2),
+    st.randoms(use_true_random=False),
+    st.sampled_from([list, tuple, lambda entries: (entry for entry in entries)]),
+)
+def test_the_exact_pass_agrees_with_the_checked_loop(exact, odd, rng, container):
+    entries = exact + odd
+    rng.shuffle(entries)
+    assert _parsed(parse_tori, container(entries)) == _parsed(torus_series._parse_checked, tuple(entries))
 
 
 def test_cover_multiplicity_substitutes_powers():
