@@ -132,6 +132,8 @@ class IntersectionLattice(_Frozen):
         area: Sequence[Fraction | int | str],
         b2plus_override: int | None = None,
     ) -> None:
+        if not (isinstance(name, str) and name):
+            raise ModelFileError("$.name", "expected a nonempty string")
         basis = tuple(basis)
         if not basis:
             raise ModelFileError("$.basis", "expected a nonempty symbol list")
@@ -558,6 +560,8 @@ class ManifoldModel(_Frozen):
         torus_table: Mapping[HClass, Sequence] | None = None,
         sphere_table: Mapping[HClass, int] | None = None,
     ) -> None:
+        if not isinstance(minimal, bool):
+            raise ModelFileError("$.minimal", "expected true or false")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "minimal", minimal)
         exc = tuple(exceptional)
@@ -603,6 +607,8 @@ class ManifoldModel(_Frozen):
         return (self.lattice, self.exceptional, self.minimal, *map(dict, tables))
 
     def _check_owned(self, A: HClass, path: str) -> None:
+        if not isinstance(A, HClass):
+            raise ModelFileError(path, f"expected a class, got {A!r}")
         if A.lattice != self.lattice:
             raise ModelFileError(path, f"{A} belongs to a different lattice")
 
@@ -817,8 +823,8 @@ _HUGE = 10**_PARAM_DIGITS
 def preset(name: str, n: int | None = None) -> ManifoldModel:
     """Build a preset model; parametrized ones accept preset("elliptic", 3)
     or the inline form preset("elliptic(3)"), for 1 <= n <= _PRESET_MAX_N."""
-    m = _PRESET_FORM.match(name.strip())
-    if m is None:
+    m = isinstance(name, str) and _PRESET_FORM.match(name.strip())
+    if not m:
         raise UnknownPresetError(f"bad preset name {name!r}")
     base, inline = m.groups()
     if inline is not None:

@@ -80,7 +80,6 @@ def load_model(source: str | Path) -> ManifoldModel:
         _expect(key in _FIELDS or key in _TABLES, f"$.{key}", "unknown field")
     for key in ("name", "basis", "gram", "K", "area"):
         _expect(key in doc, f"$.{key}", "required field is missing")
-    _expect(isinstance(doc["name"], str) and doc["name"], "$.name", "expected a nonempty string")
     lattice = IntersectionLattice(
         name=doc["name"],
         basis=tuple(_list(doc, "basis")),
@@ -93,8 +92,6 @@ def load_model(source: str | Path) -> ManifoldModel:
         _class_at(lattice, expr, f"$.exceptional[{i}]")
         for i, expr in enumerate(_list(doc, "exceptional"))
     )
-    minimal = doc.get("minimal", False)
-    _expect(isinstance(minimal, bool), "$.minimal", "expected true or false")
 
     tables = {}
     rows: dict[HClass, list[int]] = {}  # file indices of each torus_table class
@@ -114,7 +111,7 @@ def load_model(source: str | Path) -> ManifoldModel:
                 _expect(A not in entries, f"{path}.class", f"duplicate entry for class {A}")
                 entries[A] = entry[fields[0]]
     try:
-        return ManifoldModel(lattice, exceptional, minimal, **tables)
+        return ManifoldModel(lattice, exceptional, doc.get("minimal", False), **tables)
     except ModelFileError as exc:
         # The model indexes torus entries by class group; the file, by line.
         m = _TORUS_PATH.fullmatch(exc.path)

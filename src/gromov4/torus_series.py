@@ -17,13 +17,12 @@ Everything here is exact.  Each f is a ratio of factors 1 + s*t^a (s = +-1;
 a cover m turns a into m*a), so a torus list's product is one integer vector
 c[0..K] built from c = 1: multiplying by a factor is a descending pass
 c[i] += s*c[i-a], dividing by one an ascending pass c[i] -= s*c[i-a].
-gr_torus_class keeps the vectors of recent lists in a bounded cache keyed on
-the list as parse_tori returns it: one pass reads the exact forms callers
-send, and a checked loop behind it every other spelling and error.  A
-list's first vector covers a fixed minimum degree, enough for the usual
-degree sweeps, and a k past a cached vector rebuilds it at max(k, twice its
+gr_torus_class keeps only the vector of the last list asked for, keyed on
+the list as parse_tori returns it from one loop over the entries.  A list's
+first vector covers a fixed minimum degree, enough for the usual degree
+sweeps, and a k past the kept vector rebuilds it at max(k, twice its
 order); no degree past a fixed series-order limit is computed.  There is
-exactly one object per label, so a key hashes and compares by identity.
+exactly one object per label, so a key compares by identity.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ class TorusLabel(_Frozen):
     @classmethod
     def parse(cls, text: str) -> "TorusLabel":
         # "−" is the typographic minus; accept it alongside ASCII "-".
-        label = _LABELS.get(text.strip().replace("−", "-"))
-        if label is None:
+        label = isinstance(text, str) and _LABELS.get(text.strip().replace("−", "-"))
+        if not label:
             raise ValueError(f"bad torus label {text!r}; expected +0, +1, ... or -3")
         return label
 
@@ -202,53 +201,52 @@ def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
     """Normalize a torus list to (label, cover) pairs.
 
     Each entry is a label (a TorusLabel or its text; cover 1) or a
-    (label, cover) pair whose cover is an integer >= 1.  A bad entry j
-    raises ModelFileError at "$[j]", "$[j].label" or "$[j].cover".  One pass
-    of exact-type tests takes canonical label text, and 2-tuples of it or a
-    TorusLabel with an int >= 1; other entries send tuple(tori) to _parse_checked.
+    (label, cover) pair with an integer cover >= 1; exact-type tests take the
+    canonical forms and _entry any other.  A list that is not iterable raises
+    ModelFileError at "$", a bad entry j at "$[j]", "$[j].label" or "$[j].cover".
     """
-    entries, out = tuple(tori), []
     try:
-        for entry in entries:
-            label, cover = entry if entry.__class__ is tuple else (entry, 1) if entry.__class__ is str else ()
-            if label.__class__ not in _LABEL_TYPES or cover.__class__ is not int or cover < 1:
-                break
-            out.append((_LABELS[label], cover))
-        else:
-            return tuple(out)
-    except (KeyError, ValueError):  # not a canonical label, or not a pair
-        pass
-    return _parse_checked(entries)
-
-
-def _parse_checked(entries: tuple) -> tuple[tuple[TorusLabel, int], ...]:
+        entries = iter(tori)
+    except TypeError:
+        raise ModelFileError("$", "expected a list of labels or (label, cover) pairs") from None
     out = []
-    for j, entry in enumerate(entries):
-        if isinstance(entry, (str, TorusLabel)):
-            label, cover = entry, 1
-        else:
-            try:
-                label, cover = entry
-            except (TypeError, ValueError):  # not iterable, or not two items
-                raise ModelFileError(f"$[{j}]", "expected a label or a (label, cover) pair") from None
-        if isinstance(label, str):
-            try:
-                label = _LABELS.get(label) or TorusLabel.parse(label)
-            except ValueError as exc:
-                raise ModelFileError(f"$[{j}].label", str(exc)) from None
-        elif not isinstance(label, TorusLabel):
-            raise ModelFileError(f"$[{j}].label", "expected a label string")
-        if type(cover) is not int:
-            _int(cover, f"$[{j}].cover")
-        if cover < 1:
-            raise ModelFileError(f"$[{j}].cover", "cover multiplicity must be >= 1")
-        out.append((label, cover))
+    for entry in entries:
+        try:
+            label, cover = entry if entry.__class__ is tuple else (entry, 1) if entry.__class__ is str else ()
+            if label.__class__ in _LABEL_TYPES and cover.__class__ is int and cover >= 1:
+                out.append((_LABELS[label], cover))
+                continue
+        except (KeyError, ValueError):  # not a canonical label, or not a pair
+            pass
+        out.append(_entry(entry, len(out)))
     return tuple(out)
 
 
-# The largest degree gr_torus_class computes.  It bounds time and memory
-# before anything is allocated: a vector is rebuilt at most at twice its
-# length, so no cached vector holds more than 2 * _ORDER_MAX + 1 coefficients.
+def _entry(entry, j: int) -> tuple[TorusLabel, int]:
+    """Entry j of a torus list, in any spelling, as a (label, cover) pair."""
+    if isinstance(entry, (str, TorusLabel)):
+        label, cover = entry, 1
+    else:
+        try:
+            label, cover = entry
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ModelFileError(f"$[{j}]", "expected a label or a (label, cover) pair") from None
+    if isinstance(label, str):
+        try:
+            label = _LABELS.get(label) or TorusLabel.parse(label)
+        except ValueError as exc:
+            raise ModelFileError(f"$[{j}].label", str(exc)) from None
+    elif not isinstance(label, TorusLabel):
+        raise ModelFileError(f"$[{j}].label", "expected a label string")
+    if type(cover) is not int:
+        _int(cover, f"$[{j}].cover")
+    if cover < 1:
+        raise ModelFileError(f"$[{j}].cover", "cover multiplicity must be >= 1")
+    return label, cover
+
+
+# The largest degree gr_torus_class computes, checked before anything is allocated; the
+# kept vector is rebuilt at most at twice its length, so it has at most 2 * _ORDER_MAX + 1.
 _ORDER_MAX = 10_000
 
 # The order of a list's first vector.  Degree sweeps ask for k = 0..12 or so,
@@ -256,9 +254,8 @@ _ORDER_MAX = 10_000
 # sweep builds each list once instead of at orders 0, 1, 2, 4, 8 and 16.
 _ORDER_FIRST = 16
 
-# Coefficient vectors of the _VECTORS_MAX most recently used torus lists.
-_VECTORS_MAX = 128
-_vectors: dict[tuple[tuple[TorusLabel, int], ...], list[int]] = {}
+# The last list gr_torus_class was asked for, as parse_tori returns it, and its vector.
+_last: tuple[tuple | None, list[int]] = (None, [])
 
 
 def gr_torus_class(tori: Iterable, k: int) -> int:
@@ -270,6 +267,7 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     degree that is not an int (a bool included) or is negative raises
     ValueError; a degree past _ORDER_MAX raises DomainError.
     """
+    global _last
     if k.__class__ is not int:
         _require_int(k, "degree")
     if k < 0:
@@ -277,10 +275,10 @@ def gr_torus_class(tori: Iterable, k: int) -> int:
     if k > _ORDER_MAX:
         raise DomainError(f"degree past the series-order limit {_ORDER_MAX}")
     key = parse_tori(tori)
-    c = _vectors.pop(key, [])
+    last, c = _last  # one read, so the key and vector always match
+    if key != last:
+        c = []
     if k >= len(c):
         c = _coefficients(key, max(k, _ORDER_FIRST, 2 * len(c) - 2))
-    if len(_vectors) >= _VECTORS_MAX:
-        del _vectors[next(iter(_vectors))]
-    _vectors[key] = c
+        _last = key, c
     return c[k]

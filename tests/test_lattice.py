@@ -401,8 +401,27 @@ def _with_duplicate_exceptional():
          "a minimal model has no exceptional classes to extend"),
         (lambda: preset("cp2_blowup(2)", 3), UnknownPresetError,
          "conflicting parameters for preset 'cp2_blowup(2)'"),
+        (lambda: preset(5), UnknownPresetError, "bad preset name 5"),
+        # The constructors own every model rule, also those a model file
+        # states: a name, a minimal flag, and a class wherever one belongs.
+        (lambda: IntersectionLattice(None, ("a",), ((1,),), (1,), (1,)), ModelFileError,
+         "$.name: expected a nonempty string"),
+        (lambda: IntersectionLattice("", ("a",), ((1,),), (1,), (1,)), ModelFileError,
+         "$.name: expected a nonempty string"),
+        (lambda: ManifoldModel(preset("cp2").lattice, minimal="yes"), ModelFileError,
+         "$.minimal: expected true or false"),
+        (lambda: ManifoldModel(preset("cp2").lattice, exceptional=[None]), ModelFileError,
+         "$.exceptional[0]: expected a class, got None"),
+        (lambda: ManifoldModel(preset("cp2").lattice, gr0_table={"L": 1}), ModelFileError,
+         "$.gr0_table[0].class: expected a class, got 'L'"),
+        (lambda: preset("cp2_blowup(2)").with_exceptional(None), ModelFileError,
+         "$.exceptional[2]: expected a class, got None"),
+        (lambda: ManifoldModel(preset("s2xt2").lattice, torus_table={preset("s2xt2").parse("B"): 5}),
+         ModelFileError, "$.torus_table[0].tori: expected a list of labels or (label, cover) pairs"),
     ],
-    ids=["foreign-table-key", "duplicate-exceptional", "minimal-with-exceptional", "conflicting-parameters"],
+    ids=["foreign-table-key", "duplicate-exceptional", "minimal-with-exceptional", "conflicting-parameters",
+         "preset-int-name", "lattice-none-name", "lattice-empty-name", "model-minimal-text",
+         "exceptional-none", "gr0-text-key", "with-exceptional-none", "torus-list-not-iterable"],
 )
 def test_model_and_preset_rejections(build, error, message):
     with pytest.raises(error) as info:

@@ -154,6 +154,12 @@ def test_minimal_model_cannot_list_exceptional_classes(tmp_path):
     assert [str(E) for E in m.exceptional] == ["E"]
 
 
+def test_name_validation(tmp_path):
+    for name in ("", 5, None):
+        error = expect_error(tmp_path, lambda d: d.__setitem__("name", name), "$.name")
+        assert error.message == "expected a nonempty string"
+
+
 def test_minimal_flag_validation(tmp_path):
     expect_error(tmp_path, lambda d: d.__setitem__("minimal", "yes"), "$.minimal")
 

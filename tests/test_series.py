@@ -1,11 +1,13 @@
 """Torus label series: oracle by polynomial long division, then the counting
-laws, and parse_tori's exact-type pass against its checked loop."""
+laws, parse_tori's exact-type tests against its entry reader, and the one
+kept vector."""
 
 from __future__ import annotations
 
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,8 @@ def test_label_parse_and_text():
         (lambda: f_series(ALL_LABELS[0], 2.5), "truncation order must be an integer"),
         (lambda: f_series(None, 3), "bad torus label None; expected a TorusLabel or its text"),
         (lambda: f_series("+4", 3), "bad torus label '+4'; expected +0, +1, ... or -3"),
+        (lambda: TorusLabel.parse(5), "bad torus label 5; expected +0, +1, ... or -3"),
+        (lambda: TorusLabel.parse(None), "bad torus label None; expected +0, +1, ... or -3"),
     ],
     ids=[
         "empty",
@@ -88,6 +92,8 @@ def test_label_parse_and_text():
         "f-series-float-order",
         "f-series-none-label",
         "f-series-bad-label-text",
+        "label-parse-int",
+        "label-parse-none",
     ],
 )
 def test_series_rejects_bad_input(build, message):
@@ -157,8 +163,8 @@ class _Int(int):
     pass
 
 
-# Entry kinds for parse_tori: the exact forms of its one pass, and the
-# spellings and mistakes that only the checked loop reads.
+# Entry kinds for parse_tori: the exact forms its type tests take, and the
+# spellings and mistakes that only _entry reads.
 EXACT_LABELS = st.sampled_from(sorted(refs.RATIONAL)) | st.sampled_from(ALL_LABELS)
 EXACT_ENTRIES = st.tuples(EXACT_LABELS, st.integers(1, 4)) | st.sampled_from(sorted(refs.RATIONAL))
 LABEL_INPUTS = st.one_of(
@@ -193,6 +199,10 @@ def _parsed(parse, tori):
         return exc.path, exc.message
 
 
+def _entry_by_entry(entries):
+    return [torus_series._entry(entry, j) for j, entry in enumerate(entries)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.lists(EXACT_ENTRIES, max_size=5),
@@ -200,10 +210,21 @@ def _parsed(parse, tori):
     st.randoms(use_true_random=False),
     st.sampled_from([list, tuple, lambda entries: (entry for entry in entries)]),
 )
-def test_the_exact_pass_agrees_with_the_checked_loop(exact, odd, rng, container):
+def test_the_exact_tests_agree_with_the_entry_reader(exact, odd, rng, container):
     entries = exact + odd
     rng.shuffle(entries)
-    assert _parsed(parse_tori, container(entries)) == _parsed(torus_series._parse_checked, tuple(entries))
+    assert _parsed(parse_tori, container(entries)) == _parsed(_entry_by_entry, entries)
+
+
+@pytest.mark.parametrize("tori", [5, None, 2.5, ALL_LABELS[0]], ids=["int", "none", "float", "label"])
+def test_a_torus_list_that_is_not_iterable_is_a_model_file_error(tori):
+    for parse in (parse_tori, lambda tori: gr_torus_class(tori, 1)):
+        with pytest.raises(ModelFileError) as info:
+            parse(tori)
+        assert (info.value.path, info.value.message) == (
+            "$",
+            "expected a list of labels or (label, cover) pairs",
+        )
 
 
 def test_cover_multiplicity_substitutes_powers():
@@ -256,27 +277,26 @@ def test_counts_match_series_products_and_long_division(tori, k):
 
 
 # One step of a query sequence: ("k", list, k) asks one degree; ("sweep",
-# list, top, descending) asks 0..top in either order; ("evict",) asks more
-# distinct lists than the cache holds, so every list of the pool is dropped.
+# list, top, descending) asks 0..top in either order; ("switch", m) asks a
+# list outside the pool, so the kept vector is no pool list's.
 QUERY_STEPS = st.one_of(
     st.tuples(st.just("k"), st.integers(0, 7), st.integers(0, 60)),
     st.tuples(st.just("sweep"), st.integers(0, 7), st.integers(0, 40), st.booleans()),
-    st.tuples(st.just("evict")),
+    st.tuples(st.just("switch"), st.integers(5, 40)),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(TORUS_LISTS, min_size=1, max_size=4), st.lists(QUERY_STEPS, max_size=12))
 def test_query_sequences_match_the_series_oracle(pool, steps):
-    # covers 1..4 in the pool, 5 and up in the eviction lists
+    # covers 1..4 in the pool, 5 and up in the switch lists
     pool = [[]] + pool
     want = [refs.torus_counts(tori, 60) for tori in pool]
-    torus_series._vectors.clear()
     for step in steps:
-        if step[0] == "evict":
-            for m in range(5, torus_series._VECTORS_MAX + 6):
-                assert gr_torus_class([("+1", m)], m) == 1
-            assert not any(parse_tori(tori) in torus_series._vectors for tori in pool)
+        if step[0] == "switch":
+            m = step[1]
+            assert gr_torus_class([("+1", m)], m) == 1
+            assert torus_series._last[0] == parse_tori([("+1", m)])
             continue
         i = step[1] % len(pool)
         if step[0] == "k":
@@ -284,7 +304,29 @@ def test_query_sequences_match_the_series_oracle(pool, steps):
         else:
             ks = sorted(range(step[2] + 1), reverse=step[3])
         assert [gr_torus_class(pool[i], k) for k in ks] == [want[i][k] for k in ks]
-    assert len(torus_series._vectors) <= torus_series._VECTORS_MAX
+        assert torus_series._last[0] == parse_tori(pool[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(TORUS_LISTS, TORUS_LISTS, st.lists(st.integers(0, 48), min_size=1, max_size=12))
+def test_two_alternating_lists_match_the_series_oracle(first, second, ks):
+    want = [refs.torus_counts(tori, 48) for tori in (first, second)]
+    for k in ks:
+        for i, tori in enumerate((first, second)):
+            assert gr_torus_class(tori, k) == want[i][k]
+
+
+def test_only_the_last_list_keeps_a_vector():
+    big, small = [("+1", 1)], [("+0", 1), ("-2", 3)]
+    limit, first = torus_series._ORDER_MAX, torus_series._ORDER_FIRST
+    assert gr_torus_class(big, limit) == 0
+    vector = torus_series._last[1]
+    assert len(vector) == limit + 1
+    assert gr_torus_class(small, 3) == refs.torus_counts(small, 3)[3]
+    key, kept = torus_series._last
+    assert key == parse_tori(small) and len(kept) == first + 1
+    # Nothing but this test's own name still holds the big list's vector.
+    assert sys.getrefcount(vector) == 2
 
 
 def test_a_degree_sweep_builds_each_list_once(monkeypatch):
@@ -294,8 +336,8 @@ def test_a_degree_sweep_builds_each_list_once(monkeypatch):
         builds.append(order)
         return coefficients(tori, order)
 
+    gr_torus_class([], 0)  # the kept vector is another list's
     monkeypatch.setattr(torus_series, "_coefficients", counted)
-    torus_series._vectors.clear()
     tori = [("+3", 1), ("-2", 2)]
     first = torus_series._ORDER_FIRST
     want = refs.torus_counts(tori, 2 * first + 1)
@@ -345,13 +387,13 @@ def test_a_bad_entry_is_a_model_file_error_at_its_index():
 
 
 def test_degree_must_be_an_int_before_anything_is_parsed():
-    torus_series._vectors.clear()
+    kept = torus_series._last
     for k in (True, False, 2.0, "3", None):
         with pytest.raises(ValueError, match="^degree must be an integer$"):
             gr_torus_class(["+0"], k)
         with pytest.raises(ValueError, match="^degree must be an integer$"):
             gr_torus_class([5], k)
-    assert not torus_series._vectors
+    assert torus_series._last is kept
 
 
 def test_cached_list_still_validates_every_call():
@@ -368,7 +410,7 @@ def test_cached_list_still_validates_every_call():
 def test_degree_past_the_cached_order_rebuilds():
     tori = [("+3", 1), ("-2", 2), ("+0", 3), ("-1", 1)]
     want = refs.torus_counts(tori, 48)
-    torus_series._vectors.clear()
+    gr_torus_class([], 0)  # the kept vector is another list's
     assert gr_torus_class(tori, 3) == want[3]
     assert gr_torus_class(tori, 48) == want[48]
     assert [gr_torus_class(tori, k) for k in range(49)] == want
@@ -378,19 +420,21 @@ def test_cache_keeps_born_pairs_and_stays_bounded():
     rng = random.Random(11)
     base = [("+2", 1)]
     born = base + [("+1", 2), ("-1", 2)]
-    assert gr_torus_class(born, 9) == gr_torus_class(base, 9)
-    assert parse_tori(born) in torus_series._vectors
-    for _ in range(3 * torus_series._VECTORS_MAX):
+    assert gr_torus_class(base, 9) == gr_torus_class(born, 9)
+    # the key is the list as given: the born pair is not cancelled
+    assert torus_series._last[0] == parse_tori(born) != parse_tori(base)
+    for _ in range(300):
         tori = [(rng.choice(LABEL_TEXTS), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
         gr_torus_class(tori, rng.randint(0, 20))
-        assert len(torus_series._vectors) <= torus_series._VECTORS_MAX
+        key, kept = torus_series._last
+        assert key == parse_tori(tori) and len(kept) <= 2 * torus_series._ORDER_FIRST + 1
 
 
 def test_degree_past_the_series_order_limit_is_a_domain_error():
     # Checked before anything is allocated; only limit + 1 is tried.
     limit = torus_series._ORDER_MAX
     assert limit >= 62  # the highest degree the tests and the benchmark ask for
-    torus_series._vectors.clear()
+    kept = torus_series._last
     with pytest.raises(DomainError, match=f"series-order limit {limit}$"):
         gr_torus_class([("+0", 1)], limit + 1)
-    assert not torus_series._vectors
+    assert torus_series._last is kept
