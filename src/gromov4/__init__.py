@@ -33,8 +33,7 @@ _LAZY = {
         "verify_good_configuration", "verify_kprime_configuration",
     ),
     "torus_series": (
-        "ALL_LABELS", "TorusLabel", "TruncSeries", "f_series", "gr_torus_class",
-        "parse_tori",
+        "ALL_LABELS", "TorusLabel", "TruncSeries", "gr_torus_class", "parse_tori",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

@@ -20,8 +20,8 @@ import os
 import re
 import sys
 import warnings
+from collections.abc import Callable, Iterator
 from itertools import chain
-from typing import Callable, Iterator
 
 from . import fibersum, model_io, report, spherical, structure, torus_series
 from .errors import (

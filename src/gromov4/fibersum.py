@@ -22,7 +22,8 @@ bundle: glue(D2xT2, D2xT2) = 2.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, PreconditionError, _Frozen, _require_int
 from .lattice import HClass, ManifoldModel, preset
@@ -128,9 +129,10 @@ def glue(a: Piece, b: Piece) -> Piece:
 _N_MAX = 10_000
 
 
-class EllipticFiberCount(NamedTuple):
-    value: int
-    trace: Iterable[str]
+EllipticFiberCount = namedtuple("EllipticFiberCount", [
+    "value",  # the signed fiber-class count, an int
+    "trace",  # the ledger's notes, an iterable of str
+])
 
 
 def gr_elliptic_fiber(n: int) -> EllipticFiberCount:

@@ -33,7 +33,7 @@ non-negatively, with a zero product only for proportional null classes.
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import report
 from .errors import (
@@ -155,9 +155,10 @@ def classify_negative(A: HClass) -> NegClassVerdict:
     return NegClassVerdict(NOT_REPRESENTABLE)
 
 
-class ReduceResult(NamedTuple):
-    good_part: HClass
-    strips: tuple[tuple[HClass, int], ...]
+ReduceResult = namedtuple("ReduceResult", [
+    "good_part",  # the HClass left once the strips are subtracted
+    "strips",  # each stripped (E, m_E(A)), a tuple of pairs
+])
 
 
 def reduce_multicovers(model: ManifoldModel, A: HClass) -> ReduceResult:

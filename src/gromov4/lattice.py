@@ -79,11 +79,12 @@ integers must be ints, and areas ints, Fractions or "p"/"p/q" strings.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
 
 from . import torus_series
 from .errors import (
@@ -375,11 +376,11 @@ def _covector(A: HClass) -> tuple[int, ...]:
     return tuple(row)
 
 
-class _ExceptionalTable(NamedTuple):
-    """A model's exceptional classes as sparse integer rows, row r for E_r."""
-
-    entries: tuple[tuple[int, int, int], ...]  # (r, i, e_i.E_r) where e_i.E_r != 0
-    supports: tuple[tuple[tuple[int, int], ...], ...]  # per r, (i, E_r[i]) where E_r[i] != 0
+# A model's exceptional classes as sparse integer rows, row r for E_r.
+_ExceptionalTable = namedtuple("_ExceptionalTable", [
+    "entries",  # (r, i, e_i.E_r) where e_i.E_r != 0
+    "supports",  # per r, (i, E_r[i]) where E_r[i] != 0
+])
 
 
 def _exceptional_table(model: "ManifoldModel") -> _ExceptionalTable:

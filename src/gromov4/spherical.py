@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import (
     AssignmentAmbiguityWarning,

@@ -44,8 +44,9 @@ forces A.A = 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCandidateError, PreconditionError, UnknownGr0Error, _Frozen, _require_int
 from .invariants import EXCEPTIONAL_SPHERE, classify_negative, ell_g, is_good_class, k, k_prime, m_e
@@ -281,15 +282,15 @@ class Decomposition(_Frozen):
         return True
 
 
-class _CandidateTable(NamedTuple):
-    """The candidates of a search as integer rows, row i for candidate i."""
-
-    classes: tuple[HClass, ...]
-    coords: tuple[tuple[int, ...], ...]
-    covectors: tuple[tuple[int, ...], ...]  # Gram.B: A.B is one dot product
-    squares: tuple[int, ...]
-    areas: tuple[int, ...]  # area numerators, all positive
-    caps: tuple[int | None, ...]  # most copies of B, None for no bound
+# The candidates of a search as integer rows, row i for candidate i.
+_CandidateTable = namedtuple("_CandidateTable", [
+    "classes",  # the candidate HClasses
+    "coords",  # each candidate's coordinates
+    "covectors",  # Gram.B: A.B is one dot product
+    "squares",  # B.B
+    "areas",  # area numerators, all positive
+    "caps",  # most copies of B, None for no bound
+])
 
 
 def _candidate_table(

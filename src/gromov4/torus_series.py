@@ -1,4 +1,4 @@
-"""Truncated integer power series and the torus weighting scheme.
+"""The torus weighting scheme: labelled tori counted by one integer vector.
 
 A disjoint union of holomorphic tori contributes to a degree-k curve count
 through a product of generating functions, one factor per torus.  Each torus
@@ -27,7 +27,7 @@ exactly one object per label, so a key compares by identity.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, ModelFileError, _Frozen, _int, _require_int
 
@@ -80,10 +80,11 @@ _LABEL_TYPES = (str, TorusLabel)
 
 
 class TruncSeries(_Frozen):
-    """Integer power series truncated at a fixed order.
+    """Integer power series c0..cN truncated at the order N, len(coeffs) - 1.
 
-    coeffs stores c0..cN; the truncation order N is implicit in the length.
-    A product of mismatched orders truncates to the shorter; nothing reads past cN.
+    A product of mismatched orders truncates to the shorter.  No count uses
+    this class, which stays only while the benchmark's tracer resolves
+    __mul__ and inverse by name.
     """
 
     _fields = ("coeffs",)
@@ -99,24 +100,6 @@ class TruncSeries(_Frozen):
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def from_poly(cls, coeffs: Sequence[int], order: int) -> "TruncSeries":
-        _require_int(order, "truncation order")
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        cs = list(coeffs[: order + 1])
-        cs.extend([0] * (order + 1 - len(cs)))
-        return cls(tuple(cs))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls.from_poly([1], order)
-
-    def coeff(self, k: int) -> int:
-        if k < 0 or k > self.order:
-            raise IndexError(f"coefficient {k} lies beyond truncation order {self.order}")
-        return self.coeffs[k]
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
@@ -148,17 +131,6 @@ class TruncSeries(_Frozen):
             out[n] = -a0 * acc
         return TruncSeries(tuple(out))
 
-    def substitute_power(self, m: int) -> "TruncSeries":
-        """Map sum(ck t^k) to sum(ck t^(k*m)), same truncation order."""
-        if m < 1:
-            raise ValueError("substitution exponent must be >= 1")
-        out = [0] * (self.order + 1)
-        for j, c in enumerate(self.coeffs):
-            if j * m > self.order:
-                break
-            out[j * m] = c
-        return TruncSeries(tuple(out))
-
 
 # f(+,i) as (numerator, denominator) factors (s, a), each meaning 1 + s*t^a;
 # the label (-,i) reads the pair backwards.
@@ -186,31 +158,20 @@ def _coefficients(tori: Sequence[tuple[TorusLabel, int]], order: int) -> list[in
     return c
 
 
-def f_series(label: TorusLabel | str, order: int) -> TruncSeries:
-    """Expansion of the generating function attached to a torus label,
-    given as a TorusLabel or its text ("+0" ... "-3")."""
-    _require_int(order, "truncation order")
-    if isinstance(label, str):
-        label = TorusLabel.parse(label)
-    elif not isinstance(label, TorusLabel):
-        raise ValueError(f"bad torus label {label!r}; expected a TorusLabel or its text")
-    return TruncSeries.from_poly(_coefficients(((label, 1),), order), order)
-
-
-def parse_tori(tori: Iterable) -> tuple[tuple[TorusLabel, int], ...]:
-    """Normalize a torus list to (label, cover) pairs.
+def parse_tori(tori: list | tuple) -> tuple[tuple[TorusLabel, int], ...]:
+    """Normalize a torus list, a list or a tuple, to (label, cover) pairs.
 
     Each entry is a label (a TorusLabel or its text; cover 1) or a
     (label, cover) pair with an integer cover >= 1; exact-type tests take the
-    canonical forms and _entry any other.  A list that is not iterable raises
+    canonical forms and _entry any other.  A torus list of any other type (a
+    string, a dict, a set or a generator as well as a non-iterable) raises
     ModelFileError at "$", a bad entry j at "$[j]", "$[j].label" or "$[j].cover".
     """
-    try:
-        entries = iter(tori)
-    except TypeError:
-        raise ModelFileError("$", "expected a list of labels or (label, cover) pairs") from None
+    # Exact types first: an isinstance call on every list slows the series ops measurably.
+    if tori.__class__ is not list and tori.__class__ is not tuple and not isinstance(tori, (list, tuple)):
+        raise ModelFileError("$", "expected a list of labels or (label, cover) pairs")
     out = []
-    for entry in entries:
+    for entry in tori:
         try:
             label, cover = entry if entry.__class__ is tuple else (entry, 1) if entry.__class__ is str else ()
             if label.__class__ in _LABEL_TYPES and cover.__class__ is int and cover >= 1:
@@ -233,7 +194,7 @@ def _entry(entry, j: int) -> tuple[TorusLabel, int]:
             raise ModelFileError(f"$[{j}]", "expected a label or a (label, cover) pair") from None
     if isinstance(label, str):
         try:
-            label = _LABELS.get(label) or TorusLabel.parse(label)
+            label = TorusLabel.parse(label)
         except ValueError as exc:
             raise ModelFileError(f"$[{j}].label", str(exc)) from None
     elif not isinstance(label, TorusLabel):
@@ -258,8 +219,8 @@ _ORDER_FIRST = 16
 _last: tuple[tuple | None, list[int]] = (None, [])
 
 
-def gr_torus_class(tori: Iterable, k: int) -> int:
-    """Degree-k count of a list of tori, each given as a label or a
+def gr_torus_class(tori: list | tuple, k: int) -> int:
+    """Degree-k count of a list (or tuple) of tori, each given as a label or a
     (label, m) pair where the torus lies in m times the ray generator.
 
     The count is the t^k coefficient of the product over the listed tori of

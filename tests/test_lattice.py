@@ -418,10 +418,14 @@ def _with_duplicate_exceptional():
          "$.exceptional[2]: expected a class, got None"),
         (lambda: ManifoldModel(preset("s2xt2").lattice, torus_table={preset("s2xt2").parse("B"): 5}),
          ModelFileError, "$.torus_table[0].tori: expected a list of labels or (label, cover) pairs"),
+        # text is iterable, but a torus list is a list or a tuple
+        (lambda: ManifoldModel(preset("s2xt2").lattice, torus_table={preset("s2xt2").parse("B"): ""}),
+         ModelFileError, "$.torus_table[0].tori: expected a list of labels or (label, cover) pairs"),
     ],
     ids=["foreign-table-key", "duplicate-exceptional", "minimal-with-exceptional", "conflicting-parameters",
          "preset-int-name", "lattice-none-name", "lattice-empty-name", "model-minimal-text",
-         "exceptional-none", "gr0-text-key", "with-exceptional-none", "torus-list-not-iterable"],
+         "exceptional-none", "gr0-text-key", "with-exceptional-none", "torus-list-not-iterable",
+         "torus-list-text"],
 )
 def test_model_and_preset_rejections(build, error, message):
     with pytest.raises(error) as info:

@@ -7,6 +7,7 @@ its checks in a fresh interpreter, where a cold-path mistake shows.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -164,3 +165,20 @@ def test_no_call_imports_dataclasses_or_inspect(tmp_path):
         """
     )
     assert got == [[], [0] * len(calls), []]
+
+
+def test_no_module_imports_typing():
+    # Nothing the package defines needs typing: its records are namedtuples
+    # and its annotations name collections.abc.  The source is read, since a
+    # site hook may have loaded typing before any test runs.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.partition(".")[0] == "typing"]
+    assert found == []
