@@ -23,7 +23,7 @@ import warnings
 from collections.abc import Callable, Iterator
 from itertools import chain
 
-from . import fibersum, model_io, report, spherical, structure, torus_series
+from . import fibersum, invariants, lattice, model_io, report, spherical, structure, torus_series
 from .errors import (
     AssignmentAmbiguityWarning,
     ClassParseError,
@@ -31,24 +31,6 @@ from .errors import (
     ModelFileError,
     ReductionConsistencyWarning,
     UnknownPresetError,
-)
-from .invariants import (
-    classify_negative,
-    genus_embedded,
-    in_forward_cone,
-    is_good_class,
-    k,
-    k_prime,
-    light_cone_pair_check,
-    moduli_dimension,
-    reduce_multicovers,
-)
-from .lattice import (
-    PRESET_NAMES,
-    HClass,
-    ManifoldModel,
-    format_class,
-    preset,
 )
 
 
@@ -63,11 +45,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_manifold(source: str) -> ManifoldModel:
+def _load_manifold(source: str) -> lattice.ManifoldModel:
     looks_like_path = os.sep in source or source.endswith(".json")
     if not looks_like_path:
         try:
-            return preset(source)
+            return lattice.preset(source)
         except UnknownPresetError:
             if not os.path.exists(source):
                 raise
@@ -76,7 +58,7 @@ def _load_manifold(source: str) -> ManifoldModel:
     return model_io.load_model(source)
 
 
-def _classes(model: ManifoldModel, args) -> list[HClass]:
+def _classes(model: lattice.ManifoldModel, args) -> list[lattice.HClass]:
     exprs = args.cls or []
     if not exprs:
         raise UsageError("at least one --class is required")
@@ -163,47 +145,53 @@ def _report_lines(rep: report.Report, prefix: str, fmt: str) -> list[str]:
 
 def _cmd_presets(args) -> list[str]:
     if args.format == "records":
-        return [f"preset={name}" for name in PRESET_NAMES]
-    return list(PRESET_NAMES)
+        return [f"preset={name}" for name in lattice.PRESET_NAMES]
+    return list(lattice.PRESET_NAMES)
 
 
-def _reduce(model: ManifoldModel, A: HClass, args) -> dict[str, str]:
-    good_part, strips = reduce_multicovers(model, A)
-    strip_text = ",".join(f"{format_class(E)}:{m}" for E, m in strips)
-    return {"good": format_class(good_part), "strips": strip_text, "shown": strip_text or "none"}
+def _reduce(model: lattice.ManifoldModel, A: lattice.HClass, args) -> dict[str, str]:
+    good_part, strips = invariants.reduce_multicovers(model, A)
+    strip_text = ",".join(f"{lattice.format_class(E)}:{m}" for E, m in strips)
+    good = lattice.format_class(good_part)
+    return {"good": good, "strips": strip_text, "shown": strip_text or "none"}
 
 
-def _classify(model: ManifoldModel, A: HClass, args) -> dict[str, str]:
-    verdict = classify_negative(A)
+def _classify(model: lattice.ManifoldModel, A: lattice.HClass, args) -> dict[str, str]:
+    verdict = invariants.classify_negative(A)
     if verdict.witness is None:
         return {"kind": verdict.kind, "human": "", "records": ""}
     g, c, sq = verdict.witness
     return {
         "kind": verdict.kind,
         "human": f" (g={g}, c1={c}, square={sq})",
-        "records": f"\nclassify({format_class(A)}).witness={g},{c},{sq}",
+        "records": f"\nclassify({lattice.format_class(A)}).witness={g},{c},{sq}",
     }
 
 
-def _cone(model: ManifoldModel, A: HClass, args) -> dict[str, str]:
-    return {"in": _bool(in_forward_cone(A, strict=args.strict)), "strict": _bool(args.strict)}
+def _cone(model: lattice.ManifoldModel, A: lattice.HClass, args) -> dict[str, str]:
+    inside = invariants.in_forward_cone(A, strict=args.strict)
+    return {"in": _bool(inside), "strict": _bool(args.strict)}
 
 
 # Per-class commands: command -> (value of one class, human format,
 # records format).  A format sees the class as s, the value as v and the
 # flags as a; a newline in it starts another output line.
 _PER_CLASS: dict[str, tuple[Callable, str, str]] = {
-    "k": (lambda m, A, a: k(A), "k({s}) = {v}", "k({s})={v}"),
-    "kprime": (lambda m, A, a: k_prime(m, A), "k'({s}) = {v}", "kprime({s})={v}"),
+    "k": (lambda m, A, a: invariants.k(A), "k({s}) = {v}", "k({s})={v}"),
+    "kprime": (lambda m, A, a: invariants.k_prime(m, A), "k'({s}) = {v}", "kprime({s})={v}"),
     "genus": (
-        lambda m, A, a: genus_embedded(A), "genus_embedded({s}) = {v}", "genus({s})={v}"
+        lambda m, A, a: invariants.genus_embedded(A),
+        "genus_embedded({s}) = {v}",
+        "genus({s})={v}",
     ),
     "dim": (
-        lambda m, A, a: moduli_dimension(A, a.genus),
+        lambda m, A, a: invariants.moduli_dimension(A, a.genus),
         "dim({s}, g={a.genus}) = {v}",
         "dim({s};g={a.genus})={v}",
     ),
-    "good": (lambda m, A, a: _bool(is_good_class(m, A)), "good({s}) = {v}", "good({s})={v}"),
+    "good": (
+        lambda m, A, a: _bool(invariants.is_good_class(m, A)), "good({s}) = {v}", "good({s})={v}"
+    ),
     "reduce": (
         _reduce,
         "reduce({s}) = {v[good]}; strips: {v[shown]}",
@@ -253,7 +241,7 @@ def _cmd_per_class(args) -> list[str]:
     fmt, warning = (records, warn_records) if args.format == "records" else (human, warn_human)
     lines = []
     for A in _classes(model, args):
-        s = format_class(A)
+        s = lattice.format_class(A)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             v = value(model, A, args)
@@ -268,12 +256,12 @@ def _cmd_lightcone(args) -> list[str]:
     classes = _classes(model, args)
     if len(classes) != 2:
         raise UsageError("lightcone needs exactly two --class arguments")
-    B1, B2 = classes
-    rep = light_cone_pair_check(B1, B2)
-    key = f"lightcone({format_class(B1)},{format_class(B2)})"
+    rep = invariants.light_cone_pair_check(*classes)
+    s1, s2 = map(lattice.format_class, classes)
+    key = f"lightcone({s1},{s2})"
     if args.format == "records":
         return [f"{key}={'pass' if rep.ok else 'fail'}"] + _report_lines(rep, key, "records")[:-1]
-    head = f"lightcone({format_class(B1)}, {format_class(B2)}): {'pass' if rep.ok else 'fail'}"
+    head = f"lightcone({s1}, {s2}): {'pass' if rep.ok else 'fail'}"
     return [head] + _report_lines(rep, key, "human")[:-1]
 
 
@@ -283,22 +271,22 @@ def _cmd_decomp(args) -> list[str]:
     if len(classes) != 1:
         raise UsageError("decomp takes exactly one --class")
     A = classes[0]
-    s = format_class(A)
+    s = lattice.format_class(A)
     candidates = _candidates(model, args)
     decs = structure.enumerate_decompositions(model, A, candidates)
     lines = []
     if args.format == "records":
         lines.append(f"decomp({s}).count={len(decs)}")
         for i, dec in enumerate(decs, start=1):
-            lines.append(f"decomp({s}).{i}=" + "|".join(format_class(p) for p in dec.parts))
+            lines.append(f"decomp({s}).{i}=" + "|".join(map(lattice.format_class, dec.parts)))
     else:
         lines.append(f"decompositions({s}) = {len(decs)}")
         for i, dec in enumerate(decs, start=1):
-            lines.append(f"  [{i}] {{" + ", ".join(format_class(p) for p in dec.parts) + "}")
+            lines.append(f"  [{i}] {{" + ", ".join(map(lattice.format_class, dec.parts)) + "}")
     return lines
 
 
-def _candidates(model: ManifoldModel, args) -> list[HClass] | None:
+def _candidates(model: lattice.ManifoldModel, args) -> list[lattice.HClass] | None:
     """The parsed --candidates, or None for the model's default set."""
     text = getattr(args, "candidates", None)
     if text:
@@ -329,7 +317,7 @@ def _cmd_verify(args) -> list[str]:
     if mode == "kmin":
         if args.n is None:
             raise UsageError("verify --mode kmin needs --n (the elliptic parameter)")
-        model = preset("elliptic", args.n)
+        model = lattice.preset("elliptic", args.n)
         rep = structure.check_kmin_constraints(model, fibersum.fiber_gr_table(args.n))
         return _report_lines(rep, "verify", args.format)
     if args.manifold is None:
@@ -351,57 +339,72 @@ def _cmd_verify(args) -> list[str]:
     return _report_lines(rep, "verify", args.format)
 
 
-def _add_model_class_args(p, required: bool = True) -> None:
-    p.add_argument("--manifold", required=required, help="preset name or model file path")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        action="append",
-        metavar="EXPR",
-        help="class expression over the basis symbols (repeatable)",
-    )
+_CANDIDATES = ("--candidates", {"help": "comma-separated candidate class expressions"})
+
+# The commands in help order: name -> (handler, help, --manifold, extra
+# arguments).  --manifold is True where it is required, False where it is
+# optional and None where the command reads no model; each extra is a flag
+# with its add_argument keywords.
+_COMMANDS: dict[str, tuple] = {
+    "presets": (_cmd_presets, "list available preset models", None),
+    "k": (_cmd_per_class, "point budget k(A)", True),
+    "kprime": (_cmd_per_class, "corrected point budget k'(A)", True),
+    "genus": (_cmd_per_class, "adjunction genus of an embedded representative", True),
+    "dim": (
+        _cmd_per_class, "moduli dimension at a given genus", True,
+        ("--genus", {"type": integer, "default": 0}),
+    ),
+    "good": (_cmd_per_class, "is the class good (no forced exceptional multi-covers)", True),
+    "reduce": (_cmd_per_class, "strip multiply covered exceptional spheres", True),
+    "classify-neg": (_cmd_per_class, "classify a negative-square class", True),
+    "cone": (
+        _cmd_per_class, "forward-cone membership", True, ("--strict", {"action": "store_true"})
+    ),
+    "lightcone": (_cmd_lightcone, "light-cone pairing check on two classes", True),
+    "decomp": (_cmd_decomp, "enumerate decompositions of a class", True, _CANDIDATES),
+    "gr": (_cmd_per_class, "Gromov invariant via decompositions", True, _CANDIDATES),
+    "gr-tori": (
+        _cmd_gr_tori, "torus-list count at degree k", None,
+        ("--tori", {"required": True, "help": "comma-separated labels, e.g. +0,+0 or -1:2"}),
+        ("--k", {"type": integer, "default": None}),
+    ),
+    "gr-s": (_cmd_per_class, "spherical invariant Gr_s(A)", True),
+    "fibersum": (
+        _cmd_fibersum, "fiber-class count of V(n) by the ledger", None,
+        ("--n", {"type": integer, "required": True}),
+    ),
+    # verify --mode kmin builds its own preset, so --manifold is optional there.
+    "verify": (
+        _cmd_verify, "verify a configuration or an invariant table", False,
+        ("--mode", {"choices": ("good", "kprime", "kmin"), "default": "good"}),
+        ("--points", {"type": integer, "default": None}),
+        ("--n", {"type": integer, "default": None}),
+    ),
+}
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of command alone where it names one:
+    a sub-parser's usage, help and errors read the same either way."""
     parser = _Parser(prog="gromov4", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     sub.required = True
-
-    def new(name: str, handler: Callable, help_text: str, model: bool = True, required: bool = True):
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        handler, help_text, manifold, *extras = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("human", "records"), default="human")
-        if model:
-            _add_model_class_args(p, required=required)
-        return p
-
-    new("presets", _cmd_presets, "list available preset models", model=False)
-    new("k", _cmd_per_class, "point budget k(A)")
-    new("kprime", _cmd_per_class, "corrected point budget k'(A)")
-    new("genus", _cmd_per_class, "adjunction genus of an embedded representative")
-    p = new("dim", _cmd_per_class, "moduli dimension at a given genus")
-    p.add_argument("--genus", type=integer, default=0)
-    new("good", _cmd_per_class, "is the class good (no forced exceptional multi-covers)")
-    new("reduce", _cmd_per_class, "strip multiply covered exceptional spheres")
-    new("classify-neg", _cmd_per_class, "classify a negative-square class")
-    p = new("cone", _cmd_per_class, "forward-cone membership")
-    p.add_argument("--strict", action="store_true")
-    new("lightcone", _cmd_lightcone, "light-cone pairing check on two classes")
-    p = new("decomp", _cmd_decomp, "enumerate decompositions of a class")
-    p.add_argument("--candidates", help="comma-separated candidate class expressions")
-    p = new("gr", _cmd_per_class, "Gromov invariant via decompositions")
-    p.add_argument("--candidates", help="comma-separated candidate class expressions")
-    p = new("gr-tori", _cmd_gr_tori, "torus-list count at degree k", model=False)
-    p.add_argument("--tori", required=True, help="comma-separated labels, e.g. +0,+0 or -1:2")
-    p.add_argument("--k", type=integer, default=None)
-    new("gr-s", _cmd_per_class, "spherical invariant Gr_s(A)")
-    p = new("fibersum", _cmd_fibersum, "fiber-class count of V(n) by the ledger", model=False)
-    p.add_argument("--n", type=integer, required=True)
-    # verify --mode kmin builds its own preset, so --manifold is optional there.
-    p = new("verify", _cmd_verify, "verify a configuration or an invariant table", required=False)
-    p.add_argument("--mode", choices=("good", "kprime", "kmin"), default="good")
-    p.add_argument("--points", type=integer, default=None)
-    p.add_argument("--n", type=integer, default=None)
+        if manifold is not None:
+            p.add_argument("--manifold", required=manifold, help="preset name or model file path")
+            p.add_argument(
+                "--class",
+                dest="cls",
+                action="append",
+                metavar="EXPR",
+                help="class expression over the basis symbols (repeatable)",
+            )
+        for flag, keywords in extras:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -412,7 +415,7 @@ def _error_record(code: str, message: str) -> None:
 
 def run(argv: list[str]) -> int:
     """Execute one invocation; returns the exit code."""
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         lines = args.handler(args)

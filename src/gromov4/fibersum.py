@@ -23,10 +23,11 @@ bundle: glue(D2xT2, D2xT2) = 2.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from itertools import zip_longest
 
+from . import lattice
 from .errors import DomainError, PreconditionError, _Frozen, _require_int
-from .lattice import HClass, ManifoldModel, preset
 
 
 class Piece(_Frozen):
@@ -78,10 +79,20 @@ class Piece(_Frozen):
 
 class Ledger:
     """A piece's notes in gluing order, remade on each iteration: the walk
-    keeps only the names of the operands it has not joined yet."""
+    keeps only the names of the operands it has not joined yet.  Two
+    ledgers are equal when they yield the same notes, compared as both
+    walks go, and the hash reads the first note only."""
 
     def __init__(self, piece: Piece) -> None:
         self.piece = piece
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ledger):
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(self, other, fillvalue=object()))
+
+    def __hash__(self) -> int:
+        return hash(next(iter(self), None))
 
     def __iter__(self) -> Iterator[str]:
         names, todo = [], [(self.piece, False)]
@@ -159,12 +170,12 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
     return EllipticFiberCount(closed.fiber_gr, closed.notes)
 
 
-def fiber_gr_table(n: int) -> dict[HClass, int]:
+def fiber_gr_table(n: int) -> dict[lattice.HClass, int]:
     """Counts of fiber multiples kF on V(n), each read by the model's gr0,
     over the full nonzero row k = 0 .. max(n-2, 1)."""
     _require_int(n, "n")
     if n < 1:
         raise PreconditionError("elliptic surfaces V(n) need n >= 1")
-    model: ManifoldModel = preset("elliptic", n)
+    model = lattice.preset("elliptic", n)
     F = model.lattice.basis_class(0)
     return {k * F: model.gr0(k * F) for k in range(max(n - 2, 1) + 1)}

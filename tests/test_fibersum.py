@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import pickle
 import sys
 import tracemalloc
 from math import comb
@@ -189,6 +190,25 @@ def test_lazy_ledger_of_a_balanced_gluing():
     notes = tuple(whole.notes)
     assert (whole.fiber_gr, notes) == want[1:]
     assert notes[-1] == "glue N_minus_P+N_minus_P with N_minus_P+D2xT2: fiber count -2 + 0 = -2"
+
+
+def test_a_fiber_count_equals_itself_and_its_pickle():
+    for n in range(1, 5):
+        a, b = gr_elliptic_fiber(n), gr_elliptic_fiber(n)
+        assert a == b and hash(a) == hash(b)
+        assert a.trace != gr_elliptic_fiber(n + 1).trace
+    result = gr_elliptic_fiber(3)
+    again = pickle.loads(pickle.dumps(result))
+    assert again == result and hash(again) == hash(result)
+
+
+def test_ledgers_compare_by_their_notes():
+    # The count is no part of a ledger: equal notes make equal ledgers and
+    # hashes.  A ledger that runs on past another's notes differs from it.
+    one, other = Piece("P", 1, 1, ("note",)), Piece("P", 1, 0, ("note",))
+    assert one.notes == other.notes and hash(one.notes) == hash(other.notes)
+    assert one.notes != Piece("P", 1, 1, ("note", "more")).notes
+    assert one.notes != ["note"]
 
 
 def test_ledger_deeper_than_the_recursion_limit():

@@ -1,8 +1,9 @@
 """Start-up: what a fresh process runs, and the public namespace it sees.
 
-Six modules are registered at import and run on first attribute access.
-The rest of the suite imports everything up front, so each test here runs
-its checks in a fresh interpreter, where a cold-path mistake shows.
+Eight modules are registered at import and run on first attribute access,
+and a call builds only its own command's parser.  The rest of the suite
+imports everything up front, so each test here runs its checks in a fresh
+interpreter, where a cold-path mistake shows.
 """
 
 from __future__ import annotations
@@ -17,10 +18,16 @@ import textwrap
 import types
 from pathlib import Path
 
+import pytest
+
 import gromov4
+from gromov4.cli import run
 
 PACKAGE = Path(gromov4.__file__).resolve().parent
-LAZY = ("fibersum", "model_io", "report", "spherical", "structure", "torus_series")
+LAZY = (
+    "fibersum", "invariants", "lattice", "model_io", "report", "spherical", "structure",
+    "torus_series",
+)
 
 
 def fresh(code: str):
@@ -64,7 +71,7 @@ def test_public_names_are_the_exports_of_their_home_modules():
         assert not isinstance(value, types.ModuleType), name
         homes = [
             m
-            for m in ("errors", "invariants", "lattice", *LAZY)
+            for m in ("errors", *LAZY)
             if getattr(importlib.import_module(f"gromov4.{m}"), name, None) is value
             and getattr(value, "__module__", f"gromov4.{m}") == f"gromov4.{m}"
         ]
@@ -100,26 +107,88 @@ def test_unknown_name_is_an_attribute_error_in_a_fresh_process():
     assert got == "module 'gromov4' has no attribute 'no_such_name'"
 
 
-def test_per_class_call_leaves_the_lazy_modules_unexecuted():
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["k", "--manifold", "cp2", "--class", "3L"], ["cli", "errors", "invariants", "lattice"]),
+        (["gr-tori", "--tori", "+0,-1:2", "--k", "3"], ["cli", "errors", "torus_series"]),
+        (["fibersum", "--n", "3"], ["cli", "errors", "fibersum"]),
+    ],
+    ids=["k", "gr-tori", "fibersum"],
+)
+def test_a_call_runs_only_the_modules_its_command_reads(argv, runs):
     # Every submodule is in sys.modules once gromov4.cli is imported (a
-    # tracer looks its modules up there), but a per-class call on a preset
-    # runs none of the six lazy ones.
+    # tracer looks its modules up there), but a call runs only those its
+    # command reads.  The torus series and the fiber ledger need no
+    # lattice, and so no fractions either.
     submodules = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
     got = fresh(
-        """
+        f"""
         import json, sys, types
         import gromov4.cli
         registered = sorted(m[8:] for m in sys.modules if m.startswith("gromov4."))
-        code = gromov4.cli.run(["k", "--manifold", "cp2", "--class", "3L"])
+        code = gromov4.cli.run({argv!r})
         run = sorted(m[8:] for m, mod in sys.modules.items()
                      if m.startswith("gromov4.") and type(mod) is types.ModuleType)
-        print(json.dumps([registered, code, run]))
+        print(json.dumps([registered, code, run, "fractions" in sys.modules]))
         """
     )
-    registered, code, run = got
+    registered, code, ran, fractions = got
     assert registered == submodules
     assert code == 0
-    assert run == sorted(set(submodules) - set(LAZY))
+    assert ran == runs
+    assert "lattice" in runs or not fractions
+
+
+HELP = {
+    ("--help",): """\
+usage: gromov4 [-h] command ...
+
+Command-line front end.
+
+positional arguments:
+  command
+    presets     list available preset models
+    k           point budget k(A)
+    kprime      corrected point budget k'(A)
+    genus       adjunction genus of an embedded representative
+    dim         moduli dimension at a given genus
+    good        is the class good (no forced exceptional multi-covers)
+    reduce      strip multiply covered exceptional spheres
+    classify-neg
+                classify a negative-square class
+    cone        forward-cone membership
+    lightcone   light-cone pairing check on two classes
+    decomp      enumerate decompositions of a class
+    gr          Gromov invariant via decompositions
+    gr-tori     torus-list count at degree k
+    gr-s        spherical invariant Gr_s(A)
+    fibersum    fiber-class count of V(n) by the ledger
+    verify      verify a configuration or an invariant table
+
+options:
+  -h, --help    show this help message and exit
+""",
+    ("k", "--help"): """\
+usage: gromov4 k [-h] [--format {human,records}] --manifold MANIFOLD
+                 [--class EXPR]
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,records}
+  --manifold MANIFOLD   preset name or model file path
+  --class EXPR          class expression over the basis symbols (repeatable)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP), ids=" ".join)
+def test_help_text_golden(capsys, monkeypatch, argv):
+    # A call names its command first and gets that command's parser alone;
+    # the help text is the one the full parser prints.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(list(argv)) == 0
+    assert capsys.readouterr() == (HELP[argv], "")
 
 
 MODEL_DOC = {
