@@ -17,6 +17,10 @@ import sys
 # attribute access; running binds its names here, as `from .x import name`
 # would, and until then the module __getattr__ below resolves them.
 _LAZY = {
+    "configurations": (
+        "Component", "Configuration", "check_kmin_constraints", "verify_good_configuration",
+        "verify_kprime_configuration",
+    ),
     "fibersum": (
         "EllipticFiberCount", "Piece", "base_pieces", "fiber_gr_table", "glue",
         "gr_elliptic_fiber",
@@ -36,11 +40,7 @@ _LAZY = {
         "SphereConfig", "assignment_factor", "embedded_sphere_rule",
         "enumerate_sphere_configs", "gr_s", "k_for",
     ),
-    "structure": (
-        "Component", "Configuration", "Decomposition", "check_kmin_constraints",
-        "enumerate_decompositions", "gromov_via_decompositions",
-        "verify_good_configuration", "verify_kprime_configuration",
-    ),
+    "structure": ("Decomposition", "enumerate_decompositions", "gromov_via_decompositions"),
     "torus_series": (
         "ALL_LABELS", "TorusLabel", "TruncSeries", "gr_torus_class", "parse_tori",
     ),

@@ -23,7 +23,8 @@ import warnings
 from collections.abc import Callable, Iterator
 from itertools import chain
 
-from . import fibersum, invariants, lattice, model_io, report, spherical, structure, torus_series
+from . import configurations, fibersum, invariants, lattice, model_io, report, spherical
+from . import structure, torus_series
 from .errors import (
     AssignmentAmbiguityWarning,
     ClassParseError,
@@ -318,7 +319,7 @@ def _cmd_verify(args) -> list[str]:
         if args.n is None:
             raise UsageError("verify --mode kmin needs --n (the elliptic parameter)")
         model = lattice.preset("elliptic", args.n)
-        rep = structure.check_kmin_constraints(model, fibersum.fiber_gr_table(args.n))
+        rep = configurations.check_kmin_constraints(model, fibersum.fiber_gr_table(args.n))
         return _report_lines(rep, "verify", args.format)
     if args.manifold is None:
         raise UsageError(f"verify --mode {mode} needs --manifold")
@@ -328,14 +329,14 @@ def _cmd_verify(args) -> list[str]:
     comps = []
     for token in args.cls:
         expr, mult, genus = _parse_component(token)
-        comps.append(structure.Component(model.parse(expr), mult, genus))
-    cfg = structure.Configuration(tuple(comps))
+        comps.append(configurations.Component(model.parse(expr), mult, genus))
+    cfg = configurations.Configuration(tuple(comps))
     if mode == "good":
         if args.points is None:
             raise UsageError("verify --mode good needs --points")
-        rep = structure.verify_good_configuration(model, cfg, args.points)
+        rep = configurations.verify_good_configuration(model, cfg, args.points)
     else:
-        rep = structure.verify_kprime_configuration(model, cfg, args.points)
+        rep = configurations.verify_kprime_configuration(model, cfg, args.points)
     return _report_lines(rep, "verify", args.format)
 
 

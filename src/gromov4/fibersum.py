@@ -37,7 +37,7 @@ class Piece(_Frozen):
     operands and its one note, with {} for their names; notes walks the
     operands again on each read, so the ledger is never held whole.
     Pieces compare by identity and repr leaves the operands out, so
-    neither recurses into them.
+    neither recurses into them, nor do copy, deepcopy and pickle.
     """
 
     _fields = ("label", "boundary_count", "fiber_gr", "own_notes", "operands")
@@ -67,6 +67,25 @@ class Piece(_Frozen):
             f"Piece(label={self.label!r}, boundary_count={self.boundary_count!r}, "
             f"fiber_gr={self.fiber_gr!r}, own_notes={self.own_notes!r})"
         )
+
+    def __reduce__(self):
+        # A glued piece travels as the pieces under it, each once and its
+        # operands first: a stock piece as itself, a glued one as its first
+        # four fields and its operands' positions.  No copy then recurses
+        # deeper than a stock piece.
+        if self.operands is None:
+            return super().__reduce__()
+        steps, at, todo = [], {}, [self]
+        while todo:
+            top = todo.pop()
+            waiting = [op for op in top.operands or () if id(op) not in at]
+            if waiting:
+                todo += (top, *waiting)
+            elif id(top) not in at:
+                at[id(top)] = len(steps)
+                fields = (top.label, top.boundary_count, top.fiber_gr, top.own_notes)
+                steps.append((*fields, *[at[id(op)] for op in top.operands]) if top.operands else top)
+        return (_replay, (tuple(steps),))
 
     @property
     def closed(self) -> bool:
@@ -107,6 +126,16 @@ class Ledger:
                 b, a = names.pop(), names.pop()
                 yield from (note.format(a, b) for note in piece.own_notes)
                 names.append(f"{a}+{b}")
+
+
+def _replay(steps: tuple) -> Piece:
+    """Glue a piece again from the steps Piece.__reduce__ lists."""
+    built = []
+    for step in steps:
+        if not isinstance(step, Piece):
+            step = Piece(*step[:4], (built[step[4]], built[step[5]]))
+        built.append(step)
+    return built[-1]
 
 
 def base_pieces() -> dict[str, Piece]:

@@ -18,16 +18,18 @@ what the arithmetic reads:
               A.B = sum_i q_ii a_i b_i + sum_{i<j} q_ij (a_i b_j + a_j b_i)
               costs O(rank + nonzeros);
     c1        the integer vector -K.Q, so c1(A) is one dot product;
-    area      integer numerators over one common denominator; omega_area
-              builds its Fraction only on return, and sign tests read the
+    area      integer numerators over one common denominator, the one
+              representation of omega: the area property and omega_area
+              build Fractions only when read, and sign tests read the
               numerator (_area_numerator) instead;
     hash      computed once from the fields; == answers identity at once.
 
 b2+ (the positive index of inertia of Q) is found by symmetric congruence
-reduction over the rationals, once per lattice on first use; no floating
-point is involved anywhere.  The derived data never travels with a copy:
-copy, deepcopy and pickle all rebuild the lattice through its
-constructor, so a hash from another process is never reused.
+reduction in integers, once per lattice on first use.  No floating point
+is involved anywhere, and fractions is imported only where a Fraction is
+built or given.  The derived data never travels with a copy: copy,
+deepcopy and pickle all rebuild the lattice through its constructor, so
+a hash from another process is never reused.
 
 Class coordinates must be ints (bools, floats and Fractions raise
 CoordinateError); a list is taken as a tuple, and nothing is converted.
@@ -81,7 +83,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from types import MappingProxyType
@@ -105,16 +106,24 @@ _RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 _TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)\*?)?([A-Za-z_][A-Za-z_0-9]*)")
 
 
-def _rational(value, path: str) -> Fraction:
-    """An exact rational given as an int, a Fraction, or the text "p" or "p/q"."""
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
+def _rational(value, path: str) -> tuple[int, int]:
+    """An exact rational given as an int, a Fraction, or the text "p" or "p/q",
+    as its reduced numerator and positive denominator."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value.numerator, 1
     if not isinstance(value, str):
+        from fractions import Fraction
+        if isinstance(value, Fraction):
+            return value.numerator, value.denominator
         raise ModelFileError(path, "expected an integer or a 'p/q' string")
     if _RATIONAL_RE.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):  # q = 0, or past int()'s digit limit
+        p, _, q = value.strip().partition("/")
+        try:  # int() refuses text past its digit limit; q = 0 is no rational
+            p, q = int(p), int(q or 1)
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+        except ValueError:
             pass
     raise ModelFileError(path, f"not an exact rational: {value!r}")
 
@@ -167,7 +176,7 @@ class IntersectionLattice(_Frozen):
         area = tuple(area)
         if len(area) != n:
             raise ModelFileError("$.area", f"expected {n} entries")
-        area = tuple(_rational(x, f"$.area[{i}]") for i, x in enumerate(area))
+        area = [_rational(x, f"$.area[{i}]") for i, x in enumerate(area)]
         if b2plus_override is not None and _int(b2plus_override, "$.b2plus") < 0:
             raise ModelFileError("$.b2plus", "must be non-negative")
         diagonal = tuple(gram[i][i] for i in range(n))
@@ -185,15 +194,14 @@ class IntersectionLattice(_Frozen):
                     "$.K",
                     f"canonical class is not characteristic mod 2 at basis vector {basis[i]}",
                 )
-        area_den = lcm(*(w.denominator for w in area))
-        area_num = tuple(w.numerator * (area_den // w.denominator) for w in area)
+        area_den = lcm(*(q for _, q in area))
+        area_num = tuple(p * (area_den // q) for p, q in area)
         key = (name, basis, gram, canonical, area_num, area_den, b2plus_override)
         for attr, value in (
             ("name", name),
             ("basis", basis),
             ("gram", gram),
             ("canonical", canonical),
-            ("area", area),
             ("b2plus_override", b2plus_override),
             ("_diagonal", diagonal),
             ("_off_diagonal", off_diagonal),
@@ -216,6 +224,12 @@ class IntersectionLattice(_Frozen):
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def area(self) -> tuple:
+        """omega on the basis, as Fractions built on each read."""
+        from fractions import Fraction
+        return tuple(Fraction(p, self._area_den) for p in self._area_num)
 
     @property
     def rank(self) -> int:
@@ -440,18 +454,20 @@ def _area_numerator(A: HClass) -> int:
 
 def omega_area(A: HClass) -> Fraction:
     """Symplectic area omega(A), an exact rational."""
+    from fractions import Fraction
     return Fraction(_area_numerator(A), A.lattice._area_den)
 
 
 def _positive_index(gram: Sequence[Sequence[int]]) -> int:
-    """Positive inertia index by symmetric congruence reduction over Q.
+    """Positive inertia index by symmetric congruence reduction in integers.
 
     Each step pivots on the first nonzero diagonal entry d, counts it when
-    d > 0 and goes on with the Schur complement of d.  When the whole
-    diagonal is zero, e_0 += e_j for the first j with m[0][j] != 0 puts
-    2*m[0][j] on the diagonal; a zero row 0 is dropped.
+    d > 0 and goes on with |d| times the Schur complement of d, divided by
+    the content of the whole matrix: positive multiples keep the inertia.
+    When the whole diagonal is zero, e_0 += e_j for the first j with
+    m[0][j] != 0 puts 2*m[0][j] on the diagonal; a zero row 0 is dropped.
     """
-    m = [[Fraction(x) for x in row] for row in gram]
+    m = [list(row) for row in gram]
     positives = 0
     while m:
         i = next((i for i, row in enumerate(m) if row[i]), None)
@@ -471,9 +487,11 @@ def _positive_index(gram: Sequence[Sequence[int]]) -> int:
         if d > 0:
             positives += 1
         for row in m:
-            f = row.pop(i) / d
-            if f:
-                row[:] = [x - f * p for x, p in zip(row, pivot)]
+            f = row.pop(i) if d > 0 else -row.pop(i)
+            row[:] = [abs(d) * x - f * p for x, p in zip(row, pivot)]
+        g = gcd(*[x for row in m for x in row])
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return positives
 
 
@@ -675,7 +693,7 @@ def _cp2() -> ManifoldModel:
         basis=("L",),
         gram=((1,),),
         canonical=(-3,),
-        area=(Fraction(1),),
+        area=(1,),
     )
     L = lat.basis_class(0)
     # Degrees 1..3 through 2, 5 and 8 generic points: 1 line, 1 conic and
@@ -702,7 +720,7 @@ def _cp2_blowup(n: int) -> ManifoldModel:
         basis=basis,
         gram=gram,
         canonical=(-3,) + (1,) * n,
-        area=(Fraction(3),) + (Fraction(1),) * n,
+        area=(3,) + (1,) * n,
     )
     L = lat.basis_class(0)
     Es = [lat.basis_class(i) for i in range(1, n + 1)]
@@ -729,7 +747,7 @@ def _s2xs2() -> ManifoldModel:
         basis=("A1", "A2"),
         gram=((0, 1), (1, 0)),
         canonical=(-2, -2),
-        area=(Fraction(1), Fraction(1)),
+        area=(1, 1),
     )
     A1 = lat.basis_class(0)
     A2 = lat.basis_class(1)
@@ -750,7 +768,7 @@ def _s2xt2() -> ManifoldModel:
         basis=("S", "B"),
         gram=((0, 1), (1, 0)),
         canonical=(0, -2),
-        area=(Fraction(1), Fraction(1)),
+        area=(1, 1),
     )
     S = lat.basis_class(0)
     B = lat.basis_class(1)
@@ -776,7 +794,7 @@ def _elliptic(n: int) -> ManifoldModel:
         basis=("F", "S"),
         gram=((0, 1), (1, -n)),
         canonical=(n - 2, 0),
-        area=(Fraction(1), Fraction(1)),
+        area=(1, 1),
         b2plus_override=2 * n - 1,
     )
     F = lat.basis_class(0)

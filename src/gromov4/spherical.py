@@ -36,6 +36,7 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable
 
+from . import invariants
 from .errors import (
     AssignmentAmbiguityWarning,
     PreconditionError,
@@ -43,7 +44,6 @@ from .errors import (
     _Frozen,
     _require_int,
 )
-from .invariants import genus_embedded
 from .lattice import HClass, ManifoldModel, _square, c1
 from .structure import _CandidateTable, _candidate_table, _orthogonal_combinations
 
@@ -173,7 +173,7 @@ def embedded_sphere_rule(model: ManifoldModel, A: HClass) -> int | None:
     Applies when the adjunction genus is 0, A.A >= -1, and sphere_count(A)
     >= 1 (no entry: not represented); returns None when it does not apply.
     """
-    if genus_embedded(A) != 0 or _square(A) < -1:
+    if invariants.genus_embedded(A) != 0 or _square(A) < -1:
         return None
     try:
         return 1 if model.sphere_count(A) >= 1 else None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import pickle
 import sys
 import tracemalloc
@@ -200,6 +201,34 @@ def test_a_fiber_count_equals_itself_and_its_pickle():
     result = gr_elliptic_fiber(3)
     again = pickle.loads(pickle.dumps(result))
     assert again == result and hash(again) == hash(result)
+
+
+def test_a_deep_ledger_deep_copies_and_pickles():
+    # Each glue nests the open piece, so V(1000) is 1000 pieces deep: a copy
+    # that recursed along it would pass the recursion limit.
+    result = gr_elliptic_fiber(1000)
+    assert copy.deepcopy(result) == result
+    assert pickle.loads(pickle.dumps(result)) == result
+
+
+def test_a_copied_piece_keeps_its_fields_and_shared_operands():
+    # A glue step keeps the fields it was built with, and an operand shared
+    # by two steps is rebuilt once.
+    stock = base_pieces()
+    N = stock["N_minus_P"]
+    odd = Piece("odd", 2, 5, ("join {} and {}",), (N, N))
+    whole = glue(glue(odd, N), odd)
+    for again in (copy.deepcopy(whole), pickle.loads(pickle.dumps(whole))):
+        assert tuple(again.notes) == tuple(whole.notes)
+        left, right = again.operands
+        assert left.operands[0] is right and right.operands[0] is right.operands[1]
+        assert (right.label, right.boundary_count, right.fiber_gr) == ("odd", 2, 5)
+    doubled = N
+    for _ in range(60):
+        doubled = glue(doubled, doubled)
+    assert len(doubled.__reduce__()[1][0]) == 61  # each of the 61 pieces once
+    again = pickle.loads(pickle.dumps(doubled))
+    assert (again.fiber_gr, again.boundary_count) == (-(2**60), 2)
 
 
 def test_ledgers_compare_by_their_notes():

@@ -4,14 +4,17 @@ pair, c1 and omega_area read data each lattice derives once (diagonal and
 off-diagonal Gram entries, the vector -K.Q, integer area numerators over a
 common denominator, a cached hash and b2+).  The tests here recompute
 everything from the lattice's fields with the textbook formulas of
-bench/refs.py, count positive eigenvalues by an independent route, and
-pin the semantics of the caches under equality, copies and pickling.
+bench/refs.py, count positive eigenvalues by an independent route, read
+areas and b2+ through fractions.Fraction as the oracle of the integer
+arithmetic, and pin the semantics of the caches under equality, copies
+and pickling.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -28,6 +31,7 @@ from gromov4 import (
     IntersectionLattice,
     LatticeMismatchError,
     ManifoldModel,
+    ModelFileError,
     b2_plus,
     c1,
     in_forward_cone,
@@ -36,7 +40,7 @@ from gromov4 import (
     pair,
     preset,
 )
-from gromov4.lattice import _positive_index
+from gromov4.lattice import _RATIONAL_RE, _positive_index, _rational
 from oracle import ref_model, refs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -144,6 +148,93 @@ def test_replaced_area_edge_cases():
     assert not in_forward_cone(negative.class_from_coords((1, 0, 0)))
 
 
+# --- integer areas against fractions.Fraction ------------------------------------
+
+
+def fraction_rational(value, path):
+    """An area entry read through Fraction: the oracle for _rational."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ModelFileError(path, "expected an integer or a 'p/q' string")
+    if _RATIONAL_RE.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ModelFileError(path, f"not an exact rational: {value!r}")
+
+
+def outcome(read, value):
+    """What read(value, "$.area[0]") gives: a value, or the error's path and message."""
+    try:
+        return read(value, "$.area[0]")
+    except ModelFileError as exc:
+        return (type(exc), exc.path, exc.message)
+
+
+class Int(int):
+    pass
+
+
+RATIONAL_TEXT = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\u2003"]),
+        st.sampled_from(["", "+", "-"]),
+        st.from_regex(r"[0-9]{1,5}", fullmatch=True),
+        st.one_of(st.just(""), st.from_regex(r"/[0-9]{1,5}", fullmatch=True)),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+)
+AREA_VALUE = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(),
+    RATIONAL_TEXT,
+    st.text(alphabet="0123456789/+- .", max_size=8),
+    st.sampled_from([
+        "1/0", "-3/00", "0/0", "9" * 5000, "1/" + "7" * 5000, "1.5", "", " ", "3 / 4", "1/2/3",
+        "0x10", "1_000", "\u0663", True, False, None, 1.5, b"1", [1], Int(4), Fraction(-6, 4),
+    ]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(AREA_VALUE)
+def test_rational_reads_what_fraction_reads(value):
+    got, want = outcome(_rational, value), outcome(fraction_rational, value)
+    if isinstance(want, Fraction):
+        assert got == (want.numerator, want.denominator)
+        assert tuple(map(type, got)) == (int, int)
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(AREA_VALUE, min_size=1, max_size=4), st.data())
+def test_lattice_areas_match_their_fraction_reading(values, data):
+    n = len(values)
+    basis = ("L",) + tuple(f"E{i}" for i in range(1, n))
+    gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n)) for i in range(n))
+    canonical = (-3,) + (1,) * (n - 1)
+    try:
+        want = tuple(fraction_rational(v, f"$.area[{i}]") for i, v in enumerate(values))
+    except ModelFileError as exc:
+        with pytest.raises(ModelFileError) as info:
+            IntersectionLattice("x", basis, gram, canonical, values)
+        assert (info.value.path, info.value.message) == (exc.path, exc.message)
+        return
+    lat = IntersectionLattice("x", basis, gram, canonical, values)
+    den = math.lcm(*(w.denominator for w in want))
+    num = tuple(w.numerator * (den // w.denominator) for w in want)
+    key = ("x", basis, gram, canonical, num, den, None)
+    assert lat.area == want and all(type(w) is Fraction for w in lat.area)
+    assert (lat._area_num, lat._area_den, lat._key, hash(lat)) == (num, den, key, hash(key))
+    assert lat == IntersectionLattice("x", basis, gram, canonical, want)
+    a = data.draw(coords_for(n))
+    assert omega_area(lat.class_from_coords(a)) == sum(w * c for w, c in zip(want, a))
+
+
 @st.composite
 def dense_lattices(draw):
     """A random symmetric Gram with even diagonal and K = 2v, so K is
@@ -204,12 +295,39 @@ def test_char_poly_hand_values():
     assert positive_roots_by_descartes([6, -5, 1]) == 2
 
 
+def fraction_positive_index(gram):
+    """Positive inertia by the same congruence reduction over Fractions: the
+    oracle for the integer one."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    positives = 0
+    while m:
+        i = next((i for i, row in enumerate(m) if row[i]), None)
+        if i is None:
+            j = next((j for j, x in enumerate(m[0]) if x), None)
+            if j is None:
+                del m[0]
+                for row in m:
+                    del row[0]
+                continue
+            m[0] = [a + b for a, b in zip(m[0], m[j])]
+            for row in m:
+                row[0] += row[j]
+            i = 0
+        pivot = m.pop(i)
+        d = pivot.pop(i)
+        positives += d > 0
+        for row in m:
+            f = row.pop(i) / d
+            row[:] = [x - f * p for x, p in zip(row, pivot)]
+    return positives
+
+
 @st.composite
 def symmetric_matrices(draw):
-    """Entries in [-3, 3]; the diagonal is zero half the time, so zero
-    pivots and hyperbolic blocks come up often."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    entry = st.integers(min_value=-3, max_value=3)
+    """Rank 1 to 7, entries in [-5, 5]; the diagonal is zero half the time,
+    so zero pivots and hyperbolic blocks come up often."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.integers(min_value=-5, max_value=5)
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = draw(st.one_of(st.just(0), entry))
@@ -226,8 +344,11 @@ def symmetric_matrices(draw):
 @example([[0, 0, 0], [0, 0, 1], [0, 1, 0]])  # zero row 0, then a hyperbolic block
 @example([[0, 0], [0, 0]])  # the zero form
 @example([[0, 2, 1], [2, -3, 0], [1, 0, 0]])  # first nonzero pivot at index 1
+@example([[-2, 3, 0], [3, -2, 5], [0, 5, 0]])  # negative pivots
 def test_positive_index_matches_descartes_count(m):
-    assert _positive_index(m) == positive_roots_by_descartes(char_poly(m))
+    # The integer reduction against the same reduction over Fractions, and
+    # both against an independent count.
+    assert _positive_index(m) == fraction_positive_index(m) == positive_roots_by_descartes(char_poly(m))
 
 
 def test_cached_b2_plus_matches_fresh_computation_on_presets():
@@ -239,7 +360,7 @@ def test_cached_b2_plus_matches_fresh_computation_on_presets():
         assert b2_plus(lat) == want
         assert b2_plus(lat) == want  # the second call reads the cache
         plain = rebuilt(lat, b2plus_override=None)
-        assert b2_plus(plain) == _positive_index(lat.gram)
+        assert b2_plus(plain) == _positive_index(lat.gram) == fraction_positive_index(lat.gram)
     assert b2_plus(rebuilt(preset("cp2_blowup(64)").lattice, b2plus_override=None)) == 1
 
 

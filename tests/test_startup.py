@@ -1,6 +1,6 @@
 """Start-up: what a fresh process runs, and the public namespace it sees.
 
-Eight modules are registered at import and run on first attribute access,
+Nine modules are registered at import and run on first attribute access,
 and a call builds only its own command's parser.  The rest of the suite
 imports everything up front, so each test here runs its checks in a fresh
 interpreter, where a cold-path mistake shows.
@@ -25,8 +25,8 @@ from gromov4.cli import run
 
 PACKAGE = Path(gromov4.__file__).resolve().parent
 LAZY = (
-    "fibersum", "invariants", "lattice", "model_io", "report", "spherical", "structure",
-    "torus_series",
+    "configurations", "fibersum", "invariants", "lattice", "model_io", "report", "spherical",
+    "structure", "torus_series",
 )
 
 
@@ -87,7 +87,7 @@ def test_running_a_lazy_module_binds_its_names_in_a_fresh_process():
         """
         import json, gromov4
         before = "enumerate_decompositions" in vars(gromov4)
-        gromov4.structure.Component
+        gromov4.structure.Decomposition
         print(json.dumps([before, "enumerate_decompositions" in vars(gromov4)]))
         """
     )
@@ -113,14 +113,36 @@ def test_unknown_name_is_an_attribute_error_in_a_fresh_process():
         (["k", "--manifold", "cp2", "--class", "3L"], ["cli", "errors", "invariants", "lattice"]),
         (["gr-tori", "--tori", "+0,-1:2", "--k", "3"], ["cli", "errors", "torus_series"]),
         (["fibersum", "--n", "3"], ["cli", "errors", "fibersum"]),
+        (
+            ["gr-s", "--manifold", "cp2", "--class", "2L"],
+            ["cli", "errors", "lattice", "spherical", "structure"],
+        ),
+        (
+            ["decomp", "--manifold", "s2xt2", "--class", "2B"],
+            ["cli", "errors", "lattice", "structure", "torus_series"],
+        ),
+        (
+            ["verify", "--mode", "kmin", "--n", "4"],
+            [
+                "cli", "configurations", "errors", "fibersum", "invariants", "lattice", "report",
+                "torus_series",
+            ],
+        ),
+        (
+            ["k", "--manifold", "MODEL", "--class", "L-E1"],
+            ["cli", "errors", "invariants", "lattice", "model_io"],
+        ),
     ],
-    ids=["k", "gr-tori", "fibersum"],
+    ids=["k", "gr-tori", "fibersum", "gr-s", "decomp", "verify-kmin", "k-rational-file"],
 )
-def test_a_call_runs_only_the_modules_its_command_reads(argv, runs):
+def test_a_call_runs_only_the_modules_its_command_reads(tmp_path, argv, runs):
     # Every submodule is in sys.modules once gromov4.cli is imported (a
     # tracer looks its modules up there), but a call runs only those its
-    # command reads.  The torus series and the fiber ledger need no
-    # lattice, and so no fractions either.
+    # command reads.  A lattice computes in integers, so no call here,
+    # the model file's "p/q" areas included, imports fractions.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MODEL_DOC), encoding="utf-8")
+    argv = [str(model) if arg == "MODEL" else arg for arg in argv]
     submodules = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
     got = fresh(
         f"""
@@ -133,11 +155,7 @@ def test_a_call_runs_only_the_modules_its_command_reads(argv, runs):
         print(json.dumps([registered, code, run, "fractions" in sys.modules]))
         """
     )
-    registered, code, ran, fractions = got
-    assert registered == submodules
-    assert code == 0
-    assert ran == runs
-    assert "lattice" in runs or not fractions
+    assert got == [submodules, 0, runs, False]
 
 
 HELP = {
