@@ -26,16 +26,15 @@ _LAZY = {
         "gr_elliptic_fiber",
     ),
     "invariants": (
-        "NegClassVerdict", "ReduceResult", "classify_negative", "ell_g", "genus_embedded",
-        "in_forward_cone", "is_good_class", "k", "k_prime", "light_cone_pair_check", "m_e",
-        "moduli_dimension", "reduce_multicovers",
+        "Check", "NegClassVerdict", "ReduceResult", "Report", "classify_negative", "ell_g",
+        "genus_embedded", "in_forward_cone", "is_good_class", "k", "k_prime",
+        "light_cone_pair_check", "m_e", "moduli_dimension", "reduce_multicovers",
     ),
     "lattice": (
         "PRESET_NAMES", "HClass", "IntersectionLattice", "ManifoldModel", "b2_plus", "c1",
         "format_class", "omega_area", "parse_class", "pair", "preset",
     ),
     "model_io": ("load_model",),
-    "report": ("Check", "Report"),
     "spherical": (
         "SphereConfig", "assignment_factor", "embedded_sphere_rule",
         "enumerate_sphere_configs", "gr_s", "k_for",

@@ -23,7 +23,7 @@ import warnings
 from collections.abc import Callable, Iterator
 from itertools import chain
 
-from . import configurations, fibersum, invariants, lattice, model_io, report, spherical
+from . import configurations, fibersum, invariants, lattice, model_io, spherical
 from . import structure, torus_series
 from .errors import (
     AssignmentAmbiguityWarning,
@@ -117,7 +117,7 @@ def _witness(w) -> str:
     return str(w)
 
 
-def _report_lines(rep: report.Report, prefix: str, fmt: str) -> list[str]:
+def _report_lines(rep: invariants.Report, prefix: str, fmt: str) -> list[str]:
     lines = []
     for check in rep.checks:
         status = "pass" if check.passed else "fail"

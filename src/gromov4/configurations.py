@@ -19,9 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .errors import PreconditionError, _Frozen, _require_int
-from .invariants import EXCEPTIONAL_SPHERE, classify_negative, ell_g, is_good_class, k, k_prime, m_e
+from .invariants import (
+    EXCEPTIONAL_SPHERE, Check, Report, classify_negative, ell_g, is_good_class, k, k_prime, m_e,
+)
 from .lattice import HClass, ManifoldModel, _square, b2_plus, pair
-from .report import Check, Report
 
 
 class Component(_Frozen):

@@ -28,6 +28,9 @@ this and warns when the stored exceptional set breaks it.
 The forward-cone predicates support the light cone positivity rule: when b2+ = 1,
 two classes in the closed forward cone (square >= 0, area >= 0) pair
 non-negatively, with a zero product only for proportional null classes.
+
+The light cone check here and the checks in configurations.py return a Report
+of named Check clauses, each with its witnesses (usually the offending classes).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from . import report
 from .errors import (
     NotInExceptionalSetError,
     PreconditionError,
@@ -201,7 +203,37 @@ def in_forward_cone(A: HClass, strict: bool = False) -> bool:
     return sq >= 0 and w >= 0
 
 
-def light_cone_pair_check(B1: HClass, B2: HClass) -> report.Report:
+class Check(_Frozen):
+    _fields = ("cond", "passed", "witness", "detail")
+
+    def __init__(self, cond: str, passed: bool, witness: tuple = (), detail: str = "") -> None:
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
+
+
+class Report(_Frozen):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...]) -> None:
+        object.__setattr__(self, "checks", checks)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def failed(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
+    def check(self, cond: str) -> Check:
+        for c in self.checks:
+            if c.cond == cond:
+                return c
+        raise KeyError(f"no condition named {cond!r} in this report")
+
+
+def light_cone_pair_check(B1: HClass, B2: HClass) -> Report:
     """Check the light cone inequality on a pair of forward-cone classes.
 
     Requires b2+ = 1.  Asserts B1.B2 >= 0, and that a zero product happens
@@ -218,24 +250,11 @@ def light_cone_pair_check(B1: HClass, B2: HClass) -> report.Report:
         if not in_forward_cone(X):
             raise PreconditionError(f"{X} is not in the closed forward cone")
     prod = pair(B1, B2)
-    checks = [
-        report.Check(
-            "nonnegative-product",
-            prod >= 0,
-            witness=(B1, B2),
-            detail=f"B1.B2 = {prod}",
-        )
-    ]
+    checks = [Check("nonnegative-product", prod >= 0, (B1, B2), f"B1.B2 = {prod}")]
     if prod == 0:
         degenerate = B1.is_zero or B2.is_zero
         both_null = _square(B1) == 0 and _square(B2) == 0
         ok = _proportional(B1, B2) and (degenerate or both_null)
-        checks.append(
-            report.Check(
-                "zero-product-proportional-null",
-                ok,
-                witness=(B1, B2),
-                detail="zero pairing must come from proportional null classes",
-            )
-        )
-    return report.Report(tuple(checks))
+        detail = "zero pairing must come from proportional null classes"
+        checks.append(Check("zero-product-proportional-null", ok, (B1, B2), detail))
+    return Report(tuple(checks))

@@ -228,8 +228,7 @@ class IntersectionLattice(_Frozen):
     @property
     def area(self) -> tuple:
         """omega on the basis, as Fractions built on each read."""
-        from fractions import Fraction
-        return tuple(Fraction(p, self._area_den) for p in self._area_num)
+        return tuple(_fraction(p, self._area_den) for p in self._area_num)
 
     @property
     def rank(self) -> int:
@@ -452,10 +451,16 @@ def _area_numerator(A: HClass) -> int:
     return sum(map(mul, A.lattice._area_num, A.coords))
 
 
+def _fraction(p: int, q: int) -> Fraction:
+    """Fraction(p, q); the first call imports fractions and rebinds this name to Fraction."""
+    global _fraction
+    from fractions import Fraction as _fraction
+    return _fraction(p, q)
+
+
 def omega_area(A: HClass) -> Fraction:
     """Symplectic area omega(A), an exact rational."""
-    from fractions import Fraction
-    return Fraction(_area_numerator(A), A.lattice._area_den)
+    return _fraction(_area_numerator(A), A.lattice._area_den)
 
 
 def _positive_index(gram: Sequence[Sequence[int]]) -> int:

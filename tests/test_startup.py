@@ -1,6 +1,6 @@
 """Start-up: what a fresh process runs, and the public namespace it sees.
 
-Nine modules are registered at import and run on first attribute access,
+Eight modules are registered at import and run on first attribute access,
 and a call builds only its own command's parser.  The rest of the suite
 imports everything up front, so each test here runs its checks in a fresh
 interpreter, where a cold-path mistake shows.
@@ -25,8 +25,8 @@ from gromov4.cli import run
 
 PACKAGE = Path(gromov4.__file__).resolve().parent
 LAZY = (
-    "configurations", "fibersum", "invariants", "lattice", "model_io", "report", "spherical",
-    "structure", "torus_series",
+    "configurations", "fibersum", "invariants", "lattice", "model_io", "spherical", "structure",
+    "torus_series",
 )
 
 
@@ -111,6 +111,10 @@ def test_unknown_name_is_an_attribute_error_in_a_fresh_process():
     "argv, runs",
     [
         (["k", "--manifold", "cp2", "--class", "3L"], ["cli", "errors", "invariants", "lattice"]),
+        (
+            ["lightcone", "--manifold", "cp2_blowup(2)", "--class", "L", "--class", "L-E1"],
+            ["cli", "errors", "invariants", "lattice"],
+        ),
         (["gr-tori", "--tori", "+0,-1:2", "--k", "3"], ["cli", "errors", "torus_series"]),
         (["fibersum", "--n", "3"], ["cli", "errors", "fibersum"]),
         (
@@ -124,7 +128,7 @@ def test_unknown_name_is_an_attribute_error_in_a_fresh_process():
         (
             ["verify", "--mode", "kmin", "--n", "4"],
             [
-                "cli", "configurations", "errors", "fibersum", "invariants", "lattice", "report",
+                "cli", "configurations", "errors", "fibersum", "invariants", "lattice",
                 "torus_series",
             ],
         ),
@@ -133,7 +137,9 @@ def test_unknown_name_is_an_attribute_error_in_a_fresh_process():
             ["cli", "errors", "invariants", "lattice", "model_io"],
         ),
     ],
-    ids=["k", "gr-tori", "fibersum", "gr-s", "decomp", "verify-kmin", "k-rational-file"],
+    ids=[
+        "k", "lightcone", "gr-tori", "fibersum", "gr-s", "decomp", "verify-kmin", "k-rational-file",
+    ],
 )
 def test_a_call_runs_only_the_modules_its_command_reads(tmp_path, argv, runs):
     # Every submodule is in sys.modules once gromov4.cli is imported (a
