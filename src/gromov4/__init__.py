@@ -22,7 +22,7 @@ _LAZY = {
         "verify_kprime_configuration",
     ),
     "fibersum": (
-        "EllipticFiberCount", "Piece", "base_pieces", "fiber_gr_table", "glue",
+        "EllipticFiberCount", "Piece", "base_pieces", "fiber_gr_table", "fiber_tori", "glue",
         "gr_elliptic_fiber",
     ),
     "invariants": (

@@ -414,11 +414,28 @@ def _error_record(code: str, message: str) -> None:
     print(f"error code={code} msg={msg}", file=sys.stderr)
 
 
+# Flags whose value may start with "-" (a class -3L, a torus -1:2), which
+# argparse would read as an option: run joins such a flag and its value as
+# flag=value first.  "--..." and "-h" are never taken as a value.
+_DASH_VALUE_FLAGS = ("--class", "--candidates", "--tori")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    joined = []
+    for arg in argv:
+        single_dash = arg.startswith("-") and not arg.startswith("--") and arg != "-h"
+        if single_dash and joined and joined[-1] in _DASH_VALUE_FLAGS:
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def run(argv: list[str]) -> int:
     """Execute one invocation; returns the exit code."""
     parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(argv))
         lines = args.handler(args)
     except ClassParseError as exc:
         _error_record("parse", str(exc))

@@ -18,6 +18,11 @@ Each extra fiber-sum copy inserts one N_minus_P piece, so the open piece
 for V(n) carries 1-n, and capping with D2xT2 gives the closed count 2-n.
 Doubling the cap reproduces the two-section count of the trivial torus
 bundle: glue(D2xT2, D2xT2) = 2.
+
+Each count reads as a list of fiber tori labelled (+,0) or (-,0), one per
+unit of its size (fiber_tori): every stock piece's tori are of that kind,
+and f(+,0) f(-,0) = 1, so adding counts is multiplying the pieces' torus
+series.  The fiber rows of the elliptic(n) and s2xt2 presets are read so.
 """
 
 from __future__ import annotations
@@ -197,6 +202,15 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
     if not closed.closed:
         raise AssertionError("the capped piece must be closed")
     return EllipticFiberCount(closed.fiber_gr, closed.notes)
+
+
+def fiber_tori(count: int) -> tuple[tuple[str, int], ...]:
+    """The torus list a signed fiber count stands for: |count| tori of cover
+    1, labelled +0 for a positive count and -0 for a negative one.  A count
+    past _N_MAX in size raises DomainError before any list is made."""
+    if abs(count) > _N_MAX:
+        raise DomainError(f"fiber count past the ledger limit {_N_MAX}")
+    return (("+0" if count > 0 else "-0", 1),) * abs(count)
 
 
 def fiber_gr_table(n: int) -> dict[lattice.HClass, int]:

@@ -87,7 +87,7 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub
 from types import MappingProxyType
 
-from . import torus_series
+from . import fibersum, torus_series
 from .errors import (
     ClassParseError,
     CoordinateError,
@@ -777,14 +777,15 @@ def _s2xt2() -> ManifoldModel:
     )
     S = lat.basis_class(0)
     B = lat.basis_class(1)
-    # The two flat sections are the only tori on the ray of B; for any
-    # compatible product structure their labels are (+,0).
+    # The two flat sections are the only tori on the ray of B: S^2 x T^2 is
+    # two D^2 x T^2 caps glued along their boundary tori.
+    cap = fibersum.base_pieces()["D2xT2"]
     return ManifoldModel(
         lattice=lat,
         exceptional=(),
         minimal=True,
         gr0_table={},
-        torus_table={B: (("+0", 1), ("+0", 1))},
+        torus_table={B: fibersum.fiber_tori(fibersum.glue(cap, cap).fiber_gr)},
         sphere_table={S: 1},
     )
 
@@ -804,18 +805,12 @@ def _elliptic(n: int) -> ManifoldModel:
     )
     F = lat.basis_class(0)
     S = lat.basis_class(1)
-    if n == 1:
-        tori = {F: (("+0", 1),)}
-    elif n == 2:
-        tori = {F: ()}
-    else:
-        tori = {F: (("-0", 1),) * (n - 2)}
     return ManifoldModel(
         lattice=lat,
         exceptional=(S,) if n == 1 else (),
         minimal=n >= 2,
         gr0_table={},
-        torus_table=tori,
+        torus_table={F: fibersum.fiber_tori(fibersum.gr_elliptic_fiber(n).value)},
         sphere_table={S: 1} if n == 1 else {},
     )
 

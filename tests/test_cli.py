@@ -207,6 +207,25 @@ def test_gr_tori_forms(capsys):
     assert code == 2 and err.startswith("error code=usage")
 
 
+@pytest.mark.parametrize(
+    "head, flag, value, out",
+    [
+        (("k", "--manifold", "cp2"), "--class", "-3L", "k(-3L) = 0\n"),
+        (("gr", "--manifold", "s2xt2", "--class", "4B"), "--candidates", "-S+S+B", "Gr(4B) = 5\n"),
+        (("gr-tori", "--k", "4"), "--tori", "-1:2", "1\n"),
+    ],
+    ids=["class", "candidates", "tori"],
+)
+def test_a_value_may_start_with_a_dash(capsys, head, flag, value, out):
+    # Given apart or joined by "=", the flag reads the same value.
+    assert invoke(capsys, *head, flag, value) == (0, out, "")
+    assert invoke(capsys, *head, f"{flag}={value}") == (0, out, "")
+    # A flag without its value is still a usage error, "-h" included.
+    for rest in ((), ("--format", "records"), ("-h",)):
+        error = f"error code=usage msg=argument {flag}: expected one argument\n"
+        assert invoke(capsys, *head, flag, *rest) == (2, "", error)
+
+
 def test_gr_s_output(capsys):
     _, out, _ = invoke(capsys, "gr-s", "--manifold", "cp2", "--class", "3L")
     assert out == "Gr_s(3L) = 12\n"

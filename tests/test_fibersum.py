@@ -19,10 +19,19 @@ from gromov4 import (
     base_pieces,
     check_kmin_constraints,
     fiber_gr_table,
+    fiber_tori,
     glue,
     gr_elliptic_fiber,
     preset,
 )
+
+
+def doubled_annulus() -> Piece:
+    """N_minus_P glued to itself 60 times over: fiber count -2**60, 61 pieces."""
+    doubled = base_pieces()["N_minus_P"]
+    for _ in range(60):
+        doubled = glue(doubled, doubled)
+    return doubled
 
 
 def test_base_piece_ledger():
@@ -136,6 +145,39 @@ def test_fiber_table_agrees_with_the_gluing_ledger():
         assert fiber_gr_table(n)[F] == gr_elliptic_fiber(n).value
 
 
+def test_the_elliptic_fiber_rows_are_the_ledger_counts_as_tori():
+    # The rows elliptic(n) stored before the ledger wrote them.
+    for n in range(1, 65):
+        el = preset("elliptic", n)
+        row = [(str(label), cover) for label, cover in el.torus_table[el.parse("F")]]
+        assert row == ([("+0", 1)] if n == 1 else [] if n == 2 else [("-0", 1)] * (n - 2))
+
+
+def test_fiber_rows_are_symmetric():
+    # gr0(kF) = (-1)^k C(n-2, k) on elliptic(n): the row reads the same both ways.
+    for n in range(2, 65):
+        el = preset("elliptic", n)
+        F = el.parse("F")
+        for k in range(n - 1):
+            assert abs(el.gr0(k * F)) == abs(el.gr0((n - 2 - k) * F))
+
+
+def test_a_count_past_the_ledger_limit_makes_no_torus_list():
+    from gromov4 import fibersum
+
+    limit = fibersum._N_MAX
+    assert len(fiber_tori(-limit)) == limit
+    for count in (limit + 1, -limit - 1, doubled_annulus().fiber_gr):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"ledger limit {limit}$"):
+                fiber_tori(count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
 def test_fiber_table_default_span():
     el = preset("elliptic", 5)
     F = el.parse("F")
@@ -223,9 +265,7 @@ def test_a_copied_piece_keeps_its_fields_and_shared_operands():
         left, right = again.operands
         assert left.operands[0] is right and right.operands[0] is right.operands[1]
         assert (right.label, right.boundary_count, right.fiber_gr) == ("odd", 2, 5)
-    doubled = N
-    for _ in range(60):
-        doubled = glue(doubled, doubled)
+    doubled = doubled_annulus()
     assert len(doubled.__reduce__()[1][0]) == 61  # each of the 61 pieces once
     again = pickle.loads(pickle.dumps(doubled))
     assert (again.fiber_gr, again.boundary_count) == (-(2**60), 2)

@@ -1,17 +1,23 @@
-"""The paper's laws, each on a fixed case the package is known to get wrong.
+"""The paper's laws: the fiber-sum ledger's on drawn glue trees, and the
+others each on a fixed case the package is known to get wrong.
 
-Each case is a strict xfail naming the ROADMAP direction that mends it,
-and only a failed assertion counts as the expected failure: when that
-direction lands, the case passes, the run fails, and the mark comes off.
-Drawn cases of the same laws come later.
+Each known-wrong case is a strict xfail naming the ROADMAP direction that
+mends it, and only a failed assertion counts as the expected failure: when
+that direction lands, the case passes, the run fails, and the mark comes
+off.  Drawn cases of those laws come later.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
+    base_pieces,
     classify_negative,
+    fiber_tori,
+    glue,
+    gr_torus_class,
     gromov_via_decompositions,
     in_forward_cone,
     is_good_class,
@@ -19,6 +25,49 @@ from gromov4 import (
     pair,
     preset,
 )
+
+# The tori of each stock piece, written out: all fiber tori of cover 1.
+STOCK_TORI = {
+    "D2xT2": [("+0", 1)],
+    "V1": [("+0", 1)],
+    "V1_minus_NF": [],
+    "N_minus_P": [("-0", 1)],
+}
+ORDER = 6
+
+
+def _glued(pair_of_trees):
+    # Two trees glue when each has a boundary torus; else the first stands.
+    a, b = pair_of_trees
+    return glue(a, b) if a.boundary_count and b.boundary_count else a
+
+
+GLUE_TREES = st.recursive(
+    st.sampled_from(sorted(STOCK_TORI)).map(lambda name: base_pieces()[name]),
+    lambda trees: st.tuples(trees, trees).map(_glued),
+    max_leaves=8,
+)
+
+
+def _series(tori) -> list[int]:
+    return [gr_torus_class(tori, k) for k in range(ORDER + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(GLUE_TREES)
+def test_a_glued_piece_counts_the_product_of_its_leaves_tori(piece):
+    # Gluing adds fiber counts; the count's tori multiply the leaves' series.
+    product, todo = [1] + [0] * ORDER, [piece]
+    while todo:
+        part = todo.pop()
+        if part.operands:
+            todo += part.operands
+            continue
+        leaf = _series(STOCK_TORI[part.label])
+        product = [sum(product[i] * leaf[k - i] for i in range(k + 1)) for k in range(ORDER + 1)]
+    got = _series(fiber_tori(piece.fiber_gr))
+    assert got == product
+    assert got[1] == piece.fiber_gr
 
 
 @pytest.mark.xfail(

@@ -123,7 +123,7 @@ def test_unknown_name_is_an_attribute_error_in_a_fresh_process():
         ),
         (
             ["decomp", "--manifold", "s2xt2", "--class", "2B"],
-            ["cli", "errors", "lattice", "structure", "torus_series"],
+            ["cli", "errors", "fibersum", "lattice", "structure", "torus_series"],
         ),
         (
             ["verify", "--mode", "kmin", "--n", "4"],
