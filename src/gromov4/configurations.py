@@ -37,9 +37,7 @@ class Component(_Frozen):
             raise ValueError("component multiplicity must be >= 1")
         if genus < 0:
             raise ValueError("component genus must be non-negative")
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "genus", genus)
+        super().__init__(cls, mult, genus)
 
 
 class Configuration(_Frozen):
@@ -55,7 +53,7 @@ class Configuration(_Frozen):
         for comp in comps[1:]:
             if comp.cls.lattice != lat:
                 raise ValueError("configuration components must share one lattice")
-        object.__setattr__(self, "components", comps)
+        super().__init__(comps)
 
     @property
     def total(self) -> HClass:

@@ -94,16 +94,23 @@ def _require_int(value, what: str) -> None:
 class _Frozen:
     """Base of the package's immutable records.
 
-    A record names its constructor arguments in _fields, and its __init__
-    sets them past __setattr__, with object.__setattr__.  Assigning or
-    deleting an attribute raises AttributeError; copy, deepcopy and pickle
-    rebuild the record through its constructor; == and hash compare the
-    fields' values (a record of another class is never equal), and repr
-    shows them as name=value.
+    A record names its constructor arguments in _fields, and the base's
+    __init__ sets one value per name past __setattr__ (a record with checks
+    ends its own __init__ with it).  Assigning or deleting an attribute
+    raises AttributeError; copy, deepcopy and pickle rebuild the record
+    through its constructor; == and hash compare the fields' values (a
+    record of another class is never equal), and repr shows name=value.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            record = type(self).__qualname__
+            raise TypeError(f"{record} takes one value per field {self._fields}, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

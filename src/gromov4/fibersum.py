@@ -41,11 +41,11 @@ class Piece(_Frozen):
     A stock piece has its own label and notes.  glue keeps only the two
     operands and its one note, with {} for their names; notes walks the
     operands again on each read, so the ledger is never held whole.
-    Pieces compare by identity and repr leaves the operands out, so
-    neither recurses into them, nor do copy, deepcopy and pickle.
+    operands is a link outside _fields: pieces compare by identity and repr
+    skips it, and copy, deepcopy and pickle do not recurse into it.
     """
 
-    _fields = ("label", "boundary_count", "fiber_gr", "own_notes", "operands")
+    _fields = ("label", "boundary_count", "fiber_gr", "own_notes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -57,21 +57,22 @@ class Piece(_Frozen):
         own_notes: tuple[str, ...] = (),
         operands: tuple[Piece, Piece] | None = None,
     ) -> None:
+        if not isinstance(label, str):
+            raise ValueError("piece label must be a string")
         _require_int(boundary_count, "boundary count")
         _require_int(fiber_gr, "fiber count")
         if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "boundary_count", boundary_count)
-        object.__setattr__(self, "fiber_gr", fiber_gr)
-        object.__setattr__(self, "own_notes", own_notes)
+        if not (isinstance(own_notes, tuple) and all(isinstance(n, str) for n in own_notes)):
+            raise ValueError("piece notes must be a tuple of strings")
+        if operands is not None and not (
+            isinstance(operands, tuple)
+            and len(operands) == 2
+            and all(isinstance(op, Piece) for op in operands)
+        ):
+            raise ValueError("piece operands must be None or a pair of pieces")
+        super().__init__(label, boundary_count, fiber_gr, own_notes)
         object.__setattr__(self, "operands", operands)
-
-    def __repr__(self) -> str:
-        return (
-            f"Piece(label={self.label!r}, boundary_count={self.boundary_count!r}, "
-            f"fiber_gr={self.fiber_gr!r}, own_notes={self.own_notes!r})"
-        )
 
     def __reduce__(self):
         # A glued piece travels as the pieces under it, each once and its
@@ -207,7 +208,9 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
 def fiber_tori(count: int) -> tuple[tuple[str, int], ...]:
     """The torus list a signed fiber count stands for: |count| tori of cover
     1, labelled +0 for a positive count and -0 for a negative one.  A count
-    past _N_MAX in size raises DomainError before any list is made."""
+    past _N_MAX in size raises DomainError before any list is made, and one
+    that is not an int (a bool included) ValueError."""
+    _require_int(count, "fiber count")
     if abs(count) > _N_MAX:
         raise DomainError(f"fiber count past the ledger limit {_N_MAX}")
     return (("+0" if count > 0 else "-0", 1),) * abs(count)

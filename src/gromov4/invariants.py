@@ -129,7 +129,7 @@ class NegClassVerdict(_Frozen):
     def __init__(self, kind: str) -> None:
         if kind not in (EXCEPTIONAL_SPHERE, NOT_REPRESENTABLE):
             raise ValueError(f"bad verdict kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
+        super().__init__(kind)
 
     @property
     def is_exceptional_sphere(self) -> bool:
@@ -206,18 +206,9 @@ def in_forward_cone(A: HClass, strict: bool = False) -> bool:
 class Check(_Frozen):
     _fields = ("cond", "passed", "witness", "detail")
 
-    def __init__(self, cond: str, passed: bool, witness: tuple = (), detail: str = "") -> None:
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "detail", detail)
-
 
 class Report(_Frozen):
     _fields = ("checks",)
-
-    def __init__(self, checks: tuple[Check, ...]) -> None:
-        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -548,6 +548,19 @@ def format_class(A: HClass) -> str:
     return out.removeprefix("+") or "0"
 
 
+def _check_owned(lattice: IntersectionLattice, A: HClass, path: str) -> None:
+    if not isinstance(A, HClass):
+        raise ModelFileError(path, f"expected a class, got {A!r}")
+    if A.lattice != lattice:
+        raise ModelFileError(path, f"{A} belongs to a different lattice")
+
+
+def _check_table_key(lattice: IntersectionLattice, A: HClass, path: str) -> None:
+    _check_owned(lattice, A, path)
+    if _area_numerator(A) <= 0:
+        raise ModelFileError(path, f"table key {A} must have positive area")
+
+
 class ManifoldModel(_Frozen):
     """A lattice plus the finite count data the invariants consume.
 
@@ -586,12 +599,10 @@ class ManifoldModel(_Frozen):
     ) -> None:
         if not isinstance(minimal, bool):
             raise ModelFileError("$.minimal", "expected true or false")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "minimal", minimal)
         exc = tuple(exceptional)
         for i, E in enumerate(exc):
             path = f"$.exceptional[{i}]"
-            self._check_owned(E, path)
+            _check_owned(lattice, E, path)
             if _square(E) != -1 or c1(E) != 1:
                 raise ModelFileError(path, f"{E} is not exceptional (needs E.E = -1 and c1(E) = 1)")
         if len(set(exc)) != len(exc):
@@ -600,12 +611,12 @@ class ManifoldModel(_Frozen):
             raise ModelFileError("$.minimal", "a minimal model cannot list exceptional classes")
         gr0 = {}
         for i, (A, v) in enumerate(dict(gr0_table or {}).items()):
-            self._check_table_key(A, f"$.gr0_table[{i}].class")
+            _check_table_key(lattice, A, f"$.gr0_table[{i}].class")
             gr0[A] = _int(v, f"$.gr0_table[{i}].value")
         tori = {}
         for i, (A, entries) in enumerate(dict(torus_table or {}).items()):
             path = f"$.torus_table[{i}]"
-            self._check_table_key(A, f"{path}.class")
+            _check_table_key(lattice, A, f"{path}.class")
             if A.content() != 1:
                 raise ModelFileError(f"{path}.class", f"{A} must be primitive")
             try:
@@ -615,31 +626,17 @@ class ManifoldModel(_Frozen):
         spheres = {}
         for i, (A, v) in enumerate(dict(sphere_table or {}).items()):
             path = f"$.sphere_table[{i}]"
-            self._check_table_key(A, f"{path}.class")
+            _check_table_key(lattice, A, f"{path}.class")
             if _int(v, f"{path}.count") < 0:
                 raise ModelFileError(f"{path}.count", "sphere counts must be non-negative")
             spheres[A] = v
-        object.__setattr__(self, "exceptional", exc)
-        object.__setattr__(self, "gr0_table", MappingProxyType(gr0))
-        object.__setattr__(self, "torus_table", MappingProxyType(tori))
-        object.__setattr__(self, "sphere_table", MappingProxyType(spheres))
+        super().__init__(lattice, exc, minimal, *map(MappingProxyType, (gr0, tori, spheres)))
 
     def _values(self) -> tuple:
         # Plain dicts for __reduce__ and repr: a mappingproxy can be neither
         # pickled nor deep-copied.
         tables = (self.gr0_table, self.torus_table, self.sphere_table)
         return (self.lattice, self.exceptional, self.minimal, *map(dict, tables))
-
-    def _check_owned(self, A: HClass, path: str) -> None:
-        if not isinstance(A, HClass):
-            raise ModelFileError(path, f"expected a class, got {A!r}")
-        if A.lattice != self.lattice:
-            raise ModelFileError(path, f"{A} belongs to a different lattice")
-
-    def _check_table_key(self, A: HClass, path: str) -> None:
-        self._check_owned(A, path)
-        if _area_numerator(A) <= 0:
-            raise ModelFileError(path, f"table key {A} must have positive area")
 
     @property
     def name(self) -> str:

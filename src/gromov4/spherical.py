@@ -45,7 +45,9 @@ from .errors import (
     _require_int,
 )
 from .lattice import HClass, ManifoldModel, _square, c1
-from .structure import _CandidateTable, _candidate_table, _orthogonal_combinations
+from .structure import (
+    _CandidateTable, _candidate_table, _orthogonal_combinations, _require_target,
+)
 
 
 class SphereConfig(_Frozen):
@@ -58,7 +60,11 @@ class SphereConfig(_Frozen):
         parts = tuple(sorted(parts, key=lambda b: b.coords))
         if not parts:
             raise ValueError("a sphere configuration needs at least one part")
-        object.__setattr__(self, "parts", parts)
+        lat = parts[0].lattice
+        for b in parts:
+            if b.lattice is not lat and b.lattice != lat:
+                raise ValueError("sphere configuration parts must share one lattice")
+        super().__init__(parts)
         if self.k < 0:
             raise ValueError(f"point budgets sum to {self.k}; k must be non-negative")
 
@@ -107,9 +113,7 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     an A that is not a class raises PreconditionError, and A from another
     lattice than the model's LatticeMismatchError.
     """
-    if not isinstance(A, HClass):
-        raise PreconditionError(f"A is not a homology class: {A!r}")
-    A.lattice._require_same(model.lattice)
+    _require_target(model, A)
     cA = c1(A)
     if cA < 1:
         return []

@@ -61,7 +61,11 @@ class Decomposition(_Frozen):
         parts = tuple(sorted(parts, key=lambda p: p.coords))
         if not parts:
             raise ValueError("a decomposition needs at least one part")
-        object.__setattr__(self, "parts", parts)
+        lat = parts[0].lattice
+        for p in parts:  # the identity test spares a search the lattice's __eq__
+            if p.lattice is not lat and p.lattice != lat:
+                raise ValueError("decomposition parts must share one lattice")
+        super().__init__(parts)
 
     def total(self) -> HClass:
         acc = self.parts[0].lattice.zero()
@@ -171,6 +175,14 @@ def _decomposition_cap(B: HClass, sq: int) -> int | None:
     return 0 if sq < 0 else 1 if sq > 0 else None
 
 
+def _require_target(model: ManifoldModel, A: HClass) -> None:
+    """The searches' first check: PreconditionError when A is not a class,
+    then LatticeMismatchError when it is not in the model's lattice."""
+    if not isinstance(A, HClass):
+        raise PreconditionError(f"A is not a homology class: {A!r}")
+    A.lattice._require_same(model.lattice)
+
+
 def enumerate_decompositions(
     model: ManifoldModel, A: HClass, candidates: Iterable[HClass] | None = None
 ) -> list[Decomposition]:
@@ -194,10 +206,8 @@ def enumerate_decompositions(
     is from another lattice or has non-positive area raises
     InvalidCandidateError, on a kept table as on a new one.
     """
-    if not isinstance(A, HClass):
-        raise PreconditionError(f"A is not a homology class: {A!r}")
+    _require_target(model, A)
     lat = model.lattice
-    A.lattice._require_same(lat)
     if candidates is None:
         candidates = model.gr0_table.keys() | model.torus_table.keys()
     candidates = list(candidates)
@@ -242,9 +252,7 @@ def gromov_via_decompositions(
     naming them all: a silent zero would fake a vanishing invariant.
     Gr(0) = 1 by convention (the empty curve).
     """
-    if not isinstance(A, HClass):
-        raise PreconditionError(f"A is not a homology class: {A!r}")
-    A.lattice._require_same(model.lattice)
+    _require_target(model, A)
     if A.is_zero:
         return 1
     decs = enumerate_decompositions(model, A, candidates)

@@ -43,6 +43,7 @@ class TorusLabel(_Frozen):
     _fields = ("sign", "twists")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    __init__ = object.__init__  # __new__ returns the interned label, set once
 
     def __new__(cls, sign: int, twists: int) -> "TorusLabel":
         try:
@@ -67,8 +68,7 @@ class TorusLabel(_Frozen):
 
 def _make_label(sign: int, twists: int) -> TorusLabel:
     label = object.__new__(TorusLabel)
-    object.__setattr__(label, "sign", sign)
-    object.__setattr__(label, "twists", twists)
+    _Frozen.__init__(label, sign, twists)
     return label
 
 
@@ -95,7 +95,7 @@ class TruncSeries(_Frozen):
         for c in coeffs:
             if not isinstance(c, int):
                 raise ValueError("series coefficients must be integers")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        super().__init__(tuple(coeffs))
 
     @property
     def order(self) -> int:

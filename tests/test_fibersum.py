@@ -76,6 +76,35 @@ def test_piece_counts_must_be_integers(boundary_count, fiber_gr, what):
         Piece("x", boundary_count, fiber_gr)
 
 
+CAP = base_pieces()["D2xT2"]
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        ((5, 1, 1), "label must be a string"),
+        ((None, 1, 1), "label must be a string"),
+        (("x", 1, 1, "ab"), "notes must be a tuple of strings"),
+        (("x", 1, 1, ["n"]), "notes must be a tuple of strings"),
+        (("x", 1, 1, ("n", 2)), "notes must be a tuple of strings"),
+        (("x", 1, 1, ("n",), "ab"), "operands must be None or a pair of pieces"),
+        (("x", 1, 1, ("n",), [CAP, CAP]), "operands must be None or a pair of pieces"),
+        (("x", 1, 1, ("n",), (CAP,)), "operands must be None or a pair of pieces"),
+        (("x", 1, 1, ("n",), (CAP, CAP, CAP)), "operands must be None or a pair of pieces"),
+        (("x", 1, 1, ("n",), (CAP, "ab")), "operands must be None or a pair of pieces"),
+    ],
+    ids=[
+        "label-int", "label-none", "notes-str", "notes-list", "notes-int",
+        "operands-str", "operands-list", "operands-one", "operands-three", "operands-not-piece",
+    ],
+)
+def test_a_piece_checks_the_fields_it_stores(args, what):
+    # A string of notes was read as one note per letter, and string operands
+    # failed only when notes or pickle walked them.
+    with pytest.raises(ValueError, match=f"^piece {what}$"):
+        Piece(*args)
+
+
 @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
 def test_non_integer_n_is_a_value_error(n):
     with pytest.raises(ValueError, match="^n must be an integer$"):
@@ -176,6 +205,12 @@ def test_a_count_past_the_ledger_limit_makes_no_torus_list():
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+@pytest.mark.parametrize("count", [1.5, None, "3", True])
+def test_a_fiber_count_that_is_not_an_int_is_a_value_error(count):
+    with pytest.raises(ValueError, match="^fiber count must be an integer$"):
+        fiber_tori(count)
 
 
 def test_fiber_table_default_span():

@@ -1,10 +1,12 @@
-"""The paper's laws: the fiber-sum ledger's on drawn glue trees, and the
-others each on a fixed case the package is known to get wrong.
+"""The paper's laws: the fiber-sum ledger's on drawn glue trees, the light
+cone lemma's on drawn classes, and the others each on a fixed case the
+package is known to get wrong.
 
 Each known-wrong case is a strict xfail naming the ROADMAP direction that
 mends it, and only a failed assertion counts as the expected failure: when
 that direction lands, the case passes, the run fails, and the mark comes
-off.  Drawn cases of those laws come later.
+off.  A drawn law leaves out the same known cases through one named
+predicate per direction.  Drawn cases of the other laws come later.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
+    HClass,
+    b2_plus,
     base_pieces,
     classify_negative,
     fiber_tori,
@@ -21,6 +25,7 @@ from gromov4 import (
     gromov_via_decompositions,
     in_forward_cone,
     is_good_class,
+    light_cone_pair_check,
     omega_area,
     pair,
     preset,
@@ -68,6 +73,48 @@ def test_a_glued_piece_counts_the_product_of_its_leaves_tori(piece):
     got = _series(fiber_tori(piece.fiber_gr))
     assert got == product
     assert got[1] == piece.fiber_gr
+
+
+def blowup_area_is_timelike(n: int) -> bool:
+    """ROADMAP direction 6: the area class 3L - E1 - ... - En of cp2_blowup(n)
+    has square 9 - n, so from n = 9 on the forward cone read off the area is
+    not half of the light cone, and the light cone law is not drawn there."""
+    return 9 - n > 0
+
+
+# Every b2+ = 1 preset the light cone law holds on today.
+CONE_PRESETS = ["cp2", "s2xs2", "s2xt2", "elliptic(1)"] + [
+    f"cp2_blowup({n})" for n in range(1, 17) if blowup_area_is_timelike(n)
+]
+
+
+@st.composite
+def drawn_class(draw, lattice):
+    # Coordinates in [-6, 6], L's as well, on a drawn support (a large
+    # blow-up's class drawn on its full support is almost never in the
+    # cone), or within 1 of K or -K on a drawn support, near the cone's edge.
+    aim = draw(st.sampled_from((0, 1, -1)))
+    step = 1 if aim else 6
+    support = draw(st.sets(st.integers(0, lattice.rank - 1)))
+    coords = [aim * c for c in lattice.canonical]
+    for i in support:
+        coords[i] += draw(st.integers(-step, step))
+    return HClass(tuple(coords), lattice)
+
+
+CONE_DRAWS = st.sampled_from(CONE_PRESETS).flatmap(
+    lambda name: st.lists(drawn_class(preset(name).lattice), min_size=2, max_size=12)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONE_DRAWS)
+def test_two_classes_in_the_closed_forward_cone_pair_nonnegatively(classes):
+    assert b2_plus(classes[0].lattice) == 1
+    cone = [A for A in classes if in_forward_cone(A)]
+    for i, A in enumerate(cone):
+        for B in cone[i:]:
+            assert light_cone_pair_check(A, B).ok, (A, B)
 
 
 @pytest.mark.xfail(

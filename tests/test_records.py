@@ -68,7 +68,7 @@ RECORDS = {
         "Check(cond='disjoint', passed=False, witness=(<L-E1 in cp2_blowup(1)>,), detail='detail')",
     ),
     "Report": (
-        lambda: Report((Check("points", True),)),
+        lambda: Report((Check("points", True, (), ""),)),
         "checks",
         True,
         "Report(checks=(Check(cond='points', passed=True, witness=(), detail=''),))",
@@ -141,3 +141,17 @@ def test_record_semantics(name):
         if same:
             assert hash(c) == hash(obj)
     assert repr(obj) == text
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Check("points", True), r"^Check takes one value per field \('cond', .*, got 2$"),
+        (lambda: Report(), r"^Report takes one value per field \('checks',\), got 0$"),
+        (lambda: Report((), ()), r"^Report takes one value per field \('checks',\), got 2$"),
+    ],
+    ids=["Check-short", "Report-empty", "Report-long"],
+)
+def test_a_record_built_with_the_wrong_number_of_values_names_itself(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()

@@ -350,6 +350,8 @@ def test_each_label_is_one_object():
             assert pickle.loads(pickle.dumps(label, protocol)) is label
         assert repr(label) == f"TorusLabel(sign={label.sign}, twists={label.twists})"
     assert TorusLabel(True, 0) is TorusLabel(1.0, 0) is TorusLabel(1, 0) is ALL_LABELS[0]
+    TorusLabel(1.0, 0)  # returns the interned label and sets no field of it
+    assert repr(ALL_LABELS[0]) == "TorusLabel(sign=1, twists=0)"
     assert copy.deepcopy([(ALL_LABELS[5], 2)])[0][0] is ALL_LABELS[5]
     # == and hash are object identity, which needs no Python call
     assert TorusLabel.__eq__ is object.__eq__ and TorusLabel.__hash__ is object.__hash__

@@ -16,6 +16,7 @@ from gromov4 import (
     InvalidCandidateError,
     ManifoldModel,
     PreconditionError,
+    SphereConfig,
     UnknownGr0Error,
     b2_plus,
     check_kmin_constraints,
@@ -64,6 +65,23 @@ def test_component_and_configuration_validation():
         Configuration((Component(L), Component(other)))
     cfg = Configuration.of([(L, 2, 1), (L, 1, 0)])
     assert cfg.total == 3 * L
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda parts: Configuration([Component(p) for p in parts]), "configuration components"),
+        (Decomposition, "decomposition parts"),
+        (SphereConfig, "sphere configuration parts"),
+    ],
+    ids=["Configuration", "Decomposition", "SphereConfig"],
+)
+def test_a_record_of_classes_takes_them_from_one_lattice(build, what):
+    # Else the record is built and its total fails later, far from the cause.
+    parts = [preset("cp2").parse("L"), preset("cp2_blowup(1)").parse("L")]
+    with pytest.raises(ValueError, match=f"^{what} must share one lattice$"):
+        build(parts)
+    assert build(parts[:1]) == build(parts[:1])
 
 
 def test_good_configuration_passes():
