@@ -40,9 +40,7 @@ _LAZY = {
         "enumerate_sphere_configs", "gr_s", "k_for",
     ),
     "structure": ("Decomposition", "enumerate_decompositions", "gromov_via_decompositions"),
-    "torus_series": (
-        "ALL_LABELS", "TorusLabel", "TruncSeries", "gr_torus_class", "parse_tori",
-    ),
+    "torus_series": ("ALL_LABELS", "TruncSeries", "gr_torus_class", "parse_tori"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -81,7 +81,7 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _parse_tori(text: str) -> tuple[tuple[torus_series.TorusLabel, int], ...]:
+def _parse_tori(text: str) -> tuple[tuple[str, int], ...]:
     tori = []
     for token in filter(None, (t.strip() for t in text.split(","))):
         label, colon, cover = token.partition(":")

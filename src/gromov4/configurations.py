@@ -31,6 +31,8 @@ class Component(_Frozen):
     _fields = ("cls", "mult", "genus")
 
     def __init__(self, cls: HClass, mult: int = 1, genus: int = 0) -> None:
+        if not isinstance(cls, HClass):
+            raise ValueError("component class must be a homology class")
         _require_int(mult, "component multiplicity")
         _require_int(genus, "component genus")
         if mult < 1:
@@ -49,18 +51,17 @@ class Configuration(_Frozen):
         comps = tuple(components)
         if not comps:
             raise ValueError("a configuration needs at least one component")
-        lat = comps[0].cls.lattice
-        for comp in comps[1:]:
-            if comp.cls.lattice != lat:
+        for comp in comps:  # comps[0] is checked first
+            if not isinstance(comp, Component):
+                raise ValueError("configuration components must be Components")
+            if comp.cls.lattice != comps[0].cls.lattice:
                 raise ValueError("configuration components must share one lattice")
         super().__init__(comps)
 
     @property
     def total(self) -> HClass:
-        acc = self.components[0].cls.lattice.zero()
-        for comp in self.components:
-            acc = acc + comp.mult * comp.cls
-        return acc
+        comps = self.components
+        return sum((comp.mult * comp.cls for comp in comps), comps[0].cls.lattice.zero())
 
     @classmethod
     def of(cls, items: Iterable) -> "Configuration":
@@ -171,9 +172,7 @@ def verify_kprime_configuration(
         comp for comp in comps if comp.cls in model.exceptional and comp.mult >= 2
     )
     rest = tuple(comp for comp in comps if comp not in stripped)
-    B = total.lattice.zero()
-    for comp in rest:
-        B = B + comp.mult * comp.cls
+    B = sum((comp.mult * comp.cls for comp in rest), total.lattice.zero())
     checks = [_disjoint(comps)]
     bad_mult = tuple(
         (comp.cls, comp.mult, m_e(model, total, comp.cls))

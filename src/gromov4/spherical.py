@@ -57,14 +57,15 @@ class SphereConfig(_Frozen):
     _fields = ("parts",)
 
     def __init__(self, parts: Iterable[HClass]) -> None:
-        parts = tuple(sorted(parts, key=lambda b: b.coords))
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a sphere configuration needs at least one part")
-        lat = parts[0].lattice
-        for b in parts:
-            if b.lattice is not lat and b.lattice != lat:
+        for b in parts:  # parts[0] is checked first
+            if not isinstance(b, HClass):
+                raise ValueError("sphere configuration parts must be homology classes")
+            if b.lattice is not parts[0].lattice and b.lattice != parts[0].lattice:
                 raise ValueError("sphere configuration parts must share one lattice")
-        super().__init__(parts)
+        super().__init__(tuple(sorted(parts, key=lambda b: b.coords)))
         if self.k < 0:
             raise ValueError(f"point budgets sum to {self.k}; k must be non-negative")
 

@@ -58,20 +58,18 @@ class Decomposition(_Frozen):
     _fields = ("parts",)
 
     def __init__(self, parts: Iterable[HClass]) -> None:
-        parts = tuple(sorted(parts, key=lambda p: p.coords))
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a decomposition needs at least one part")
-        lat = parts[0].lattice
-        for p in parts:  # the identity test spares a search the lattice's __eq__
-            if p.lattice is not lat and p.lattice != lat:
+        for p in parts:  # parts[0] is checked first; the identity test spares a search __eq__
+            if not isinstance(p, HClass):
+                raise ValueError("decomposition parts must be homology classes")
+            if p.lattice is not parts[0].lattice and p.lattice != parts[0].lattice:
                 raise ValueError("decomposition parts must share one lattice")
-        super().__init__(parts)
+        super().__init__(tuple(sorted(parts, key=lambda p: p.coords)))
 
     def total(self) -> HClass:
-        acc = self.parts[0].lattice.zero()
-        for p in self.parts:
-            acc = acc + p
-        return acc
+        return sum(self.parts, self.parts[0].lattice.zero())
 
     def satisfies_rules(self, A: HClass) -> bool:
         """Re-verify the decomposition conditions against the class A."""

@@ -21,8 +21,9 @@ gr_torus_class keeps only the vector of the last list asked for, keyed on
 the list as parse_tori returns it from one loop over the entries.  A list's
 first vector covers a fixed minimum degree, enough for the usual degree
 sweeps, and a k past the kept vector rebuilds it at max(k, twice its
-order); no degree past a fixed series-order limit is computed.  There is
-exactly one object per label, so a key compares by identity.
+order); no degree past a fixed series-order limit is computed.  A label is
+its text, "+i" or "-i" for (sign, i), so a key is a tuple of text and
+integers.
 """
 
 from __future__ import annotations
@@ -30,53 +31,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import DomainError, ModelFileError, _Frozen, _int, _require_int
-
-
-class TorusLabel(_Frozen):
-    """One of the eight torus types (sign, i) with i in 0..3.
-
-    There is one object per type: the constructor, parse, copy and pickle
-    all return it, so == and hash are identity.
-    """
-
-    __slots__ = ("sign", "twists")
-    _fields = ("sign", "twists")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-    __init__ = object.__init__  # __new__ returns the interned label, set once
-
-    def __new__(cls, sign: int, twists: int) -> "TorusLabel":
-        try:
-            return _INTERNED[sign, twists]
-        except (KeyError, TypeError):  # not a label pair, or unhashable
-            # Equal numbers hash equal, so a valid sign means a bad twist count.
-            if sign not in _SIGNS:
-                raise ValueError("torus label sign must be +1 or -1") from None
-            raise ValueError("torus label twist count must lie in 0..3") from None
-
-    @classmethod
-    def parse(cls, text: str) -> "TorusLabel":
-        # "−" is the typographic minus; accept it alongside ASCII "-".
-        label = isinstance(text, str) and _LABELS.get(text.strip().replace("−", "-"))
-        if not label:
-            raise ValueError(f"bad torus label {text!r}; expected +0, +1, ... or -3")
-        return label
-
-    def __str__(self) -> str:
-        return ("+" if self.sign > 0 else "-") + str(self.twists)
-
-
-def _make_label(sign: int, twists: int) -> TorusLabel:
-    label = object.__new__(TorusLabel)
-    _Frozen.__init__(label, sign, twists)
-    return label
-
-
-_SIGNS, _TWISTS = (1, -1), (0, 1, 2, 3)
-ALL_LABELS: tuple[TorusLabel, ...] = tuple(_make_label(sign, i) for sign in _SIGNS for i in _TWISTS)
-_INTERNED = {(label.sign, label.twists): label for label in ALL_LABELS}
-_LABELS = {str(label): label for label in ALL_LABELS} | {label: label for label in ALL_LABELS}
-_LABEL_TYPES = (str, TorusLabel)
 
 
 class TruncSeries(_Frozen):
@@ -133,20 +87,23 @@ class TruncSeries(_Frozen):
 
 
 # f(+,i) as (numerator, denominator) factors (s, a), each meaning 1 + s*t^a;
-# the label (-,i) reads the pair backwards.
+# the label -i reads the +i pair backwards.  The keys are the eight labels.
 _PLUS_FACTORS = (
     ((), ((-1, 1),)),
     (((1, 1),), ()),
     (((1, 1),), ((1, 2),)),
     (((1, 1), (-1, 2)), ((1, 2),)),
 )
+_FACTORS = {f"+{i}": pair for i, pair in enumerate(_PLUS_FACTORS)}
+_FACTORS |= {f"-{i}": pair[::-1] for i, pair in enumerate(_PLUS_FACTORS)}
+ALL_LABELS: tuple[str, ...] = tuple(_FACTORS)
 
 
-def _coefficients(tori: Sequence[tuple[TorusLabel, int]], order: int) -> list[int]:
+def _coefficients(tori: Sequence[tuple[str, int]], order: int) -> list[int]:
     """c[0..order] of the product of f_label(t^m) over checked (label, m) pairs."""
     c = [1] + [0] * order
     for label, m in tori:
-        num, den = _PLUS_FACTORS[label.twists][:: label.sign]
+        num, den = _FACTORS[label]
         for s, a in num:
             a *= m
             for i in range(order, a - 1, -1):
@@ -158,14 +115,15 @@ def _coefficients(tori: Sequence[tuple[TorusLabel, int]], order: int) -> list[in
     return c
 
 
-def parse_tori(tori: list | tuple) -> tuple[tuple[TorusLabel, int], ...]:
+def parse_tori(tori: list | tuple) -> tuple[tuple[str, int], ...]:
     """Normalize a torus list, a list or a tuple, to (label, cover) pairs.
 
-    Each entry is a label (a TorusLabel or its text; cover 1) or a
-    (label, cover) pair with an integer cover >= 1; exact-type tests take the
-    canonical forms and _entry any other.  A torus list of any other type (a
-    string, a dict, a set or a generator as well as a non-iterable) raises
-    ModelFileError at "$", a bad entry j at "$[j]", "$[j].label" or "$[j].cover".
+    Each entry is a label (its text, cover 1) or a (label, cover) pair with
+    an integer cover >= 1, and each label comes out as one of ALL_LABELS;
+    exact-type tests take the canonical forms and _entry any other.  A torus
+    list of any other type (a string, a dict, a set or a generator as well
+    as a non-iterable) raises ModelFileError at "$", a bad entry j at "$[j]",
+    "$[j].label" or "$[j].cover".
     """
     # Exact types first: an isinstance call on every list slows the series ops measurably.
     if tori.__class__ is not list and tori.__class__ is not tuple and not isinstance(tori, (list, tuple)):
@@ -174,36 +132,36 @@ def parse_tori(tori: list | tuple) -> tuple[tuple[TorusLabel, int], ...]:
     for entry in tori:
         try:
             label, cover = entry if entry.__class__ is tuple else (entry, 1) if entry.__class__ is str else ()
-            if label.__class__ in _LABEL_TYPES and cover.__class__ is int and cover >= 1:
-                out.append((_LABELS[label], cover))
+            if label.__class__ is str and label in _FACTORS and cover.__class__ is int and cover >= 1:
+                out.append((label, cover))
                 continue
-        except (KeyError, ValueError):  # not a canonical label, or not a pair
+        except ValueError:  # not a pair
             pass
         out.append(_entry(entry, len(out)))
     return tuple(out)
 
 
-def _entry(entry, j: int) -> tuple[TorusLabel, int]:
+def _entry(entry, j: int) -> tuple[str, int]:
     """Entry j of a torus list, in any spelling, as a (label, cover) pair."""
-    if isinstance(entry, (str, TorusLabel)):
+    if isinstance(entry, str):
         label, cover = entry, 1
     else:
         try:
             label, cover = entry
         except (TypeError, ValueError):  # not iterable, or not two items
             raise ModelFileError(f"$[{j}]", "expected a label or a (label, cover) pair") from None
-    if isinstance(label, str):
-        try:
-            label = TorusLabel.parse(label)
-        except ValueError as exc:
-            raise ModelFileError(f"$[{j}].label", str(exc)) from None
-    elif not isinstance(label, TorusLabel):
+    if not isinstance(label, str):
         raise ModelFileError(f"$[{j}].label", "expected a label string")
+    # "−" is the typographic minus; accept it alongside ASCII "-".
+    text = label.strip().replace("−", "-")
+    if text not in _FACTORS:
+        message = f"bad torus label {label!r}; expected +0, +1, ... or -3"
+        raise ModelFileError(f"$[{j}].label", message)
     if type(cover) is not int:
         _int(cover, f"$[{j}].cover")
     if cover < 1:
         raise ModelFileError(f"$[{j}].cover", "cover multiplicity must be >= 1")
-    return label, cover
+    return text, cover
 
 
 # The largest degree gr_torus_class computes, checked before anything is allocated; the

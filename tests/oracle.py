@@ -27,7 +27,7 @@ def ref_model(model):
         exceptional=[E.coords for E in model.exceptional],
         minimal=model.minimal,
         gr0={A.coords: n for A, n in model.gr0_table.items()},
-        tori={A.coords: [(str(label), m) for label, m in tori] for A, tori in model.torus_table.items()},
+        tori={A.coords: list(tori) for A, tori in model.torus_table.items()},
         spheres={A.coords: n for A, n in model.sphere_table.items()},
     )
 

@@ -178,8 +178,8 @@ def test_the_elliptic_fiber_rows_are_the_ledger_counts_as_tori():
     # The rows elliptic(n) stored before the ledger wrote them.
     for n in range(1, 65):
         el = preset("elliptic", n)
-        row = [(str(label), cover) for label, cover in el.torus_table[el.parse("F")]]
-        assert row == ([("+0", 1)] if n == 1 else [] if n == 2 else [("-0", 1)] * (n - 2))
+        row = el.torus_table[el.parse("F")]
+        assert row == ((("+0", 1),) if n == 1 else () if n == 2 else (("-0", 1),) * (n - 2))
 
 
 def test_fiber_rows_are_symmetric():

@@ -1,5 +1,6 @@
-"""The paper's laws: the fiber-sum ledger's on drawn glue trees, the light
-cone lemma's on drawn classes, and the others each on a fixed case the
+"""The paper's laws: the fiber-sum ledger's on drawn glue trees; the light
+cone lemma's, the exceptional-sphere reduction's and the positivity of a
+nonzero count's on drawn classes; and the others each on a fixed case the
 package is known to get wrong.
 
 Each known-wrong case is a strict xfail naming the ROADMAP direction that
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
     HClass,
+    UnknownGr0Error,
     b2_plus,
     base_pieces,
     classify_negative,
@@ -29,7 +31,9 @@ from gromov4 import (
     omega_area,
     pair,
     preset,
+    reduce_multicovers,
 )
+from oracle import ref_model, refs
 
 # The tori of each stock piece, written out: all fiber tori of cover 1.
 STOCK_TORI = {
@@ -115,6 +119,48 @@ def test_two_classes_in_the_closed_forward_cone_pair_nonnegatively(classes):
     for i, A in enumerate(cone):
         for B in cone[i:]:
             assert light_cone_pair_check(A, B).ok, (A, B)
+
+
+def classes_on(names):
+    """A drawn preset of names and a list of classes drawn on it."""
+    return st.sampled_from(names).map(preset).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(drawn_class(m.lattice), min_size=1, max_size=12))
+    )
+
+
+# The presets that store exceptional classes, and then every preset.
+EXCEPTIONAL_PRESETS = [f"cp2_blowup({n})" for n in range(1, 17)] + ["elliptic(1)"]
+ELLIPTIC_PRESETS = [f"elliptic({n})" for n in range(2, 7)]
+ALL_PRESETS = ["cp2", "s2xs2", "s2xt2", *EXCEPTIONAL_PRESETS, *ELLIPTIC_PRESETS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes_on(EXCEPTIONAL_PRESETS))
+def test_a_class_is_good_exactly_when_no_stored_sphere_meets_it_below_minus_one(drawn):
+    # The stored spheres are disjoint, so stripping each E with A.E < -1
+    # leaves a good part B, and reducing B again strips nothing.
+    m, classes = drawn
+    M = ref_model(m)
+    assert M.exceptional
+    for A in classes:
+        assert is_good_class(m, A) == refs.is_good(M, A.coords), A
+        B = HClass(refs.reduce(M, A.coords)[0], A.lattice)
+        assert is_good_class(m, B), (A, B)
+        assert reduce_multicovers(m, B) == (B, ()), (A, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes_on(ALL_PRESETS))
+def test_a_nonzero_count_is_of_the_empty_class_or_of_positive_area(drawn):
+    # Every part of a decomposition has positive area, so a class that
+    # decomposes has too.  A missing count is no answer.
+    m, classes = drawn
+    for A in classes:
+        try:
+            count = gromov_via_decompositions(m, A)
+        except UnknownGr0Error:
+            continue
+        assert count == 0 or A.is_zero or omega_area(A) > 0, A
 
 
 @pytest.mark.xfail(

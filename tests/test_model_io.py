@@ -58,8 +58,7 @@ def test_valid_model_round_trip(tmp_path):
     assert pair(U, V) == 1
     assert m.minimal
     assert m.gr0_table[U + V] == 4
-    entries = m.torus_table[U]
-    assert [(str(lab), cov) for lab, cov in entries] == [("+0", 1), ("-1", 2)]
+    assert m.torus_table[U] == (("+0", 1), ("-1", 2))
     assert m.sphere_table[U + V] == 2
 
 

@@ -2,8 +2,8 @@
 
 Each record is built twice from the same arguments.  Value records compare
 equal with equal hashes; a lattice compares by its fields through its own
-method; a model and a piece compare by identity; a torus label is one
-object per type.  The repr strings are pinned.
+method; a model and a piece compare by identity.  The repr strings are
+pinned.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from gromov4 import (
     NegClassVerdict,
     Report,
     SphereConfig,
-    TorusLabel,
     TruncSeries,
     base_pieces,
     glue,
@@ -110,7 +109,6 @@ RECORDS = {
         True,
         "TruncSeries(coeffs=(1, -2, 3))",
     ),
-    "TorusLabel": (lambda: TorusLabel(-1, 2), "twists", True, "TorusLabel(sign=-1, twists=2)"),
 }
 
 COPIES = {

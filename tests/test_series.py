@@ -4,8 +4,6 @@ kept vector."""
 
 from __future__ import annotations
 
-import copy
-import pickle
 import random
 import sys
 from fractions import Fraction
@@ -13,14 +11,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gromov4
 from gromov4 import (
     ALL_LABELS,
     DomainError,
     ModelFileError,
-    TorusLabel,
     TruncSeries,
     gr_torus_class,
     parse_tori,
+    preset,
 )
 from gromov4 import torus_series
 from oracle import refs
@@ -35,7 +34,7 @@ def test_all_labels_match_long_division_oracle():
     for text, (num, den) in refs.RATIONAL.items():
         want = refs.divide(num, den, 16)
         assert _expansion([text], 16) == want, text
-        assert _expansion([TorusLabel.parse(text)], 16) == want, text
+        assert _expansion([(f" {text} ".replace("-", "−"), 1)], 16) == want, text
 
 
 def test_frozen_expansions():
@@ -44,29 +43,35 @@ def test_frozen_expansions():
     assert _expansion(["+2"], 7) == [1, 1, -1, -1, 1, 1, -1, -1]
     assert _expansion(["+3"], 7) == [1, 1, -2, -2, 2, 2, -2, -2]
     # a label's other spellings expand alike
-    assert _expansion([TorusLabel(1, 0)], 6) == _expansion([(" +0 ", 1)], 6) == _expansion(["+0"], 6)
-    assert _expansion(["−0"], 6) == _expansion([(TorusLabel(-1, 0), 1)], 6) == _expansion(["-0"], 6)
+    assert _expansion([("+0", 1)], 6) == _expansion([(" +0 ", 1)], 6) == _expansion(["+0"], 6)
+    assert _expansion(["−0"], 6) == _expansion([("-0", 1)], 6) == _expansion(["-0"], 6)
 
 
 def test_opposite_labels_are_reciprocal():
     for i in range(4):
-        opposite = [(TorusLabel(1, i), 1), (TorusLabel(-1, i), 1)]
+        opposite = [(f"+{i}", 1), (f"-{i}", 1)]
         assert _expansion(opposite, 12) == [1] + [0] * 12
 
 
 def test_label_parse_and_text():
-    assert TorusLabel.parse("+0") == TorusLabel(1, 0)
-    assert TorusLabel.parse("-3") == TorusLabel(-1, 3)
-    # unicode minus sign is accepted on input
-    assert TorusLabel.parse("−2") == TorusLabel(-1, 2)
-    assert str(TorusLabel(-1, 1)) == "-1"
-    assert len(ALL_LABELS) == 8
-    with pytest.raises(ValueError):
-        TorusLabel.parse("+4")
-    with pytest.raises(ValueError):
-        TorusLabel.parse("0")
-    with pytest.raises(ValueError):
-        TorusLabel(1, 5)
+    # A label is its text: (sign, i) is "+i" or "-i".
+    assert ALL_LABELS == ("+0", "+1", "+2", "+3", "-0", "-1", "-2", "-3")
+    assert parse_tori(["+0", "-3", ("+1", 2)]) == (("+0", 1), ("-3", 1), ("+1", 2))
+    # padded text and the typographic minus read as the canonical text
+    assert parse_tori([" −1 ", ("+2", 3)]) == (("-1", 1), ("+2", 3))
+    assert preset("s2xt2").torus_table[preset("s2xt2").parse("B")] == (("+0", 1), ("+0", 1))
+    assert not hasattr(gromov4, "TorusLabel")
+    for text in ("+4", "0", "", "+ 0", "--1"):
+        with pytest.raises(ModelFileError) as info:
+            parse_tori(["+0", (text, 2)])
+        assert (info.value.path, info.value.message) == (
+            "$[1].label",
+            f"bad torus label {text!r}; expected +0, +1, ... or -3",
+        )
+    for label in (5, None, b"+1", ("+0",)):
+        with pytest.raises(ModelFileError) as info:
+            gr_torus_class([(label, 1)], 0)
+        assert (info.value.path, info.value.message) == ("$[0].label", "expected a label string")
 
 
 @pytest.mark.parametrize(
@@ -74,15 +79,8 @@ def test_label_parse_and_text():
     [
         (lambda: TruncSeries(()), "a series needs at least its constant coefficient"),
         (lambda: TruncSeries((1, 2.0)), "series coefficients must be integers"),
-        (lambda: TorusLabel.parse(5), "bad torus label 5; expected +0, +1, ... or -3"),
-        (lambda: TorusLabel.parse(None), "bad torus label None; expected +0, +1, ... or -3"),
     ],
-    ids=[
-        "empty",
-        "float-coefficient",
-        "label-parse-int",
-        "label-parse-none",
-    ],
+    ids=["empty", "float-coefficient"],
 )
 def test_series_rejects_bad_input(build, message):
     with pytest.raises(ValueError) as info:
@@ -129,8 +127,7 @@ def test_empty_list_counts_only_the_empty_curve():
 
 
 def test_parse_tori_takes_bare_labels_and_integer_covers():
-    plus0, minus2, plus1 = TorusLabel(1, 0), TorusLabel(-1, 2), TorusLabel(1, 1)
-    assert parse_tori(["+0", minus2, ("+1", 3)]) == ((plus0, 1), (minus2, 1), (plus1, 3))
+    assert parse_tori(["+0", "-2", ("+1", 3)]) == (("+0", 1), ("-2", 1), ("+1", 3))
     assert [gr_torus_class(["+0"], k) for k in range(4)] == [1, 1, 1, 1]
     for cover in (2.7, "2", True, 0):
         with pytest.raises(ValueError):
@@ -151,7 +148,7 @@ class _Tori(list):
 
 # Entry kinds for parse_tori: the exact forms its type tests take, and the
 # spellings and mistakes that only _entry reads.
-EXACT_LABELS = st.sampled_from(sorted(refs.RATIONAL)) | st.sampled_from(ALL_LABELS)
+EXACT_LABELS = st.sampled_from(sorted(refs.RATIONAL))
 EXACT_ENTRIES = st.tuples(EXACT_LABELS, st.integers(1, 4)) | st.sampled_from(sorted(refs.RATIONAL))
 LABEL_INPUTS = st.one_of(
     EXACT_LABELS,
@@ -177,10 +174,10 @@ ODD_ENTRIES = st.one_of(
 
 
 def _parsed(parse, tori):
-    """parse(tori) as (label, cover, type of cover) triples, or the
+    """parse(tori) as (label, cover, their types) quadruples, or the
     ModelFileError's path and message."""
     try:
-        return [(label, cover, type(cover)) for label, cover in parse(tori)]
+        return [(label, cover, type(label), type(cover)) for label, cover in parse(tori)]
     except ModelFileError as exc:
         return exc.path, exc.message
 
@@ -229,9 +226,8 @@ def test_cover_multiplicity_substitutes_powers():
 
 def test_permutation_invariance():
     rng = random.Random(7)
-    labels = [str(lab) for lab in ALL_LABELS]
     for _ in range(60):
-        tori = [(rng.choice(labels), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        tori = [(rng.choice(ALL_LABELS), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
         shuffled = tori[:]
         rng.shuffle(shuffled)
         for k in range(9):
@@ -240,14 +236,13 @@ def test_permutation_invariance():
 
 def test_birth_rule_leaves_counts_unchanged():
     rng = random.Random(20260814)
-    labels = [str(lab) for lab in ALL_LABELS]
     for _ in range(1000):
-        tori = [(rng.choice(labels), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        tori = [(rng.choice(ALL_LABELS), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
         base = [gr_torus_class(tori, k) for k in range(13)]
         m = rng.randint(1, 3)
         for label in ALL_LABELS:
-            flipped = TorusLabel(-label.sign, label.twists)
-            extended = tori + [(str(label), m), (str(flipped), m)]
+            flipped = {"+": "-", "-": "+"}[label[0]] + label[1:]
+            extended = tori + [(label, m), (flipped, m)]
             assert [gr_torus_class(extended, k) for k in range(13)] == base
 
 
@@ -338,39 +333,6 @@ def test_a_degree_sweep_builds_each_list_once(monkeypatch):
     assert builds == [first]
     assert gr_torus_class(tori, first + 1) == want[first + 1]
     assert builds == [first, 2 * first]
-
-
-def test_each_label_is_one_object():
-    for label in ALL_LABELS:
-        assert TorusLabel(label.sign, label.twists) is label
-        assert TorusLabel.parse(str(label)) is label
-        assert copy.copy(label) is label
-        assert copy.deepcopy(label) is label
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(label, protocol)) is label
-        assert repr(label) == f"TorusLabel(sign={label.sign}, twists={label.twists})"
-    assert TorusLabel(True, 0) is TorusLabel(1.0, 0) is TorusLabel(1, 0) is ALL_LABELS[0]
-    TorusLabel(1.0, 0)  # returns the interned label and sets no field of it
-    assert repr(ALL_LABELS[0]) == "TorusLabel(sign=1, twists=0)"
-    assert copy.deepcopy([(ALL_LABELS[5], 2)])[0][0] is ALL_LABELS[5]
-    # == and hash are object identity, which needs no Python call
-    assert TorusLabel.__eq__ is object.__eq__ and TorusLabel.__hash__ is object.__hash__
-    with pytest.raises(AttributeError):
-        ALL_LABELS[0].sign = -1
-    with pytest.raises(AttributeError, match="^cannot delete field 'sign'$"):
-        del ALL_LABELS[0].sign
-    bad_sign = r"^torus label sign must be \+1 or -1$"
-    bad_twists = r"^torus label twist count must lie in 0\.\.3$"
-    for sign, twists, message in (
-        (0, 0, bad_sign),
-        (2, 0, bad_sign),
-        ([1], 0, bad_sign),
-        (1, 4, bad_twists),
-        (1, [0], bad_twists),
-        (-1, [0], bad_twists),
-    ):
-        with pytest.raises(ValueError, match=message):
-            TorusLabel(sign, twists)
 
 
 def test_a_bad_entry_is_a_model_file_error_at_its_index():

@@ -84,6 +84,33 @@ def test_a_record_of_classes_takes_them_from_one_lattice(build, what):
     assert build(parts[:1]) == build(parts[:1])
 
 
+LINE = preset("cp2").parse("L")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Component(5), "component class must be a homology class"),
+        (lambda: Configuration(["x"]), "configuration components must be Components"),
+        (lambda: Configuration([Component(LINE), LINE]), "configuration components must be Components"),
+        (lambda: Configuration([Component(5)]), "component class must be a homology class"),
+        (lambda: Decomposition([1, 2]), "decomposition parts must be homology classes"),
+        (lambda: Decomposition([LINE, "L"]), "decomposition parts must be homology classes"),
+        (lambda: SphereConfig(["L"]), "sphere configuration parts must be homology classes"),
+        (lambda: SphereConfig([LINE, None]), "sphere configuration parts must be homology classes"),
+    ],
+    ids=[
+        "Component", "Configuration-text", "Configuration-class", "Configuration-of-a-number",
+        "Decomposition", "Decomposition-second", "SphereConfig", "SphereConfig-second",
+    ],
+)
+def test_a_record_of_classes_refuses_parts_that_are_not_classes(build, message):
+    # Checked before any sort or lattice read, which would raise a bare
+    # AttributeError or TypeError.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_good_configuration_passes():
     b1 = preset("cp2_blowup", 1)
     cfg = Configuration.of([(b1.parse("L"), 1, 0), (b1.parse("E1"), 1, 0)])
