@@ -169,6 +169,17 @@ def _classify(model: lattice.ManifoldModel, A: lattice.HClass, args) -> dict[str
     }
 
 
+def _decomp(model: lattice.ManifoldModel, A: lattice.HClass, args) -> dict[str, str]:
+    decs = structure.enumerate_decompositions(model, A, args.parsed_candidates)
+    s = lattice.format_class(A)
+    human, records = [], []
+    for i, dec in enumerate(decs, start=1):
+        parts = list(map(lattice.format_class, dec.parts))
+        human.append(f"\n  [{i}] {{{', '.join(parts)}}}")
+        records.append(f"\ndecomp({s}).{i}={'|'.join(parts)}")
+    return {"count": str(len(decs)), "human": "".join(human), "records": "".join(records)}
+
+
 def _cone(model: lattice.ManifoldModel, A: lattice.HClass, args) -> dict[str, str]:
     inside = invariants.in_forward_cone(A, strict=args.strict)
     return {"in": _bool(inside), "strict": _bool(args.strict)}
@@ -208,6 +219,11 @@ _PER_CLASS: dict[str, tuple[Callable, str, str]] = {
         "in_forward_cone({s}, strict={v[strict]}) = {v[in]}",
         "cone({s};strict={v[strict]})={v[in]}",
     ),
+    "decomp": (
+        _decomp,
+        "decompositions({s}) = {v[count]}{v[human]}",
+        "decomp({s}).count={v[count]}{v[records]}",
+    ),
     "gr": (
         lambda m, A, a: structure.gromov_via_decompositions(m, A, a.parsed_candidates),
         "Gr({s}) = {v}",
@@ -235,7 +251,7 @@ _WARNING_LINES: dict[str, tuple[type[Warning], str, str]] = {
 
 def _cmd_per_class(args) -> list[str]:
     model = _load_manifold(args.manifold)
-    # gr's --candidates, parsed once and before the classes.
+    # The --candidates of decomp and gr, parsed once and before the classes.
     args.parsed_candidates = _candidates(model, args)
     value, human, records = _PER_CLASS[args.command]
     category, warn_human, warn_records = _WARNING_LINES.get(args.command, (None, None, None))
@@ -266,33 +282,15 @@ def _cmd_lightcone(args) -> list[str]:
     return [head] + _report_lines(rep, key, "human")[:-1]
 
 
-def _cmd_decomp(args) -> list[str]:
-    model = _load_manifold(args.manifold)
-    classes = _classes(model, args)
-    if len(classes) != 1:
-        raise UsageError("decomp takes exactly one --class")
-    A = classes[0]
-    s = lattice.format_class(A)
-    candidates = _candidates(model, args)
-    decs = structure.enumerate_decompositions(model, A, candidates)
-    lines = []
-    if args.format == "records":
-        lines.append(f"decomp({s}).count={len(decs)}")
-        for i, dec in enumerate(decs, start=1):
-            lines.append(f"decomp({s}).{i}=" + "|".join(map(lattice.format_class, dec.parts)))
-    else:
-        lines.append(f"decompositions({s}) = {len(decs)}")
-        for i, dec in enumerate(decs, start=1):
-            lines.append(f"  [{i}] {{" + ", ".join(map(lattice.format_class, dec.parts)) + "}")
-    return lines
-
-
 def _candidates(model: lattice.ManifoldModel, args) -> list[lattice.HClass] | None:
     """The parsed --candidates, or None for the model's default set."""
     text = getattr(args, "candidates", None)
-    if text:
-        return [model.parse(tok) for tok in text.split(",") if tok.strip()]
-    return None
+    if text is None:
+        return None
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise UsageError("--candidates needs at least one class")
+    return [model.parse(tok) for tok in tokens]
 
 
 def _cmd_gr_tori(args) -> list[str]:
@@ -362,7 +360,7 @@ _COMMANDS: dict[str, tuple] = {
         _cmd_per_class, "forward-cone membership", True, ("--strict", {"action": "store_true"})
     ),
     "lightcone": (_cmd_lightcone, "light-cone pairing check on two classes", True),
-    "decomp": (_cmd_decomp, "enumerate decompositions of a class", True, _CANDIDATES),
+    "decomp": (_cmd_per_class, "enumerate decompositions of a class", True, _CANDIDATES),
     "gr": (_cmd_per_class, "Gromov invariant via decompositions", True, _CANDIDATES),
     "gr-tori": (
         _cmd_gr_tori, "torus-list count at degree k", None,

@@ -315,7 +315,7 @@ class HClass(_Frozen):
         return HClass(tuple(map(neg, self.coords)), self.lattice)
 
     def __mul__(self, n: int) -> "HClass":
-        if not isinstance(n, int):
+        if n.__class__ is bool or not isinstance(n, int):
             return NotImplemented
         return HClass(tuple([n * a for a in self.coords]), self.lattice)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gromov4
-from gromov4 import torus_series
+from gromov4 import structure, torus_series
 from gromov4.cli import run
 from gromov4.lattice import _PRESET_MAX_N
 
@@ -179,6 +179,39 @@ def test_decomp_and_gr(capsys):
     assert err == "error code=parse msg=unknown symbol 'Z' (basis of s2xt2: S, B)\n"
 
 
+def test_decomp_answers_each_class_from_one_candidate_table(capsys, monkeypatch):
+    built, table = [], structure._candidate_table
+
+    def candidate_table(cands, cap):
+        built.append(cands)
+        return table(cands, cap)
+
+    monkeypatch.setattr(structure, "_candidate_table", candidate_table)
+    argv = ("decomp", "--manifold", "s2xt2", "--class", "3B", "--class", "S+B",
+            "--class", "2B", "--candidates", "B,2B,S")
+    assert invoke(capsys, *argv) == (
+        0,
+        "decompositions(3B) = 1\n  [1] {3B}\n"
+        "decompositions(S+B) = 0\n"
+        "decompositions(2B) = 1\n  [1] {2B}\n",
+        "",
+    )
+    assert len(built) == 1  # one table for the three classes
+    assert invoke(capsys, *argv, "--format", "records") == (
+        0,
+        "decomp(3B).count=1\ndecomp(3B).1=3B\n"
+        "decomp(S+B).count=0\n"
+        "decomp(2B).count=1\ndecomp(2B).1=2B\n",
+        "",
+    )
+    # As for gr, --candidates is parsed before the classes.
+    for classes in (("--class", "Q"), ()):
+        argv = ("decomp", "--manifold", "s2xt2", *classes, "--candidates", "Z")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error code=parse msg=unknown symbol 'Z' (basis of s2xt2: S, B)\n"
+
+
 def test_gr_missing_table_entry_is_domain_error(capsys, bare_model_file):
     code, out, err = invoke(capsys, "gr", "--manifold", "s2xs2", "--class", "2A1")
     assert code == 1 and out == ""
@@ -340,8 +373,8 @@ def test_parse_error_exit_code(capsys):
         (("k", "--manifold", "cp2"), "at least one --class is required"),
         (("gr-tori", "--tori", "+0:x", "--k", "1"), "bad cover multiplicity in torus token '+0:x'"),
         (("gr-tori", "--tori", " , ", "--k", "1"), "--tori needs at least one label"),
-        (("decomp", "--manifold", "cp2", "--class", "L", "--class", "2L"),
-         "decomp takes exactly one --class"),
+        (("gr", "--manifold", "cp2", "--class", "3L", "--candidates", ","),
+         "--candidates needs at least one class"),
         (("verify", "--manifold", "cp2", "--points", "1"),
          "verify needs at least one --class component (expr[:mult[:genus]])"),
         (("verify", "--manifold", "cp2", "--class", "L:1:0:0", "--points", "1"),
@@ -367,6 +400,9 @@ def test_parse_error_exit_code(capsys):
          "bad integers in component 'L:1:0_0'"),
         (("verify", "--manifold", "cp2", "--class", "L", "--points", "\u0662"),
          "argument --points: invalid integer value: '\u0662'"),
+        # An empty --candidates is no class, not the default set.
+        (("decomp", "--manifold", "s2xt2", "--class", "2B", "--candidates="),
+         "--candidates needs at least one class"),
     ],
 )
 def test_usage_error_records(capsys, argv, message):

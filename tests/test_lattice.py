@@ -286,6 +286,15 @@ def test_hclass_arithmetic_and_content():
         Fraction(1, 2) * A
 
 
+def test_a_class_scales_by_an_int_but_not_by_a_bool():
+    # As everywhere else in the package, a bool is not taken for an int.
+    A = preset("cp2").parse("L")
+    assert (2 * A, A * 2, 0 * A) == (A + A, A + A, A - A)
+    for scale in (lambda: True * A, lambda: A * True, lambda: False * A, lambda: A * False):
+        with pytest.raises(TypeError):
+            scale()
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError):
         IntersectionLattice("x", ("a",), ((1, 0),), (1,), (1,))
