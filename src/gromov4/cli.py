@@ -20,8 +20,7 @@ import os
 import re
 import sys
 import warnings
-from collections.abc import Callable, Iterator
-from itertools import chain
+from collections.abc import Callable
 
 from . import configurations, fibersum, invariants, lattice, model_io, spherical
 from . import structure, torus_series
@@ -301,14 +300,14 @@ def _cmd_gr_tori(args) -> list[str]:
     return [f"gr_tori={v}"] if args.format == "records" else [str(v)]
 
 
-def _cmd_fibersum(args) -> Iterator[str]:
-    result = fibersum.gr_elliptic_fiber(args.n)  # validates before the first line is made
+def _cmd_fibersum(args) -> list[str]:
+    result = fibersum.gr_elliptic_fiber(args.n)
     if args.format == "records":
         key = f"fibersum({args.n})"
-        steps = (f"{key}.trace.{i}={step}" for i, step in enumerate(result.trace, start=1))
-        return chain([f"{key}={result.value}"], steps)
-    steps = (f"  {step}" for step in result.trace)
-    return chain([f"Gr_fiber(V({args.n})) = {result.value}"], steps)
+        return [f"{key}={result.value}"] + [
+            f"{key}.trace.{i}={step}" for i, step in enumerate(result.trace, start=1)
+        ]
+    return [f"Gr_fiber(V({args.n})) = {result.value}"] + [f"  {step}" for step in result.trace]
 
 
 def _cmd_verify(args) -> list[str]:

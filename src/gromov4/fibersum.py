@@ -28,8 +28,6 @@ series.  The fiber rows of the elliptic(n) and s2xt2 presets are read so.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import zip_longest
 
 from . import lattice
 from .errors import DomainError, PreconditionError, _Frozen, _require_int
@@ -39,10 +37,9 @@ class Piece(_Frozen):
     """A (possibly bounded) piece with its signed fiber-class torus count.
 
     A stock piece has its own label and notes.  glue keeps only the two
-    operands and its one note, with {} for their names; notes walks the
-    operands again on each read, so the ledger is never held whole.
-    operands is a link outside _fields: pieces compare by identity and repr
-    skips it, and copy, deepcopy and pickle do not recurse into it.
+    operands and its one note, which names neither of them.  operands is a
+    link outside _fields: pieces compare by identity and repr skips it, and
+    copy, deepcopy and pickle do not recurse into it.
     """
 
     _fields = ("label", "boundary_count", "fiber_gr", "own_notes")
@@ -98,40 +95,18 @@ class Piece(_Frozen):
         return self.boundary_count == 0
 
     @property
-    def notes(self) -> Ledger:
-        return Ledger(self)
-
-
-class Ledger:
-    """A piece's notes in gluing order, remade on each iteration: the walk
-    keeps only the names of the operands it has not joined yet.  Two
-    ledgers are equal when they yield the same notes, compared as both
-    walks go, and the hash reads the first note only."""
-
-    def __init__(self, piece: Piece) -> None:
-        self.piece = piece
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ledger):
-            return NotImplemented
-        return all(a == b for a, b in zip_longest(self, other, fillvalue=object()))
-
-    def __hash__(self) -> int:
-        return hash(next(iter(self), None))
-
-    def __iter__(self) -> Iterator[str]:
-        names, todo = [], [(self.piece, False)]
+    def notes(self) -> tuple[str, ...]:
+        """The notes of the pieces under this one, operands first, and then
+        its own: read in this postfix order, each glue note joins the two
+        latest pieces not yet glued."""
+        notes, todo = [], [self]
         while todo:
-            piece, joined = todo.pop()
-            if piece.operands is None:
-                yield from piece.own_notes
-                names.append(piece.label)
-            elif not joined:
-                todo += ((piece, True), (piece.operands[1], False), (piece.operands[0], False))
+            top = todo.pop()
+            if isinstance(top, Piece):
+                todo += (top.own_notes, *reversed(top.operands or ()))
             else:
-                b, a = names.pop(), names.pop()
-                yield from (note.format(a, b) for note in piece.own_notes)
-                names.append(f"{a}+{b}")
+                notes += top
+        return tuple(notes)
 
 
 def _replay(steps: tuple) -> Piece:
@@ -166,7 +141,7 @@ def glue(a: Piece, b: Piece) -> Piece:
     if a.boundary_count < 1 or b.boundary_count < 1:
         raise PreconditionError("glue needs a boundary torus on each piece")
     fiber = a.fiber_gr + b.fiber_gr
-    note = f"glue {{}} with {{}}: fiber count {a.fiber_gr} + {b.fiber_gr} = {fiber}"
+    note = f"glue the last two pieces: fiber count {a.fiber_gr} + {b.fiber_gr} = {fiber}"
     return Piece("", a.boundary_count + b.boundary_count - 2, fiber, (note,), (a, b))
 
 
@@ -177,7 +152,7 @@ _N_MAX = 10_000
 
 EllipticFiberCount = namedtuple("EllipticFiberCount", [
     "value",  # the signed fiber-class count, an int
-    "trace",  # the ledger's notes, an iterable of str
+    "trace",  # the ledger's notes, a tuple of str
 ])
 
 
@@ -186,9 +161,9 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
 
     The open piece starts at V1_minus_NF (count 0), each further fiber-sum
     copy glues in one N_minus_P (count -1), and the D2xT2 cap closes the
-    piece; the result is 2 - n.  The trace is the capped piece's Ledger of
-    2n+1 notes, made as it is read.  An n that is not an int (a bool
-    included) raises ValueError; an n past _N_MAX raises DomainError.
+    piece; the result is 2 - n.  The trace is the capped piece's 2n+1
+    notes.  An n that is not an int (a bool included) raises ValueError;
+    an n past _N_MAX raises DomainError.
     """
     _require_int(n, "n")
     if n < 1:

@@ -15,16 +15,19 @@ statement with no constructive bound, so nothing is inferred silently.
 Decompositions and the sphere configurations of spherical.py come from
 one search, _orthogonal_combinations: pairwise orthogonal candidates whose
 capped multiplicities sum to A.  Decompositions cap a negative square at
-0, a positive square at 1, and leave square zero uncapped.  Caps and area
-are the only bounds: a sphere configuration needs none on its part count
-p, since its parts have c1 >= 1 and so p <= sum of c1 = c1(A).  The
-search runs on a _CandidateTable of integer rows (each candidate's
-coordinates, its covector Gram.B, B.B, its area numerator and its cap), so
-every pairing in it is one dot product and the remaining class is an int
-tuple: the search neither pairs nor builds a class.  A model keeps the
-table of its last decomposition search, keyed by the set of candidate
-coordinate tuples, so a later search on the same set (in any order, with
-repeats, or as a generator) reuses the rows and any other set replaces
+0, a positive square at 1, and leave square zero uncapped.  Caps, area
+and sign are the only bounds: where every row is >= 0 (or <= 0) on a
+coordinate, so is every sum of rows, so an A of the other sign there is
+refused before the search; and a sphere configuration needs no bound on
+its part count p, since its parts have c1 >= 1 and so p <= sum of c1 =
+c1(A).  The search runs on a _CandidateTable of integer rows (each
+candidate's coordinates, its covector Gram.B, B.B, its area numerator and
+its cap) and the signs each coordinate takes in them, so every pairing in
+it is one dot product and the remaining class is an int tuple: the search
+neither pairs nor builds a class.  A model keeps the table of its last
+decomposition search, keyed by the set of candidate coordinate tuples,
+so a later search on the same set (in any order, with repeats, or as a
+generator) reuses the rows and any other set replaces
 them; the sphere table is built once per model.  The clash sets between
 the kept candidates depend on A and are found per query.
 
@@ -92,6 +95,7 @@ _CandidateTable = namedtuple("_CandidateTable", [
     "squares",  # B.B
     "areas",  # area numerators, all positive
     "caps",  # most copies of B, None for no bound
+    "signs",  # (i, s), s = 1 or -1, where s times coordinate i is >= 0 on every row
 ])
 
 
@@ -109,6 +113,7 @@ def _candidate_table(
         squares,
         tuple(map(_area_numerator, cands)),
         tuple(map(cap, cands, squares)),
+        tuple((i, s) for i, col in enumerate(zip(*coords)) for s in (1, -1) if min(s * c for c in col) >= 0),
     )
 
 
@@ -119,17 +124,20 @@ def _orthogonal_combinations(A: HClass, table: _CandidateTable) -> Iterator[list
     Candidate B enters at most its cap times (None: no bound), and each
     picked candidate pairs to zero with every other one, so A.B = n * B.B
     for each picked B.  That fixes n when B.B != 0 and needs A.B = 0 when
-    B.B = 0; candidates failing it are dropped up front.  The other rules
-    prune inside the recursion; a branch ends once the remaining class is
-    zero or its area is not positive, and a candidate that no later one can
-    join takes the one multiplicity that would finish the sum.  Each
-    selection comes once, in candidate order.
+    B.B = 0; candidates failing it are dropped up front, and nothing is
+    searched when A takes a sign on a coordinate that no row takes there.
+    The other rules prune inside the recursion; a branch ends once the
+    remaining class is zero or its area is not positive, and a candidate
+    that no later one can join takes the one multiplicity that would finish
+    the sum.  Each selection comes once, in candidate order.
 
     The search runs on the table's integer rows: A.B and the clashes
     B.B' != 0 are dot products with the covectors, and the remaining class
     is an int tuple, so no pairing is called and no class is built.  A must
     live in the candidates' lattice; the callers check it.
     """
+    if any(A.coords[i] * s < 0 for i, s in table.signs):
+        return  # every row, and so every sum of rows, has s * coordinate i >= 0
     classes, coords, covs, areas = table.classes, table.coords, table.covectors, table.areas
     copies = {}  # kept candidate index -> (fewest, most) copies; most None for no bound
     for i, (cov, sq, cap) in enumerate(zip(covs, table.squares, table.caps)):

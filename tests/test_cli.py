@@ -271,11 +271,11 @@ def test_fibersum_golden_records(capsys):
         "fibersum(3)=-1",
         "fibersum(3).trace.1=V1 minus a fiber neighborhood: fiber count 0",
         "fibersum(3).trace.2=fiber annulus N_minus_P: two boundary tori, fiber count -1",
-        "fibersum(3).trace.3=glue V1_minus_NF with N_minus_P: fiber count 0 + -1 = -1",
+        "fibersum(3).trace.3=glue the last two pieces: fiber count 0 + -1 = -1",
         "fibersum(3).trace.4=fiber annulus N_minus_P: two boundary tori, fiber count -1",
-        "fibersum(3).trace.5=glue V1_minus_NF+N_minus_P with N_minus_P: fiber count -1 + -1 = -2",
+        "fibersum(3).trace.5=glue the last two pieces: fiber count -1 + -1 = -2",
         "fibersum(3).trace.6=D2xT2 cap: one boundary torus, fiber count 1",
-        "fibersum(3).trace.7=glue V1_minus_NF+N_minus_P+N_minus_P with D2xT2: fiber count -2 + 1 = -1",
+        "fibersum(3).trace.7=glue the last two pieces: fiber count -2 + 1 = -1",
     ]
     _, out, _ = invoke(capsys, "fibersum", "--n", "1")
     assert out.splitlines()[0] == "Gr_fiber(V(1)) = 1"

@@ -1,7 +1,8 @@
 """The paper's laws: the fiber-sum ledger's on drawn glue trees; the light
 cone lemma's, the exceptional-sphere reduction's, the positivity of a
-nonzero count's, the blow-up pull-back's and the duality Gr(A) = +-Gr(K - A)
-on drawn classes; the stored exceptional spheres' on every preset that
+nonzero count's, the blow-up pull-back's (of Gr, Gr_s and the connected
+count N), N's Cremona invariance and the duality Gr(A) = +-Gr(K - A) on
+drawn classes; the stored exceptional spheres' on every preset that
 stores them; and the others each on a fixed case the package is known to
 get wrong.
 
@@ -19,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from gromov4 import (
     HClass,
+    ManifoldModel,
     UnknownGr0Error,
+    UnknownSphereCountError,
     b2_plus,
     base_pieces,
     classify_negative,
@@ -175,15 +178,6 @@ def base_has_gr_tables(base) -> bool:
     return bool(base.gr0_table or base.torus_table)
 
 
-def search_has_only_the_area_bound(A) -> bool:
-    """ROADMAP direction 5: no sphere-table class of a blow-up has a negative
-    L coefficient, so no configuration sums to such an A, yet the search has
-    no budget but area.  From 10 blow-ups on, K has positive area, and
-    gr_s(K) walks for seconds before it reads 0; the gr_s half of the
-    pull-back law leaves these classes out."""
-    return A.coords[0] < 0
-
-
 # Each base and its blow-up at one more point.
 PULL_BACKS = [("cp2", "cp2_blowup(1)")] + [
     (f"cp2_blowup({n - 1})", f"cp2_blowup({n})") for n in range(2, 17)
@@ -194,7 +188,7 @@ def _answer(count, model, A):
     """count(model, A), or None where the model lacks the data."""
     try:
         return count(model, A)
-    except UnknownGr0Error:
+    except (UnknownGr0Error, UnknownSphereCountError):
         return None
 
 
@@ -219,11 +213,64 @@ def test_a_class_pulled_back_to_a_blowup_keeps_its_counts(drawn):
     base, up = preset(base_name), preset(up_name)
     for A in classes:
         lifted = HClass(A.coords + (0,), up.lattice)
-        counts = [gr_s] * (not search_has_only_the_area_bound(A))
-        counts += [gromov_via_decompositions] * (not base_has_gr_tables(base))
+        counts = [gr_s] + [gromov_via_decompositions] * (not base_has_gr_tables(base))
         for count in counts:
             below, above = _answer(count, base, A), _answer(count, up, lifted)
             assert None in (below, above) or below == above, (count.__name__, A)
+
+
+N = ManifoldModel.sphere_count
+
+
+def drawn_and_stored(model):
+    # Drawn classes, then every class of the sphere table: a drawn sample of
+    # the table would miss most single entries.
+    return st.lists(drawn_class(model.lattice), max_size=8).map(lambda drawn: drawn + list(model.sphere_table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PULL_BACKS[1:]).flatmap(
+        lambda names: st.tuples(st.just(names), drawn_and_stored(preset(names[0])))
+    )
+)
+def test_a_class_pulled_back_to_a_blowup_keeps_its_connected_count(drawn):
+    # The rational curves in the pull-back of A miss the new exceptional
+    # sphere, so N counts the same curves on both sides.
+    (base_name, up_name), classes = drawn
+    base, up = preset(base_name), preset(up_name)
+    for A in classes:
+        below, above = _answer(N, base, A), _answer(N, up, HClass(A.coords + (0,), up.lattice))
+        assert None in (below, above) or below == above, A
+
+
+def cremona(A, i, j, k):
+    """The quadratic Cremona move of A = dL - sum a_r E_r at the points i, j, k."""
+    coords = list(A.coords)
+    d, a = coords[0], {r: -coords[r] for r in (i, j, k)}
+    coords[0] = 2 * d - a[i] - a[j] - a[k]
+    for r, s, t in ((i, j, k), (j, i, k), (k, i, j)):
+        coords[r] = a[s] + a[t] - d
+    return HClass(tuple(coords), A.lattice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([f"cp2_blowup({n})" for n in range(3, 17)]).map(preset).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.integers(1, m.lattice.rank - 1), min_size=3, max_size=3, unique=True).map(sorted),
+            drawn_and_stored(m),
+        )
+    )
+)
+def test_a_connected_count_is_invariant_under_the_cremona_move(drawn):
+    # The move is the reflection in L - Ei - Ej - Ek, of square -2 and
+    # orthogonal to K, and it keeps the genus-0 counts of a blown-up plane.
+    m, (i, j, k), classes = drawn
+    for A in classes:
+        here, there = _answer(N, m, A), _answer(N, m, cremona(A, i, j, k))
+        assert None in (here, there) or here == there, (A, (i, j, k))
 
 
 @settings(max_examples=60, deadline=None)

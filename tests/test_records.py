@@ -101,7 +101,7 @@ RECORDS = {
         "fiber_gr",
         False,
         "Piece(label='', boundary_count=0, fiber_gr=2, "
-        "own_notes=('glue {} with {}: fiber count 1 + 1 = 2',))",
+        "own_notes=('glue the last two pieces: fiber count 1 + 1 = 2',))",
     ),
     "TruncSeries": (
         lambda: TruncSeries((1, -2, 3)),

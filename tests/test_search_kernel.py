@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,30 @@ def test_kernel_on_hand_cases():
     three = [b3.parse(e) for e in ("L+E1", "E3", "2L+E1+E2")]
     A = b3.parse("2L+2E1+2E2+2E3")
     assert kernel(A, three, [None] * 3) == brute_force(A, three, [None] * 3) == []
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_a_sign_that_no_row_takes_is_refused_before_the_search(n):
+    # Every sphere row of a blow-up has L coefficient >= 0, so no sum of them
+    # is K = -3L + E1 + ... + En, which has positive area from 10 blow-ups on:
+    # the kernel's inner search is never entered.  The hook fails the first
+    # entry, so a search that walks for minutes under it is not waited for.
+    consts = _orthogonal_combinations.__code__.co_consts
+    (search,) = (c for c in consts if getattr(c, "co_name", "") == "search")
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is search:
+            raise AssertionError("the search was entered")
+
+    m = preset("cp2_blowup", n)
+    K = m.canonical_class()
+    assert omega_area(K) > 0
+    sys.setprofile(profile)
+    try:
+        count = gr_s(m, K)
+    finally:
+        sys.setprofile(None)
+    assert count == 0
 
 
 # The hand case's four cp2_blowup(3) classes as coordinates on (L, E1, E2, E3):
