@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import warnings
-from collections.abc import Callable
 
 from . import configurations, fibersum, invariants, lattice, model_io, spherical
 from . import structure, torus_series
@@ -185,9 +184,11 @@ def _cone(model: lattice.ManifoldModel, A: lattice.HClass, args) -> dict[str, st
 
 
 # Per-class commands: command -> (value of one class, human format,
-# records format).  A format sees the class as s, the value as v and the
-# flags as a; a newline in it starts another output line.
-_PER_CLASS: dict[str, tuple[Callable, str, str]] = {
+# records format), and for a command that reports a warning as one more
+# line after the class's result, (category, human line, records line).  A
+# format sees the class as s, the value as v and the flags as a; a newline
+# in it starts another output line.  No Python warning reaches stderr.
+_PER_CLASS: dict[str, tuple] = {
     "k": (lambda m, A, a: invariants.k(A), "k({s}) = {v}", "k({s})={v}"),
     "kprime": (lambda m, A, a: invariants.k_prime(m, A), "k'({s}) = {v}", "kprime({s})={v}"),
     "genus": (
@@ -207,6 +208,9 @@ _PER_CLASS: dict[str, tuple[Callable, str, str]] = {
         _reduce,
         "reduce({s}) = {v[good]}; strips: {v[shown]}",
         "reduce({s}).good={v[good]}\nreduce({s}).strips={v[strips]}",
+        ReductionConsistencyWarning,
+        "  warning: inconsistent reduction; stored exceptional classes are not pairwise orthogonal",
+        "reduce({s}).warning=inconsistent-reduction",
     ),
     "classify-neg": (
         _classify,
@@ -228,19 +232,10 @@ _PER_CLASS: dict[str, tuple[Callable, str, str]] = {
         "Gr({s}) = {v}",
         "gr({s})={v}",
     ),
-    "gr-s": (lambda m, A, a: spherical.gr_s(m, A), "Gr_s({s}) = {v}", "gr_s({s})={v}"),
-}
-
-# The warning a per-class command reports, as one more line after the
-# class's result: command -> (category, human line, records line).  No
-# Python warning reaches stderr.
-_WARNING_LINES: dict[str, tuple[type[Warning], str, str]] = {
-    "reduce": (
-        ReductionConsistencyWarning,
-        "  warning: inconsistent reduction; stored exceptional classes are not pairwise orthogonal",
-        "reduce({s}).warning=inconsistent-reduction",
-    ),
     "gr-s": (
+        lambda m, A, a: spherical.gr_s(m, A),
+        "Gr_s({s}) = {v}",
+        "gr_s({s})={v}",
         AssignmentAmbiguityWarning,
         "  warning: ambiguous point assignment among repeated components",
         "gr_s({s}).warning=ambiguous-assignment",
@@ -252,9 +247,9 @@ def _cmd_per_class(args) -> list[str]:
     model = _load_manifold(args.manifold)
     # The --candidates of decomp and gr, parsed once and before the classes.
     args.parsed_candidates = _candidates(model, args)
-    value, human, records = _PER_CLASS[args.command]
-    category, warn_human, warn_records = _WARNING_LINES.get(args.command, (None, None, None))
-    fmt, warning = (records, warn_records) if args.format == "records" else (human, warn_human)
+    value, human, records, *warning = _PER_CLASS[args.command]
+    category, warn_human, warn_records = warning or (None, None, None)
+    fmt, warn = (records, warn_records) if args.format == "records" else (human, warn_human)
     lines = []
     for A in _classes(model, args):
         s = lattice.format_class(A)
@@ -263,7 +258,7 @@ def _cmd_per_class(args) -> list[str]:
             v = value(model, A, args)
         lines.extend(fmt.format(s=s, v=v, a=args).split("\n"))
         if category and any(issubclass(w.category, category) for w in caught):
-            lines.append(warning.format(s=s))
+            lines.append(warn.format(s=s))
     return lines
 
 
@@ -275,10 +270,9 @@ def _cmd_lightcone(args) -> list[str]:
     rep = invariants.light_cone_pair_check(*classes)
     s1, s2 = map(lattice.format_class, classes)
     key = f"lightcone({s1},{s2})"
-    if args.format == "records":
-        return [f"{key}={'pass' if rep.ok else 'fail'}"] + _report_lines(rep, key, "records")[:-1]
-    head = f"lightcone({s1}, {s2}): {'pass' if rep.ok else 'fail'}"
-    return [head] + _report_lines(rep, key, "human")[:-1]
+    verdict = "pass" if rep.ok else "fail"
+    head = f"{key}={verdict}" if args.format == "records" else f"lightcone({s1}, {s2}): {verdict}"
+    return [head] + _report_lines(rep, key, args.format)[:-1]
 
 
 def _candidates(model: lattice.ManifoldModel, args) -> list[lattice.HClass] | None:

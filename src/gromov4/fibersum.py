@@ -36,23 +36,14 @@ from .errors import DomainError, PreconditionError, _Frozen, _require_int
 class Piece(_Frozen):
     """A (possibly bounded) piece with its signed fiber-class torus count.
 
-    A stock piece has its own label and notes.  glue keeps only the two
-    operands and its one note, which names neither of them.  operands is a
-    link outside _fields: pieces compare by identity and repr skips it, and
-    copy, deepcopy and pickle do not recurse into it.
+    notes are the piece's own: a stock piece's description, or the one
+    note of the glue that made it, which names neither operand.
     """
 
-    _fields = ("label", "boundary_count", "fiber_gr", "own_notes")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    _fields = ("label", "boundary_count", "fiber_gr", "notes")
 
     def __init__(
-        self,
-        label: str,
-        boundary_count: int,
-        fiber_gr: int,
-        own_notes: tuple[str, ...] = (),
-        operands: tuple[Piece, Piece] | None = None,
+        self, label: str, boundary_count: int, fiber_gr: int, notes: tuple[str, ...] = ()
     ) -> None:
         if not isinstance(label, str):
             raise ValueError("piece label must be a string")
@@ -60,63 +51,13 @@ class Piece(_Frozen):
         _require_int(fiber_gr, "fiber count")
         if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
-        if not (isinstance(own_notes, tuple) and all(isinstance(n, str) for n in own_notes)):
+        if not (isinstance(notes, tuple) and all(isinstance(n, str) for n in notes)):
             raise ValueError("piece notes must be a tuple of strings")
-        if operands is not None and not (
-            isinstance(operands, tuple)
-            and len(operands) == 2
-            and all(isinstance(op, Piece) for op in operands)
-        ):
-            raise ValueError("piece operands must be None or a pair of pieces")
-        super().__init__(label, boundary_count, fiber_gr, own_notes)
-        object.__setattr__(self, "operands", operands)
-
-    def __reduce__(self):
-        # A glued piece travels as the pieces under it, each once and its
-        # operands first: a stock piece as itself, a glued one as its first
-        # four fields and its operands' positions.  No copy then recurses
-        # deeper than a stock piece.
-        if self.operands is None:
-            return super().__reduce__()
-        steps, at, todo = [], {}, [self]
-        while todo:
-            top = todo.pop()
-            waiting = [op for op in top.operands or () if id(op) not in at]
-            if waiting:
-                todo += (top, *waiting)
-            elif id(top) not in at:
-                at[id(top)] = len(steps)
-                fields = (top.label, top.boundary_count, top.fiber_gr, top.own_notes)
-                steps.append((*fields, *[at[id(op)] for op in top.operands]) if top.operands else top)
-        return (_replay, (tuple(steps),))
+        super().__init__(label, boundary_count, fiber_gr, notes)
 
     @property
     def closed(self) -> bool:
         return self.boundary_count == 0
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        """The notes of the pieces under this one, operands first, and then
-        its own: read in this postfix order, each glue note joins the two
-        latest pieces not yet glued."""
-        notes, todo = [], [self]
-        while todo:
-            top = todo.pop()
-            if isinstance(top, Piece):
-                todo += (top.own_notes, *reversed(top.operands or ()))
-            else:
-                notes += top
-        return tuple(notes)
-
-
-def _replay(steps: tuple) -> Piece:
-    """Glue a piece again from the steps Piece.__reduce__ lists."""
-    built = []
-    for step in steps:
-        if not isinstance(step, Piece):
-            step = Piece(*step[:4], (built[step[4]], built[step[5]]))
-        built.append(step)
-    return built[-1]
 
 
 def base_pieces() -> dict[str, Piece]:
@@ -142,11 +83,11 @@ def glue(a: Piece, b: Piece) -> Piece:
         raise PreconditionError("glue needs a boundary torus on each piece")
     fiber = a.fiber_gr + b.fiber_gr
     note = f"glue the last two pieces: fiber count {a.fiber_gr} + {b.fiber_gr} = {fiber}"
-    return Piece("", a.boundary_count + b.boundary_count - 2, fiber, (note,), (a, b))
+    return Piece("", a.boundary_count + b.boundary_count - 2, fiber, (note,))
 
 
-# The largest n gr_elliptic_fiber builds V(n) for: the ledger glues n - 1
-# pieces, so the bound caps its time and memory before the first glue.
+# The largest n gr_elliptic_fiber builds V(n) for: the ledger glues n
+# times, so the bound caps its time and memory before the first glue.
 _N_MAX = 10_000
 
 
@@ -161,9 +102,11 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
 
     The open piece starts at V1_minus_NF (count 0), each further fiber-sum
     copy glues in one N_minus_P (count -1), and the D2xT2 cap closes the
-    piece; the result is 2 - n.  The trace is the capped piece's 2n+1
-    notes.  An n that is not an int (a bool included) raises ValueError;
-    an n past _N_MAX raises DomainError.
+    piece; the result is 2 - n.  The trace is the chain's 2n+1 notes in
+    postfix order: V1_minus_NF's, then for each glue the glued piece's and
+    the glue's own, which joins the two latest pieces not yet glued.  An n
+    that is not an int (a bool included) raises ValueError; an n past
+    _N_MAX raises DomainError.
     """
     _require_int(n, "n")
     if n < 1:
@@ -171,13 +114,14 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
     if n > _N_MAX:
         raise DomainError(f"n past the ledger limit {_N_MAX}")
     stock = base_pieces()
-    open_piece = stock["V1_minus_NF"]
-    for _ in range(n - 1):
-        open_piece = glue(open_piece, stock["N_minus_P"])
-    closed = glue(open_piece, stock["D2xT2"])
-    if not closed.closed:
+    piece = stock["V1_minus_NF"]
+    trace = list(piece.notes)
+    for b in [stock["N_minus_P"]] * (n - 1) + [stock["D2xT2"]]:
+        piece = glue(piece, b)
+        trace += b.notes + piece.notes
+    if not piece.closed:
         raise AssertionError("the capped piece must be closed")
-    return EllipticFiberCount(closed.fiber_gr, closed.notes)
+    return EllipticFiberCount(piece.fiber_gr, tuple(trace))
 
 
 def fiber_tori(count: int) -> tuple[tuple[str, int], ...]:

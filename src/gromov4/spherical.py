@@ -46,7 +46,7 @@ from .errors import (
 )
 from .lattice import HClass, ManifoldModel, _square, c1
 from .structure import (
-    _CandidateTable, _candidate_table, _orthogonal_combinations, _require_target,
+    _CandidateTable, _candidate_table, _orthogonal_combinations, _require_target, _sorted_parts,
 )
 
 
@@ -57,15 +57,7 @@ class SphereConfig(_Frozen):
     _fields = ("parts",)
 
     def __init__(self, parts: Iterable[HClass]) -> None:
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("a sphere configuration needs at least one part")
-        for b in parts:  # parts[0] is checked first
-            if not isinstance(b, HClass):
-                raise ValueError("sphere configuration parts must be homology classes")
-            if b.lattice is not parts[0].lattice and b.lattice != parts[0].lattice:
-                raise ValueError("sphere configuration parts must share one lattice")
-        super().__init__(tuple(sorted(parts, key=lambda b: b.coords)))
+        super().__init__(_sorted_parts(parts, "sphere configuration"))
         if self.k < 0:
             raise ValueError(f"point budgets sum to {self.k}; k must be non-negative")
 

@@ -55,21 +55,28 @@ from .lattice import (
 )
 
 
+def _sorted_parts(parts: Iterable[HClass], record: str) -> tuple[HClass, ...]:
+    """The parts of a record of classes, sorted by coordinates, once they
+    are checked: at least one, each an HClass, all in one lattice.  record
+    names the record in the messages ("decomposition")."""
+    parts = tuple(parts)
+    if not parts:
+        raise ValueError(f"a {record} needs at least one part")
+    for p in parts:  # parts[0] is checked first; the identity test spares a search __eq__
+        if not isinstance(p, HClass):
+            raise ValueError(f"{record} parts must be homology classes")
+        if p.lattice is not parts[0].lattice and p.lattice != parts[0].lattice:
+            raise ValueError(f"{record} parts must share one lattice")
+    return tuple(sorted(parts, key=lambda p: p.coords))
+
+
 class Decomposition(_Frozen):
     """Pairwise orthogonal, non-proportional parts of non-negative square."""
 
     _fields = ("parts",)
 
     def __init__(self, parts: Iterable[HClass]) -> None:
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("a decomposition needs at least one part")
-        for p in parts:  # parts[0] is checked first; the identity test spares a search __eq__
-            if not isinstance(p, HClass):
-                raise ValueError("decomposition parts must be homology classes")
-            if p.lattice is not parts[0].lattice and p.lattice != parts[0].lattice:
-                raise ValueError("decomposition parts must share one lattice")
-        super().__init__(tuple(sorted(parts, key=lambda p: p.coords)))
+        super().__init__(_sorted_parts(parts, "decomposition"))
 
     def total(self) -> HClass:
         return sum(self.parts, self.parts[0].lattice.zero())

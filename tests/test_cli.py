@@ -478,6 +478,10 @@ def test_model_file_manifold(capsys, tmp_path):
     )
     assert code == 0
     assert out.splitlines() == ["gr_s(2S)=4", "gr_s(2S).warning=ambiguous-assignment"]
+    code, out, _ = invoke(capsys, "gr-s", "--manifold", str(path), "--class", "2S")
+    assert (code, out) == (
+        0, "Gr_s(2S) = 4\n  warning: ambiguous point assignment among repeated components\n"
+    )
     doc["gram"] = [[0, 1], [1, 1]]
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = invoke(capsys, "k", "--manifold", str(path), "--class", "S")

@@ -54,12 +54,15 @@ ORDER = 6
 
 def _glued(pair_of_trees):
     # Two trees glue when each has a boundary torus; else the first stands.
-    a, b = pair_of_trees
-    return glue(a, b) if a.boundary_count and b.boundary_count else a
+    # A tree is a piece with the labels of the stock pieces glued into it.
+    (a, a_leaves), (b, b_leaves) = pair_of_trees
+    if a.boundary_count and b.boundary_count:
+        return glue(a, b), a_leaves + b_leaves
+    return a, a_leaves
 
 
 GLUE_TREES = st.recursive(
-    st.sampled_from(sorted(STOCK_TORI)).map(lambda name: base_pieces()[name]),
+    st.sampled_from(sorted(STOCK_TORI)).map(lambda name: (base_pieces()[name], (name,))),
     lambda trees: st.tuples(trees, trees).map(_glued),
     max_leaves=8,
 )
@@ -71,15 +74,12 @@ def _series(tori) -> list[int]:
 
 @settings(max_examples=200, deadline=None)
 @given(GLUE_TREES)
-def test_a_glued_piece_counts_the_product_of_its_leaves_tori(piece):
+def test_a_glued_piece_counts_the_product_of_its_leaves_tori(tree):
     # Gluing adds fiber counts; the count's tori multiply the leaves' series.
-    product, todo = [1] + [0] * ORDER, [piece]
-    while todo:
-        part = todo.pop()
-        if part.operands:
-            todo += part.operands
-            continue
-        leaf = _series(STOCK_TORI[part.label])
+    piece, leaves = tree
+    product = [1] + [0] * ORDER
+    for label in leaves:
+        leaf = _series(STOCK_TORI[label])
         product = [sum(product[i] * leaf[k - i] for i in range(k + 1)) for k in range(ORDER + 1)]
     got = _series(fiber_tori(piece.fiber_gr))
     assert got == product

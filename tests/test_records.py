@@ -2,7 +2,7 @@
 
 Each record is built twice from the same arguments.  Value records compare
 equal with equal hashes; a lattice compares by its fields through its own
-method; a model and a piece compare by identity.  The repr strings are
+method; only a model compares by identity.  The repr strings are
 pinned.
 """
 
@@ -99,9 +99,9 @@ RECORDS = {
     "Piece": (
         _glued,
         "fiber_gr",
-        False,
+        True,
         "Piece(label='', boundary_count=0, fiber_gr=2, "
-        "own_notes=('glue the last two pieces: fiber count 1 + 1 = 2',))",
+        "notes=('glue the last two pieces: fiber count 1 + 1 = 2',))",
     ),
     "TruncSeries": (
         lambda: TruncSeries((1, -2, 3)),
