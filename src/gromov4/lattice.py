@@ -724,15 +724,15 @@ def _cp2_blowup(n: int) -> ManifoldModel:
         canonical=(-3,) + (1,) * n,
         area=(3,) + (1,) * n,
     )
-    L = lat.basis_class(0)
-    Es = [lat.basis_class(i) for i in range(1, n + 1)]
-    spheres = {L: 1, 2 * L: 1, 3 * L: 12}
-    for E in Es:
+    z = (0,) * n  # every key is built as its coordinate row; index i stands for E_(i+1)
+    Es = [HClass((0,) + z[:i] + (1,) + z[i + 1 :], lat) for i in range(n)]
+    spheres = {HClass((d,) + z, lat): count for d, count in ((1, 1), (2, 1), (3, 12))}
+    for i, E in enumerate(Es):
         spheres[E] = 1
-        spheres[L - E] = 1
-    for i in range(len(Es)):
-        for j in range(i + 1, len(Es)):
-            spheres[L - Es[i] - Es[j]] = 1
+        spheres[HClass((1,) + z[:i] + (-1,) + z[i + 1 :], lat)] = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            spheres[HClass((1,) + z[:i] + (-1,) + z[i + 1 : j] + (-1,) + z[j + 1 :], lat)] = 1
     return ManifoldModel(
         lattice=lat,
         exceptional=tuple(Es),

@@ -19,8 +19,10 @@ the model, as the exceptional pairing table and the table of the last
 decomposition search are.  The model's sphere_table is read-only, so the
 kept rows stay true to it.
 
-Each configuration contributes the product of the counts N(B_i), read by
-ManifoldModel.sphere_count (missing data raises UnknownSphereCountError).
+gr_s weighs each selection of that search as it comes, building no
+SphereConfig: the product of the counts N(B_i), read by
+ManifoldModel.sphere_count (missing data raises UnknownSphereCountError),
+times _weight, the one formula assignment_factor also reads.
 When a class repeats r >= 2 times with a positive per-copy budget, the
 labelled generic points can be split among the identical copies; the
 combinatorial factor (multinomial over the budgets, divided by r! for each
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 
 from . import invariants
 from .errors import (
@@ -117,6 +119,21 @@ def enumerate_sphere_configs(model: ManifoldModel, A: HClass) -> list[SphereConf
     return configs
 
 
+def _weight(model: ManifoldModel, pairs: Collection[tuple[HClass, int]]) -> tuple[int, bool]:
+    """assignment_factor of r copies of B for each (B, r) in pairs, the B distinct."""
+    factor, ambiguous = math.factorial(sum(r * (c1(B) - 1) for B, r in pairs)), False
+    for B, r in pairs:
+        budget = c1(B) - 1
+        factor //= math.factorial(budget) ** r
+        if r >= 2 and budget >= 1:
+            sym = math.factorial(r)
+            if factor % sym != 0:
+                raise AssertionError("symmetry division must be exact")
+            factor //= sym
+        ambiguous |= r >= 2 and model.sphere_count(B) > 1
+    return factor, ambiguous
+
+
 def assignment_factor(model: ManifoldModel, config: SphereConfig) -> tuple[int, bool]:
     """Combinatorial weight of a configuration, with an ambiguity flag.
 
@@ -126,41 +143,29 @@ def assignment_factor(model: ManifoldModel, config: SphereConfig) -> tuple[int, 
     when a repeated class has table count > 1; there the convention is
     documented rather than forced.
     """
-    budgets = config.budgets()
-    factor = math.factorial(config.k)
-    for b in budgets:
-        factor //= math.factorial(b)
-    ambiguous = False
-    for cls, r in Counter(config.parts).items():
-        if r >= 2:
-            if c1(cls) - 1 >= 1:
-                sym = math.factorial(r)
-                if factor % sym != 0:
-                    raise AssertionError("symmetry division must be exact")
-                factor //= sym
-            if model.sphere_count(cls) > 1:
-                ambiguous = True
-    return factor, ambiguous
+    return _weight(model, Counter(config.parts).items())
 
 
 def gr_s(model: ManifoldModel, A: HClass) -> int:
     """The spherical invariant: sum over configurations of the product of
-    connected counts, times the assignment factor."""
-    total = 0
-    for config in enumerate_sphere_configs(model, A):
-        prod = 1
-        for B in config.parts:
-            prod *= model.sphere_count(B)
-        factor, ambiguous = assignment_factor(model, config)
-        if ambiguous:
-            warnings.warn(
-                AssignmentAmbiguityWarning(
-                    f"configuration {[str(b) for b in config.parts]} repeats a class "
-                    f"with several representatives; the assignment factor is a "
-                    f"documented convention"
-                )
-            )
-        total += prod * factor
+    connected counts, times the assignment factor; the ambiguous ones warn
+    in configuration order."""
+    _require_target(model, A)
+    if c1(A) < 1:
+        return 0
+    total, ambiguous = 0, []
+    for selection in _orthogonal_combinations(A, _sphere_candidates(model)):
+        factor, flag = _weight(model, selection)
+        for B, r in selection:
+            factor *= model.sphere_count(B) ** r
+        total += factor
+        if flag:
+            ambiguous.append([B for B, r in selection for _ in range(r)])  # candidate order: sorted parts
+    for parts in sorted(ambiguous, key=lambda parts: (len(parts), [b.coords for b in parts])):
+        warnings.warn(AssignmentAmbiguityWarning(
+            f"configuration {[str(b) for b in parts]} repeats a class with several "
+            "representatives; the assignment factor is a documented convention"
+        ))
     return total
 
 

@@ -18,17 +18,18 @@ a cover m turns a into m*a), so a torus list's product is one integer vector
 c[0..K] built from c = 1: multiplying by a factor is a descending pass
 c[i] += s*c[i-a], dividing by one an ascending pass c[i] -= s*c[i-a].
 gr_torus_class keeps only the vector of the last list asked for, keyed on
-the list as parse_tori returns it from one loop over the entries.  A list's
-first vector covers a fixed minimum degree, enough for the usual degree
-sweeps, and a k past the kept vector rebuilds it at max(k, twice its
-order); no degree past a fixed series-order limit is computed.  A label is
-its text, "+i" or "-i" for (sign, i), so a key is a tuple of text and
-integers.
+the list as parse_tori returns it, and skips the parse for a list of the
+very entries last parsed, each immutable.  A list's first vector covers a
+fixed minimum degree, enough for the usual degree sweeps, and a k past the
+kept vector rebuilds it at max(k, twice its order); no degree past a fixed
+series-order limit is computed.  A label is its text, "+i" or "-i" for
+(sign, i), so a key is a tuple of text and integers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import is_
 
 from .errors import DomainError, ModelFileError, _Frozen, _int, _require_int
 
@@ -164,6 +165,11 @@ def _entry(entry, j: int) -> tuple[str, int]:
     return text, cover
 
 
+def _immutable(entry) -> bool:
+    """An exact str or an exact (str, int) tuple: an entry that parses alike every time."""
+    return entry.__class__ is str or entry.__class__ is tuple and entry[0].__class__ is str and entry[1].__class__ is int
+
+
 # The largest degree gr_torus_class computes, checked before anything is allocated; the
 # kept vector is rebuilt at most at twice its length, so it has at most 2 * _ORDER_MAX + 1.
 _ORDER_MAX = 10_000
@@ -173,8 +179,8 @@ _ORDER_MAX = 10_000
 # sweep builds each list once instead of at orders 0, 1, 2, 4, 8 and 16.
 _ORDER_FIRST = 16
 
-# The last list gr_torus_class was asked for, as parse_tori returns it, and its vector.
-_last: tuple[tuple | None, list[int]] = (None, [])
+# The last list parsed: its entries if each is _immutable (else None), its key and the key's vector.
+_last: tuple[tuple | None, tuple | None, list[int]] = (None, None, [])
 
 
 def gr_torus_class(tori: list | tuple, k: int) -> int:
@@ -193,11 +199,15 @@ def gr_torus_class(tori: list | tuple, k: int) -> int:
         raise ValueError("degree must be non-negative")
     if k > _ORDER_MAX:
         raise DomainError(f"degree past the series-order limit {_ORDER_MAX}")
-    key = parse_tori(tori)
-    last, c = _last  # one read, so the key and vector always match
-    if key != last:
-        c = []
+    kept, key, c = _last  # one read, so the entries, key and vector always match
+    exact = tori.__class__ is list or tori.__class__ is tuple
+    if not (exact and kept is not None and len(tori) == len(kept) and all(map(is_, tori, kept))):
+        new = parse_tori(kept := tuple(tori) if exact else tori)  # the entries kept are those parsed
+        kept = kept if exact and all(map(_immutable, kept)) else None
+        if new != key:
+            key, c = new, []
+        _last = kept, key, c
     if k >= len(c):
         c = _coefficients(key, max(k, _ORDER_FIRST, 2 * len(c) - 2))
-        _last = key, c
+        _last = kept, key, c
     return c[k]

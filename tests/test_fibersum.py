@@ -27,7 +27,7 @@ from gromov4 import (
 
 
 def doubled_annulus() -> Piece:
-    """N_minus_P glued to itself 60 times over: fiber count -2**60, 61 pieces."""
+    """N_minus_P glued to itself 60 times over: fiber count -2**60."""
     doubled = base_pieces()["N_minus_P"]
     for _ in range(60):
         doubled = glue(doubled, doubled)
@@ -270,13 +270,13 @@ def test_a_deep_ledger_deep_copies_and_pickles():
     assert pickle.loads(pickle.dumps(result)) == result
 
 
-def test_ledgers_compare_by_their_notes():
-    # The count is no part of a ledger: equal notes make equal ledgers and
-    # hashes.  A ledger that runs on past another's notes differs from it.
-    one, other = Piece("P", 1, 1, ("note",)), Piece("P", 1, 0, ("note",))
-    assert one.notes == other.notes and hash(one.notes) == hash(other.notes)
-    assert one.notes != Piece("P", 1, 1, ("note", "more")).notes
-    assert one.notes != ["note"]
+def test_pieces_differing_only_in_count_or_notes_are_unequal():
+    # A piece compares by every field: equal notes do not make equal pieces,
+    # and notes that run on past another's differ from them.
+    one = Piece("P", 1, 1, ("note",))
+    assert one == Piece("P", 1, 1, ("note",)) and hash(one) == hash(Piece("P", 1, 1, ("note",)))
+    assert one != Piece("P", 1, 0, ("note",))
+    assert one != Piece("P", 1, 1, ("note", "more"))
 
 
 def test_ledger_deeper_than_the_recursion_limit():

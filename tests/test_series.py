@@ -308,11 +308,11 @@ def test_only_the_last_list_keeps_a_vector():
     big, small = [("+1", 1)], [("+0", 1), ("-2", 3)]
     limit, first = torus_series._ORDER_MAX, torus_series._ORDER_FIRST
     assert gr_torus_class(big, limit) == 0
-    vector = torus_series._last[1]
+    vector = torus_series._last[2]
     assert len(vector) == limit + 1
     assert gr_torus_class(small, 3) == refs.torus_counts(small, 3)[3]
-    key, kept = torus_series._last
-    assert key == parse_tori(small) and len(kept) == first + 1
+    entries, key, kept = torus_series._last
+    assert entries == tuple(small) and key == parse_tori(small) and len(kept) == first + 1
     # Nothing but this test's own name still holds the big list's vector.
     assert sys.getrefcount(vector) == 2
 
@@ -353,15 +353,116 @@ def test_degree_must_be_an_int_before_anything_is_parsed():
     assert torus_series._last is kept
 
 
-def test_cached_list_still_validates_every_call():
-    assert gr_torus_class([("+0", 1)], 4) == 1
-    # True == 1 and 1.0 == 1 hash alike: a key on the raw input would
-    # answer these from the cache without validating them.
+def _counted_parses(monkeypatch) -> list:
+    """The torus lists gr_torus_class parses from now on, in call order."""
+    parses, parse = [], torus_series.parse_tori
+
+    def counted(tori):
+        parses.append(tori)
+        return parse(tori)
+
+    gr_torus_class([], 0)  # the kept entries are another list's
+    monkeypatch.setattr(torus_series, "parse_tori", counted)
+    return parses
+
+
+def test_an_unchanged_list_is_not_rechecked_and_any_other_list_is(monkeypatch):
+    parses = _counted_parses(monkeypatch)
+    tori = [("+0", 1)]
+    assert [gr_torus_class(tori, k) for k in range(5)] == [1] * 5
+    assert gr_torus_class(tuple(tori), 4) == gr_torus_class(list(tori), 4) == 1
+    assert parses == [tuple(tori)]
+    # True == 1 and 1.0 == 1 hash alike: a key on the raw input, or entries
+    # compared by ==, would answer these from the cache without validating them.
     for cover in (True, 1.0, "2"):
         with pytest.raises(ValueError):
             gr_torus_class([("+0", cover)], 4)
     with pytest.raises(ValueError):
         gr_torus_class([("+9", 1)], 4)
+    assert gr_torus_class(tori, 4) == 1 and len(parses) == 5
+    # The same list, changed in place, is parsed again.
+    tori.append(("+9", 1))
+    with pytest.raises(ModelFileError):
+        gr_torus_class(tori, 4)
+    tori[1] = ("-0", 1)
+    assert gr_torus_class(tori, 4) == 0 and len(parses) == 7
+
+
+class _Pair(tuple):
+    pass
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["+0", 1], _Text("+0"), _Pair(("+0", 1)), ("+0", _Int(1)), (_Text("+0"), 1)],
+    ids=["list", "text-subclass", "tuple-subclass", "int-subclass-cover", "text-subclass-label"],
+)
+def test_a_list_with_a_mutable_or_subclass_entry_is_never_kept(entry):
+    want = refs.torus_counts([("+1", 1), ("+0", 1)], 3)[3]
+    for tori in (["+1", entry], ("+1", entry)):
+        assert gr_torus_class(tori, 3) == want and torus_series._last[0] is None
+    exact = ["+1", ("+0", 1)]
+    assert gr_torus_class(_Tori(exact), 3) == want and torus_series._last[0] is None
+    assert gr_torus_class(exact, 3) == want and torus_series._last[0] == tuple(exact)
+
+
+def test_a_sweep_over_a_stored_row_parses_it_once(monkeypatch):
+    model = preset("elliptic(3)")
+    F = model.lattice.basis_class(0)
+    row = model.torus_table[F]
+    parses = _counted_parses(monkeypatch)
+    assert [model.gr0(d * F) for d in range(1, 13)] == refs.torus_counts(row, 12)[1:]
+    assert parses == [row]
+
+
+# Entries of a torus list changed in place between asks: the exact forms,
+# every spelling and mistake parse_tori reads, and subclass pairs.
+REUSE_ENTRIES = EXACT_ENTRIES | ODD_ENTRIES | st.tuples(EXACT_LABELS, st.integers(1, 4)).map(_Pair)
+# ("k", degree) asks; ("copy", container) asks through a new container of the
+# same entries; the others change the list, or a list entry of it, in place.
+REUSE_STEPS = st.one_of(
+    st.tuples(st.just("k"), st.integers(0, 20)),
+    st.tuples(st.just("copy"), st.sampled_from([list, tuple, _Tori])),
+    st.tuples(st.just("set"), st.integers(0, 5), REUSE_ENTRIES),
+    st.tuples(st.just("append"), REUSE_ENTRIES),
+    st.tuples(st.just("pop"), st.integers(0, 5)),
+    st.tuples(st.just("edit"), st.integers(0, 5), LABEL_INPUTS, COVER_INPUTS),
+)
+
+
+def _answer(count, tori, k):
+    """count(tori, k), or the error's type, path and message."""
+    try:
+        return count(tori, k)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "path", None), str(exc)
+
+
+def _fresh(tori, k):
+    return torus_series._coefficients(parse_tori(tori), k)[k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(REUSE_ENTRIES, max_size=4), st.lists(REUSE_STEPS, min_size=1, max_size=12))
+def test_reuse_matches_a_fresh_parse_through_in_place_changes(entries, steps):
+    tori = entries
+    for step in steps:
+        kind, *args = step
+        if kind == "k":
+            assert _answer(gr_torus_class, tori, args[0]) == _answer(_fresh, tori, args[0])
+        elif kind == "copy":
+            tori = args[0](tori)
+        elif isinstance(tori, list) and kind == "append":
+            tori.append(args[0])
+        elif isinstance(tori, list) and tori and kind in ("set", "pop"):
+            i = args[0] % len(tori)
+            if kind == "set":
+                tori[i] = args[1]
+            else:
+                tori.pop(i)
+        elif kind == "edit" and (lists := [e for e in tori if e.__class__ is list]):
+            lists[args[0] % len(lists)][:] = args[1:]
+    assert _answer(gr_torus_class, tori, 7) == _answer(_fresh, tori, 7)
 
 
 def test_degree_past_the_cached_order_rebuilds():
@@ -379,12 +480,13 @@ def test_cache_keeps_born_pairs_and_stays_bounded():
     born = base + [("+1", 2), ("-1", 2)]
     assert gr_torus_class(base, 9) == gr_torus_class(born, 9)
     # the key is the list as given: the born pair is not cancelled
-    assert torus_series._last[0] == parse_tori(born) != parse_tori(base)
+    assert torus_series._last[1] == parse_tori(born) != parse_tori(base)
     for _ in range(300):
         tori = [(rng.choice(LABEL_TEXTS), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
         gr_torus_class(tori, rng.randint(0, 20))
-        key, kept = torus_series._last
-        assert key == parse_tori(tori) and len(kept) <= 2 * torus_series._ORDER_FIRST + 1
+        entries, key, kept = torus_series._last
+        assert entries == tuple(tori) and key == parse_tori(tori)
+        assert len(kept) <= 2 * torus_series._ORDER_FIRST + 1
 
 
 def test_degree_past_the_series_order_limit_is_a_domain_error():
