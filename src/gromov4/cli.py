@@ -309,7 +309,7 @@ def _cmd_verify(args) -> list[str]:
     if mode == "kmin":
         if args.n is None:
             raise UsageError("verify --mode kmin needs --n (the elliptic parameter)")
-        model = lattice.preset("elliptic", args.n)
+        model = lattice.preset(f"elliptic({args.n})")
         rep = configurations.check_kmin_constraints(model, fibersum.fiber_gr_table(args.n))
         return _report_lines(rep, "verify", args.format)
     if args.manifold is None:

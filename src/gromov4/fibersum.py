@@ -40,20 +40,16 @@ class Piece(_Frozen):
     note of the glue that made it, which names neither operand.
     """
 
-    _fields = ("label", "boundary_count", "fiber_gr", "notes")
+    _fields = ("boundary_count", "fiber_gr", "notes")
 
-    def __init__(
-        self, label: str, boundary_count: int, fiber_gr: int, notes: tuple[str, ...] = ()
-    ) -> None:
-        if not isinstance(label, str):
-            raise ValueError("piece label must be a string")
+    def __init__(self, boundary_count: int, fiber_gr: int, notes: tuple[str, ...] = ()) -> None:
         _require_int(boundary_count, "boundary count")
         _require_int(fiber_gr, "fiber count")
         if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
         if not (isinstance(notes, tuple) and all(isinstance(n, str) for n in notes)):
             raise ValueError("piece notes must be a tuple of strings")
-        super().__init__(label, boundary_count, fiber_gr, notes)
+        super().__init__(boundary_count, fiber_gr, notes)
 
     @property
     def closed(self) -> bool:
@@ -63,14 +59,10 @@ class Piece(_Frozen):
 def base_pieces() -> dict[str, Piece]:
     """The ledger's stock pieces, keyed by identifier."""
     return {
-        "D2xT2": Piece("D2xT2", 1, 1, ("D2xT2 cap: one boundary torus, fiber count 1",)),
-        "V1": Piece("V1", 0, 1, ("V1 closed: fiber count 1",)),
-        "V1_minus_NF": Piece(
-            "V1_minus_NF", 1, 0, ("V1 minus a fiber neighborhood: fiber count 0",)
-        ),
-        "N_minus_P": Piece(
-            "N_minus_P", 2, -1, ("fiber annulus N_minus_P: two boundary tori, fiber count -1",)
-        ),
+        "D2xT2": Piece(1, 1, ("D2xT2 cap: one boundary torus, fiber count 1",)),
+        "V1": Piece(0, 1, ("V1 closed: fiber count 1",)),
+        "V1_minus_NF": Piece(1, 0, ("V1 minus a fiber neighborhood: fiber count 0",)),
+        "N_minus_P": Piece(2, -1, ("fiber annulus N_minus_P: two boundary tori, fiber count -1",)),
     }
 
 
@@ -83,12 +75,22 @@ def glue(a: Piece, b: Piece) -> Piece:
         raise PreconditionError("glue needs a boundary torus on each piece")
     fiber = a.fiber_gr + b.fiber_gr
     note = f"glue the last two pieces: fiber count {a.fiber_gr} + {b.fiber_gr} = {fiber}"
-    return Piece("", a.boundary_count + b.boundary_count - 2, fiber, (note,))
+    return Piece(a.boundary_count + b.boundary_count - 2, fiber, (note,))
 
 
 # The largest n gr_elliptic_fiber builds V(n) for: the ledger glues n
 # times, so the bound caps its time and memory before the first glue.
 _N_MAX = 10_000
+
+
+def _require_n(n: int) -> None:
+    """An n that is not an int (a bool included) raises ValueError, one
+    below 1 PreconditionError, and one past _N_MAX DomainError."""
+    _require_int(n, "n")
+    if n < 1:
+        raise PreconditionError("elliptic surfaces V(n) need n >= 1")
+    if n > _N_MAX:
+        raise DomainError(f"n past the ledger limit {_N_MAX}")
 
 
 EllipticFiberCount = namedtuple("EllipticFiberCount", [
@@ -104,15 +106,10 @@ def gr_elliptic_fiber(n: int) -> EllipticFiberCount:
     copy glues in one N_minus_P (count -1), and the D2xT2 cap closes the
     piece; the result is 2 - n.  The trace is the chain's 2n+1 notes in
     postfix order: V1_minus_NF's, then for each glue the glued piece's and
-    the glue's own, which joins the two latest pieces not yet glued.  An n
-    that is not an int (a bool included) raises ValueError; an n past
-    _N_MAX raises DomainError.
+    the glue's own, which joins the two latest pieces not yet glued.  n is
+    checked by _require_n.
     """
-    _require_int(n, "n")
-    if n < 1:
-        raise PreconditionError("elliptic surfaces V(n) need n >= 1")
-    if n > _N_MAX:
-        raise DomainError(f"n past the ledger limit {_N_MAX}")
+    _require_n(n)
     stock = base_pieces()
     piece = stock["V1_minus_NF"]
     trace = list(piece.notes)
@@ -137,10 +134,9 @@ def fiber_tori(count: int) -> tuple[tuple[str, int], ...]:
 
 def fiber_gr_table(n: int) -> dict[lattice.HClass, int]:
     """Counts of fiber multiples kF on V(n), each read by the model's gr0,
-    over the full nonzero row k = 0 .. max(n-2, 1)."""
-    _require_int(n, "n")
-    if n < 1:
-        raise PreconditionError("elliptic surfaces V(n) need n >= 1")
-    model = lattice.preset("elliptic", n)
+    over the full nonzero row k = 0 .. max(n-2, 1).  n is checked by
+    _require_n, then by the elliptic preset's bound."""
+    _require_n(n)
+    model = lattice.preset(f"elliptic({n})")
     F = model.lattice.basis_class(0)
     return {k * F: model.gr0(k * F) for k in range(max(n - 2, 1) + 1)}

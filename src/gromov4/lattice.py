@@ -831,40 +831,31 @@ _PRESET_MAX_N = 64
 _PRESET_FORM = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(\s*([0-9]+)\s*\))?$")
 
 # A parameter of more digits is only reported as too large: int() of a digit
-# string past 4,300 digits raises ValueError, and so does str() of such an int.
+# string past 4,300 digits raises ValueError.
 _PARAM_DIGITS = 9
-_HUGE = 10**_PARAM_DIGITS
 
 
-def preset(name: str, n: int | None = None) -> ManifoldModel:
-    """Build a preset model; parametrized ones accept preset("elliptic", 3)
-    or the inline form preset("elliptic(3)"), for 1 <= n <= _PRESET_MAX_N."""
+def preset(name: str) -> ManifoldModel:
+    """Build a preset model from its name; a parametrized one is written
+    inline, as preset("elliptic(3)"), for 1 <= n <= _PRESET_MAX_N."""
     m = isinstance(name, str) and _PRESET_FORM.match(name.strip())
     if not m:
         raise UnknownPresetError(f"bad preset name {name!r}")
-    base, inline = m.groups()
-    if inline is not None:
-        inline_n = int(inline) if len(inline) <= _PARAM_DIGITS else _HUGE
-        if n is not None and n != inline_n:
-            raise UnknownPresetError(f"conflicting parameters for preset {name!r}")
-        n = inline_n
+    base, digits = m.groups()
     entry = _BUILDERS.get(base)
     if entry is None:
-        raise UnknownPresetError(
-            f"unknown preset {base!r}; available: {', '.join(PRESET_NAMES)}"
-        )
+        raise UnknownPresetError(f"unknown preset {base!r}; available: {', '.join(PRESET_NAMES)}")
     builder, takes_n = entry
-    if takes_n:
-        if n is None:
-            raise UnknownPresetError(f"preset {base!r} needs a parameter, e.g. {base}(2)")
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise UnknownPresetError(f"preset {base!r} needs an integer n, got {n!r}")
-        if n < 1:
-            raise UnknownPresetError(f"preset {base!r} needs n >= 1")
-        if n > _PRESET_MAX_N:
-            got = n if n < _HUGE else f"more than {_PARAM_DIGITS} digits"
-            raise UnknownPresetError(f"preset {base!r} takes n <= {_PRESET_MAX_N}, got {got}")
-        return builder(n)
-    if n is not None:
-        raise UnknownPresetError(f"preset {base!r} takes no parameter")
-    return builder()
+    if not takes_n:
+        if digits is not None:
+            raise UnknownPresetError(f"preset {base!r} takes no parameter")
+        return builder()
+    if digits is None:
+        raise UnknownPresetError(f"preset {base!r} needs a parameter, e.g. {base}(2)")
+    n = int(digits) if len(digits) <= _PARAM_DIGITS else None
+    if n == 0:
+        raise UnknownPresetError(f"preset {base!r} needs n >= 1")
+    if n is None or n > _PRESET_MAX_N:
+        got = f"more than {_PARAM_DIGITS} digits" if n is None else n
+        raise UnknownPresetError(f"preset {base!r} takes n <= {_PRESET_MAX_N}, got {got}")
+    return builder(n)

@@ -93,9 +93,8 @@ def _sphere_candidates(model: ManifoldModel) -> _CandidateTable:
     table = model._sphere_candidates
     if table is None:
         keys = [B for B in sorted(model.sphere_table, key=lambda b: b.coords) if c1(B) >= 1]
-        table = _candidate_table(
-            keys, lambda B, sq: None if sq == 0 or B in model.exceptional else 1
-        )
+        exceptional = set(model.exceptional)
+        table = _candidate_table(keys, lambda B, sq: None if sq == 0 or B in exceptional else 1)
         object.__setattr__(model, "_sphere_candidates", table)
     return table
 

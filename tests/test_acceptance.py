@@ -45,13 +45,13 @@ from oracle import ref_model, refs
 def _all_presets():
     return [
         preset("cp2"),
-        preset("cp2_blowup", 1),
-        preset("cp2_blowup", 2),
+        preset("cp2_blowup(1)"),
+        preset("cp2_blowup(2)"),
         preset("s2xs2"),
         preset("s2xt2"),
-        preset("elliptic", 1),
-        preset("elliptic", 2),
-        preset("elliptic", 3),
+        preset("elliptic(1)"),
+        preset("elliptic(2)"),
+        preset("elliptic(3)"),
     ]
 
 
@@ -63,7 +63,7 @@ def test_criterion_1_point_counts():
     assert k(A1 + A2) == 3
     cp = preset("cp2")
     assert k(cp.parse("3L")) == 9
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     assert k(b1.parse("L + E1")) == 2
     assert k(b1.parse("L + 2E1")) == 1
     for m in _all_presets():
@@ -71,7 +71,7 @@ def test_criterion_1_point_counts():
 
 
 def test_criterion_2_reduction():
-    m = preset("cp2_blowup", 1)
+    m = preset("cp2_blowup(1)")
     L, E = m.parse("L"), m.parse("E1")
     A = L + 2 * E
     assert k_prime(m, A) == 2 == k(L)
@@ -126,9 +126,9 @@ def test_criterion_5_spherical_counts():
     assert cp.sphere_table[3 * L] == 12
     assert gr_s(cp, 2 * L) == 1
     assert gr_s(cp, 3 * L) == 12
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     assert gr_s(b1, b1.parse("3L + E1")) == 12
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     assert gr_s(b2, b2.parse("L + E1 + E2")) == 1
     assert gr_s(b2, b2.parse("L - E1 + E2")) == 1
     ruled = preset("s2xt2")
@@ -138,29 +138,35 @@ def test_criterion_5_spherical_counts():
     assert [cfg.parts for cfg in configs] == [(2 * L,)]
 
 
+def _cone_class(m, ref, rng):
+    # Drawn from the box [-9, 9]^rank until it lies in the forward cone, which
+    # the oracle confirms.  Two such draws are uniform on (cone and box)^2, as
+    # a pair drawn whole and rejected unless both lie in the cone would be.
+    while True:
+        A = m.lattice.class_from_coords([rng.randint(-9, 9) for _ in range(m.lattice.rank)])
+        if in_forward_cone(A):
+            assert refs.in_cone(ref, A.coords), (m.name, A.coords)
+            return A
+
+
 def test_criterion_6_structure_properties():
     cone_models = [
         preset("cp2"),
-        preset("cp2_blowup", 2),
+        preset("cp2_blowup(2)"),
         preset("s2xs2"),
         preset("s2xt2"),
-        preset("elliptic", 1),
+        preset("elliptic(1)"),
     ]
     rng = random.Random(4242)
     for m in cone_models:
         assert b2_plus(m.lattice) == 1
-        rank = m.lattice.rank
-        done = 0
-        while done < 10_000:
-            A = m.lattice.class_from_coords([rng.randint(-9, 9) for _ in range(rank)])
-            B = m.lattice.class_from_coords([rng.randint(-9, 9) for _ in range(rank)])
-            if not (in_forward_cone(A) and in_forward_cone(B)):
-                continue
+        ref = ref_model(m)
+        for _ in range(10_000):
+            A, B = _cone_class(m, ref, rng), _cone_class(m, ref, rng)
             rep = light_cone_pair_check(A, B)
             assert rep.ok, (m.name, A.coords, B.coords, rep.failed())
-            done += 1
 
-    scan = preset("cp2_blowup", 2)
+    scan = preset("cp2_blowup(2)")
     for coords in itertools.product(range(-5, 6), repeat=3):
         A = scan.lattice.class_from_coords(list(coords))
         if A.is_zero or pair(A, A) >= 0:
@@ -174,14 +180,14 @@ def test_criterion_6_structure_properties():
 def _decompositions_match_oracle():
     cp = preset("cp2")
     L = cp.parse("L")
-    b1 = preset("cp2_blowup", 1)
-    b2 = preset("cp2_blowup", 2)
+    b1 = preset("cp2_blowup(1)")
+    b2 = preset("cp2_blowup(2)")
     ss = preset("s2xs2")
     A1, A2 = ss.parse("A1"), ss.parse("A2")
     st = preset("s2xt2")
     S, B = st.parse("S"), st.parse("B")
-    el1 = preset("elliptic", 1)
-    el2 = preset("elliptic", 2)
+    el1 = preset("elliptic(1)")
+    el2 = preset("elliptic(2)")
     F1, S1 = el1.parse("F"), el1.parse("S")
     F2, S2 = el2.parse("F"), el2.parse("S")
     cases = [
@@ -225,9 +231,9 @@ def _decompositions_match_oracle():
 
 def test_criterion_7_kmin_consistency():
     for n in range(2, 8):
-        m = preset("elliptic", n)
+        m = preset(f"elliptic({n})")
         assert check_kmin_constraints(m, fiber_gr_table(n)).ok, n
-    m = preset("elliptic", 3)
+    m = preset("elliptic(3)")
     F, S = m.parse("F"), m.parse("S")
     corrupt = dict(fiber_gr_table(3))
     A = 3 * F + S
@@ -252,12 +258,12 @@ def test_criterion_8_dimension_corollaries():
     headline = [
         (cp, 3 * L, 1),
         (preset("s2xs2"), preset("s2xs2").parse("A1 + A2"), 0),
-        (preset("cp2_blowup", 1), preset("cp2_blowup", 1).parse("L - E1"), 0),
+        (preset("cp2_blowup(1)"), preset("cp2_blowup(1)").parse("L - E1"), 0),
     ]
     for model, A, g in headline:
         assert genus_embedded(A) == g
         assert k(A) == ell_g(A, genus_embedded(A))
-    el4 = preset("elliptic", 4)
+    el4 = preset("elliptic(4)")
     fiber = el4.parse("F")
     assert genus_embedded(fiber) == 1
     assert k(fiber) == ell_g(fiber, 1) == 0

@@ -403,6 +403,8 @@ def test_parse_error_exit_code(capsys):
         # An empty --candidates is no class, not the default set.
         (("decomp", "--manifold", "s2xt2", "--class", "2B", "--candidates="),
          "--candidates needs at least one class"),
+        # kmin writes --n into the elliptic preset's name, which has no sign.
+        (("verify", "--mode", "kmin", "--n", "-3"), "bad preset name 'elliptic(-3)'"),
     ],
 )
 def test_usage_error_records(capsys, argv, message):

@@ -15,7 +15,7 @@ TABLES = {"gr0_table", "torus_table", "sphere_table"}
 
 
 def test_gr0_of_the_zero_class_is_the_empty_curve():
-    for m in (preset("cp2"), preset("cp2_blowup", 2), preset("s2xt2")):
+    for m in (preset("cp2"), preset("cp2_blowup(2)"), preset("s2xt2")):
         assert m.gr0(m.lattice.zero()) == 1
 
 
@@ -41,10 +41,10 @@ def test_gr0_of_any_other_class_reads_the_tori_of_its_ray():
         ruled.gr0(2 * S)
     assert info.value.classes == (2 * S,)
     # an empty entry is known data: no tori, so Gr0 = 0 past degree 0
-    el2 = preset("elliptic", 2)
+    el2 = preset("elliptic(2)")
     assert el2.gr0(el2.parse("F")) == 0
     # a negative square reads its ray's tori too, and is missing without them
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     E1 = b1.parse("E1")
     with pytest.raises(UnknownGr0Error):
         b1.gr0(E1)

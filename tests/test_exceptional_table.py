@@ -51,9 +51,9 @@ def _s2xs2_blown_up_twice() -> ManifoldModel:
 def _families():
     """Lists of models on equal lattices; a class of any of their lattices
     is queried on every model of its list."""
-    out = [[preset("cp2_blowup", n)] for n in range(1, 17)]
-    b3 = preset("cp2_blowup", 3)
-    out.append([b3, b3.with_exceptional(b3.parse("L - E1 - E2")), preset("cp2_blowup", 3)])
+    out = [[preset(f"cp2_blowup({n})")] for n in range(1, 17)]
+    b3 = preset("cp2_blowup(3)")
+    out.append([b3, b3.with_exceptional(b3.parse("L - E1 - E2")), preset("cp2_blowup(3)")])
     base = _s2xs2_blown_up_twice()
     out.append([base, base.with_exceptional(base.parse("A1 - E1")), _s2xs2_blown_up_twice()])
     # Exceptional classes from an equal lattice that is another object.
@@ -107,8 +107,8 @@ def test_reduction_by_sparse_rows_on_hand_values():
 
 
 def test_class_from_another_lattice_names_its_lattice_first():
-    m = preset("cp2_blowup", 3)
-    A = preset("cp2_blowup", 2).parse("L - 2E1")
+    m = preset("cp2_blowup(3)")
+    A = preset("cp2_blowup(2)").parse("L - 2E1")
     want = "classes live in different lattices (cp2_blowup(2) vs cp2_blowup(3))"
     for query in (
         lambda: k_prime(m, A),
@@ -146,7 +146,7 @@ def pair_calls(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
 def test_first_k_prime_pairs_once_per_exceptional_class(n, pair_calls):
-    m = preset("cp2_blowup", n)
+    m = preset(f"cp2_blowup({n})")
     A = m.parse("3L - 2E1")
     B = m.parse("L - E1")
     assert k(B) == 1 and m._exceptional_table is None  # k never builds the table
@@ -178,7 +178,7 @@ def test_table_build_pairs_at_support_and_gram_neighbours(pair_calls):
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_copies_of_a_model_carry_no_table(rebuild):
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     k_prime(m, m.parse("L + 2E1"))
     assert "_exceptional_table" in vars(m)
     # A wrong table on the original must not reach the copy.
@@ -193,7 +193,7 @@ def test_copies_of_a_model_carry_no_table(rebuild):
 
 
 def test_reduction_reads_the_pairings_of_a_once(monkeypatch):
-    m = preset("cp2_blowup", 3)
+    m = preset("cp2_blowup(3)")
     A = m.parse("L + 2E1 - 3E2")
     seen = []
     original = invariants._exceptional_pairings

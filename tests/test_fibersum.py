@@ -62,7 +62,7 @@ def test_n_past_the_ledger_limit_is_a_domain_error(monkeypatch, capsys):
 
 def test_bad_piece_and_bad_row_are_refused():
     with pytest.raises(ValueError, match="^boundary count must be non-negative$"):
-        Piece("hole", -1, 0)
+        Piece(-1, 0)
     with pytest.raises(PreconditionError, match="^elliptic surfaces V\\(n\\) need n >= 1$"):
         fiber_gr_table(0)
 
@@ -73,19 +73,17 @@ def test_bad_piece_and_bad_row_are_refused():
 )
 def test_piece_counts_must_be_integers(boundary_count, fiber_gr, what):
     with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
-        Piece("x", boundary_count, fiber_gr)
+        Piece(boundary_count, fiber_gr)
 
 
 @pytest.mark.parametrize(
     "args, what",
     [
-        ((5, 1, 1), "label must be a string"),
-        ((None, 1, 1), "label must be a string"),
-        (("x", 1, 1, "ab"), "notes must be a tuple of strings"),
-        (("x", 1, 1, ["n"]), "notes must be a tuple of strings"),
-        (("x", 1, 1, ("n", 2)), "notes must be a tuple of strings"),
+        ((1, 1, "ab"), "notes must be a tuple of strings"),
+        ((1, 1, ["n"]), "notes must be a tuple of strings"),
+        ((1, 1, ("n", 2)), "notes must be a tuple of strings"),
     ],
-    ids=["label-int", "label-none", "notes-str", "notes-list", "notes-int"],
+    ids=["notes-str", "notes-list", "notes-int"],
 )
 def test_a_piece_checks_the_fields_it_stores(args, what):
     # A string of notes was read as one note per letter.
@@ -146,7 +144,7 @@ def test_fiber_count_trace_n3():
 def test_fiber_table_rows_are_signed_binomials():
     for n in range(2, 9):
         table = fiber_gr_table(n)
-        el = preset("elliptic", n)
+        el = preset(f"elliptic({n})")
         F = el.parse("F")
         for k in range(n + 1):
             want = (-1) ** k * comb(n - 2, k)
@@ -157,7 +155,7 @@ def test_fiber_table_rows_are_signed_binomials():
 
 def test_fiber_table_agrees_with_the_gluing_ledger():
     for n in range(1, 12):
-        el = preset("elliptic", n)
+        el = preset(f"elliptic({n})")
         F = el.parse("F")
         assert fiber_gr_table(n)[F] == gr_elliptic_fiber(n).value
 
@@ -165,7 +163,7 @@ def test_fiber_table_agrees_with_the_gluing_ledger():
 def test_the_elliptic_fiber_rows_are_the_ledger_counts_as_tori():
     # The rows elliptic(n) stored before the ledger wrote them.
     for n in range(1, 65):
-        el = preset("elliptic", n)
+        el = preset(f"elliptic({n})")
         row = el.torus_table[el.parse("F")]
         assert row == ((("+0", 1),) if n == 1 else () if n == 2 else (("-0", 1),) * (n - 2))
 
@@ -173,7 +171,7 @@ def test_the_elliptic_fiber_rows_are_the_ledger_counts_as_tori():
 def test_fiber_rows_are_symmetric():
     # gr0(kF) = (-1)^k C(n-2, k) on elliptic(n): the row reads the same both ways.
     for n in range(2, 65):
-        el = preset("elliptic", n)
+        el = preset(f"elliptic({n})")
         F = el.parse("F")
         for k in range(n - 1):
             assert abs(el.gr0(k * F)) == abs(el.gr0((n - 2 - k) * F))
@@ -202,11 +200,11 @@ def test_a_fiber_count_that_is_not_an_int_is_a_value_error(count):
 
 
 def test_fiber_table_default_span():
-    el = preset("elliptic", 5)
+    el = preset("elliptic(5)")
     F = el.parse("F")
     table = fiber_gr_table(5)
     assert set(table) == {0 * F, F, 2 * F, 3 * F}
-    el1 = preset("elliptic", 1)
+    el1 = preset("elliptic(1)")
     F1 = el1.parse("F")
     table1 = fiber_gr_table(1)
     assert set(table1) == {el1.lattice.zero(), F1}
@@ -215,7 +213,7 @@ def test_fiber_table_default_span():
 
 def test_shipped_tables_satisfy_minimal_constraints():
     for n in (2, 3, 4, 7):
-        el = preset("elliptic", n)
+        el = preset(f"elliptic({n})")
         assert check_kmin_constraints(el, fiber_gr_table(n)).ok
 
 
@@ -273,10 +271,10 @@ def test_a_deep_ledger_deep_copies_and_pickles():
 def test_pieces_differing_only_in_count_or_notes_are_unequal():
     # A piece compares by every field: equal notes do not make equal pieces,
     # and notes that run on past another's differ from them.
-    one = Piece("P", 1, 1, ("note",))
-    assert one == Piece("P", 1, 1, ("note",)) and hash(one) == hash(Piece("P", 1, 1, ("note",)))
-    assert one != Piece("P", 1, 0, ("note",))
-    assert one != Piece("P", 1, 1, ("note", "more"))
+    one = Piece(1, 1, ("note",))
+    assert one == Piece(1, 1, ("note",)) and hash(one) == hash(Piece(1, 1, ("note",)))
+    assert one != Piece(1, 0, ("note",))
+    assert one != Piece(1, 1, ("note", "more"))
 
 
 def test_ledger_deeper_than_the_recursion_limit():

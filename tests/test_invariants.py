@@ -41,7 +41,7 @@ def test_point_budgets_on_presets():
     assert k(2 * A1) == 2
     assert k(A1 + A2) == 3
     assert k(preset("cp2").parse("3L")) == 9
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     assert k(b1.parse("L + E1")) == 2
     assert k(b1.parse("L + 2E1")) == 1
 
@@ -49,20 +49,20 @@ def test_point_budgets_on_presets():
 def test_budget_of_canonical_class_vanishes_everywhere():
     models = [
         preset("cp2"),
-        preset("cp2_blowup", 1),
-        preset("cp2_blowup", 4),
+        preset("cp2_blowup(1)"),
+        preset("cp2_blowup(4)"),
         preset("s2xs2"),
         preset("s2xt2"),
-        preset("elliptic", 1),
-        preset("elliptic", 2),
-        preset("elliptic", 5),
+        preset("elliptic(1)"),
+        preset("elliptic(2)"),
+        preset("elliptic(5)"),
     ]
     for m in models:
         assert k(m.canonical_class()) == 0
 
 
 def test_exceptional_multiplicity():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     A = m.parse("L + 2E1")
     E1, E2 = m.parse("E1"), m.parse("E2")
     assert m_e(m, A, E1) == 2
@@ -73,7 +73,7 @@ def test_exceptional_multiplicity():
 
 
 def test_corrected_budget():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     A = b1.parse("L + 2E1")
     assert k(A) == 1
     assert k_prime(b1, A) == 2
@@ -83,7 +83,7 @@ def test_corrected_budget():
 
 
 def test_corrected_budget_dominates_plain_budget():
-    m = preset("cp2_blowup", 3)
+    m = preset("cp2_blowup(3)")
     rng = random.Random(11)
     for _ in range(200):
         A = m.lattice.class_from_coords([rng.randint(-6, 6) for _ in range(4)])
@@ -104,8 +104,8 @@ def test_constraint_budget():
 
 def test_adjunction_genus():
     assert genus_embedded(preset("cp2").parse("3L")) == 1
-    assert genus_embedded(preset("elliptic", 3).parse("F")) == 1
-    b1 = preset("cp2_blowup", 1)
+    assert genus_embedded(preset("elliptic(3)").parse("F")) == 1
+    b1 = preset("cp2_blowup(1)")
     assert genus_embedded(b1.parse("E1")) == 0
     assert genus_embedded(b1.parse("L - E1")) == 0
     # negative answers mark classes with no embedded connected representative
@@ -113,7 +113,7 @@ def test_adjunction_genus():
 
 
 def test_budget_equals_constraint_count_at_adjunction_genus():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     rng = random.Random(5)
     seen = 0
     for _ in range(400):
@@ -132,7 +132,7 @@ def test_moduli_dimension():
     ss = preset("s2xs2")
     assert moduli_dimension(ss.parse("A1"), 0) == 8
     assert moduli_dimension(preset("cp2").parse("3L"), 0) == 22
-    el = preset("elliptic", 3)
+    el = preset("elliptic(3)")
     assert c1(3 * el.parse("F")) == 0
     assert moduli_dimension(3 * el.parse("F"), 1) == 2
     with pytest.raises(PreconditionError):
@@ -141,7 +141,7 @@ def test_moduli_dimension():
 
 def test_moduli_dimension_vanishes_at_critical_c1():
     # any class with c1 = 1 - g and g >= 2 sits in a zero-dimensional space
-    el = preset("elliptic", 4)
+    el = preset("elliptic(4)")
     F, S = el.parse("F"), el.parse("S")
     hit = 0
     for g in (2, 3, 4, 5):
@@ -153,18 +153,18 @@ def test_moduli_dimension_vanishes_at_critical_c1():
 
 
 def test_good_classes():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     assert is_good_class(m, m.parse("L + E1"))
     assert is_good_class(m, m.parse("L - E1"))
     assert not is_good_class(m, m.parse("L + 2E1"))
     assert not is_good_class(m, m.parse("2L + 3E2"))
     # minimal models have no stored exceptional classes
-    el = preset("elliptic", 2)
+    el = preset("elliptic(2)")
     assert is_good_class(el, el.parse("7F + 3S"))
 
 
 def test_classify_negative_square_classes():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     v = classify_negative(m.parse("E1"))
     assert v.kind == "ExceptionalSphere"
     assert v.witness == (0, 1, -1)
@@ -172,7 +172,7 @@ def test_classify_negative_square_classes():
     w = classify_negative(m.parse("L - 2E1"))
     assert w.kind == "NotRepresentable"
     assert w.witness is None
-    el4 = preset("elliptic", 4)
+    el4 = preset("elliptic(4)")
     S = el4.parse("S")
     assert pair(S, S) == -4 and c1(S) == -2
     assert classify_negative(S).kind == "NotRepresentable"
@@ -182,7 +182,7 @@ def test_classify_negative_square_classes():
         classify_negative(m.lattice.zero())
     # c1 far below A.A: A = -N L - (N+1) E1 has c1 = -4N-1 and A.A = -2N-1,
     # and the verdict needs no search over g up to about N.
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     far = classify_negative(b1.lattice.class_from_coords((-10**30, -10**30 - 1)))
     assert (far.kind, far.witness) == ("NotRepresentable", None)
     with pytest.raises(ValueError, match=r"^bad verdict kind 'Sphere'$"):
@@ -190,7 +190,7 @@ def test_classify_negative_square_classes():
 
 
 def test_classify_negative_matches_charge_one_square_minus_one():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     hits = 0
     for coords in itertools.product(range(-3, 4), repeat=3):
         A = m.lattice.class_from_coords(coords)
@@ -205,11 +205,11 @@ def test_classify_negative_matches_charge_one_square_minus_one():
 
 
 def test_reduction_strips_multiple_covers():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     good, strips = reduce_multicovers(b1, b1.parse("L + 2E1"))
     assert good == b1.parse("L")
     assert strips == ((b1.parse("E1"), 2),)
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     good2, strips2 = reduce_multicovers(b2, b2.parse("L + 3E1 + 2E2"))
     assert good2 == b2.parse("L")
     assert dict(strips2) == {b2.parse("E1"): 3, b2.parse("E2"): 2}
@@ -221,8 +221,8 @@ def test_reduction_strips_multiple_covers():
 
 
 def test_reduction_consistency_warning_on_overlapping_exceptional_set():
-    m = preset("cp2_blowup", 2).with_exceptional(
-        preset("cp2_blowup", 2).parse("L - E1 - E2")
+    m = preset("cp2_blowup(2)").with_exceptional(
+        preset("cp2_blowup(2)").parse("L - E1 - E2")
     )
     A = m.parse("2E1 - 4E2")
     with pytest.warns(ReductionConsistencyWarning):
@@ -255,7 +255,7 @@ def test_light_cone_pairs():
     assert rep.ok and rep.check("nonnegative-product")
     with pytest.raises(PreconditionError):
         light_cone_pair_check(A1, A2 - A1)
-    el = preset("elliptic", 3)
+    el = preset("elliptic(3)")
     with pytest.raises(PreconditionError):
         light_cone_pair_check(el.parse("F"), el.parse("F"))
 
@@ -263,10 +263,10 @@ def test_light_cone_pairs():
 def test_light_cone_random_pairs_all_presets():
     models = [
         preset("cp2"),
-        preset("cp2_blowup", 2),
+        preset("cp2_blowup(2)"),
         preset("s2xs2"),
         preset("s2xt2"),
-        preset("elliptic", 1),
+        preset("elliptic(1)"),
     ]
     rng = random.Random(99)
     for m in models:
@@ -283,7 +283,7 @@ def test_light_cone_random_pairs_all_presets():
 
 
 def test_multiple_cover_budget_chain():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     rng = random.Random(17)
     checked = 0
     while checked < 500:
@@ -309,17 +309,17 @@ def test_multiple_cover_budget_chain():
 
 
 def _entangled(n: int):
-    m = preset("cp2_blowup", n)
+    m = preset(f"cp2_blowup({n})")
     return m.with_exceptional(m.parse("L - E1 - E2"))
 
 
 MEMO_MODELS = (
-    preset("cp2_blowup", 1),
-    preset("cp2_blowup", 3),
-    preset("cp2_blowup", 8),
-    preset("elliptic", 1),
+    preset("cp2_blowup(1)"),
+    preset("cp2_blowup(3)"),
+    preset("cp2_blowup(8)"),
+    preset("elliptic(1)"),
     _entangled(2),
-    _entangled(3).with_exceptional(preset("cp2_blowup", 3).parse("L - E2 - E3")),
+    _entangled(3).with_exceptional(preset("cp2_blowup(3)").parse("L - E2 - E3")),
 )
 
 
@@ -373,11 +373,11 @@ def test_memoised_invariants_match_pairing_every_time(data):
 
 
 def test_one_class_against_models_with_different_exceptional_sets():
-    plain = preset("cp2_blowup", 2)
+    plain = preset("cp2_blowup(2)")
     entangled = _entangled(2)
     assert plain.lattice == entangled.lattice
     A = plain.parse("-4L + 2E1")  # A.E1 = A.(L-E1-E2) = -2
-    for model in (plain, entangled, plain, preset("cp2_blowup", 2), entangled):
+    for model in (plain, entangled, plain, preset("cp2_blowup(2)"), entangled):
         kA, kp, good, ms, red, warns, *_ = invariants(model, A)
         assert (k_prime(model, A), is_good_class(model, A)) == (kp, good)
         assert [m_e(model, A, E) for E in model.exceptional] == ms
@@ -394,7 +394,7 @@ def test_one_class_against_models_with_different_exceptional_sets():
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_copies_of_a_class_carry_no_memo(rebuild):
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     A = m.parse("L + 2E1 - 3E2")
     reduce_multicovers(m, A)
     assert getattr(A, "_c1") is not None and getattr(A, "_square") is not None

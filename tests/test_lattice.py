@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gromov4 import (
     ClassParseError,
     Component,
+    DomainError,
     IntersectionLattice,
     LatticeMismatchError,
     ManifoldModel,
@@ -30,6 +31,7 @@ from gromov4 import (
     parse_class,
     preset,
 )
+from gromov4.fibersum import _N_MAX
 
 
 def test_cp2_pairing_and_c1():
@@ -42,7 +44,7 @@ def test_cp2_pairing_and_c1():
 
 
 def test_blowup_canonical_and_areas():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     L, E1, E2 = (m.parse(s) for s in ("L", "E1", "E2"))
     assert pair(E1, E1) == -1
     assert pair(L, E1) == 0
@@ -55,7 +57,7 @@ def test_blowup_canonical_and_areas():
 
 
 def test_blowup9_fiber_class_has_zero_c1():
-    m = preset("cp2_blowup", 9)
+    m = preset("cp2_blowup(9)")
     F = m.parse("3L - E1 - E2 - E3 - E4 - E5 - E6 - E7 - E8 - E9")
     assert c1(F) == 0
     assert pair(F, F) == 0
@@ -81,7 +83,7 @@ def test_s2xt2_base_and_fiber():
 
 def test_elliptic_presets():
     for n in (1, 2, 3, 6):
-        m = preset("elliptic", n)
+        m = preset(f"elliptic({n})")
         F, S = m.parse("F"), m.parse("S")
         assert pair(F, F) == 0
         assert pair(F, S) == 1
@@ -91,13 +93,13 @@ def test_elliptic_presets():
         assert b2_plus(m.lattice) == 2 * n - 1
         assert m.minimal is (n >= 2)
         assert (S in m.exceptional) is (n == 1)
-    assert preset("elliptic", 1).torus_table[preset("elliptic", 1).parse("F")] != ()
-    assert preset("elliptic", 2).torus_table[preset("elliptic", 2).parse("F")] == ()
+    assert preset("elliptic(1)").torus_table[preset("elliptic(1)").parse("F")] != ()
+    assert preset("elliptic(2)").torus_table[preset("elliptic(2)").parse("F")] == ()
 
 
 def test_b2_plus_on_presets():
     assert b2_plus(preset("cp2").lattice) == 1
-    assert b2_plus(preset("cp2_blowup", 3).lattice) == 1
+    assert b2_plus(preset("cp2_blowup(3)").lattice) == 1
     assert b2_plus(preset("s2xs2").lattice) == 1
     assert b2_plus(preset("s2xt2").lattice) == 1
 
@@ -155,7 +157,7 @@ def test_b2_plus_invariant_under_unimodular_change():
 
 
 def test_parse_examples():
-    m = preset("cp2_blowup", 1)
+    m = preset("cp2_blowup(1)")
     assert m.parse("L + 2E1").coords == (1, 2)
     assert m.parse("L+2E1").coords == (1, 2)
     assert m.parse(" -L ").coords == (-1, 0)
@@ -174,7 +176,7 @@ def test_parse_rejects_garbage():
 
 
 def test_format_class_layout():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     assert format_class(m.parse("3L - E1 - 2E2")) == "3L-E1-2E2"
     assert format_class(m.parse("-L + E2")) == "-L+E2"
     assert format_class(m.lattice.zero()) == "0"
@@ -182,7 +184,7 @@ def test_format_class_layout():
 
 @given(st.lists(st.integers(min_value=-40, max_value=40), min_size=3, max_size=3))
 def test_format_parse_round_trip(coords):
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     A = m.lattice.class_from_coords(coords)
     assert m.parse(format_class(A)).coords == tuple(coords)
 
@@ -195,13 +197,13 @@ def test_format_parse_round_trip(coords):
     )
 )
 def test_format_parse_round_trip_large_and_unit_coefficients(coords):
-    m = preset("cp2_blowup", 8)
+    m = preset("cp2_blowup(8)")
     A = m.lattice.class_from_coords(coords)
     assert parse_class(m.lattice, format_class(A)) == A
 
 
 def test_parse_error_messages():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     basis = "(basis of cp2_blowup(2): L, E1, E2)"
     for expr, message in (
         ("", "empty class expression"),
@@ -240,8 +242,8 @@ def test_pairing_bilinear_symmetric(xs, ys, zs):
 @given(st.data())
 def test_characteristic_parity_makes_k_integral(data):
     coords = data.draw(st.lists(st.integers(min_value=-15, max_value=15), min_size=2, max_size=2))
-    for name, n in (("cp2_blowup", 2), ("s2xs2", None), ("elliptic", 3)):
-        m = preset(name, n) if n else preset(name)
+    for name in ("cp2_blowup(2)", "s2xs2", "elliptic(3)"):
+        m = preset(name)
         A = m.lattice.class_from_coords((coords * m.lattice.rank)[: m.lattice.rank])
         assert (pair(A, A) + pair(m.canonical_class(), A)) % 2 == 0
     # Lattices drawn at random, odd diagonal and nonzero off-diagonal entries
@@ -270,7 +272,7 @@ def test_characteristic_parity_makes_k_integral(data):
 
 
 def test_hclass_arithmetic_and_content():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     A = m.parse("2L - 4E1 + 6E2")
     assert A.content() == 2
     assert A.primitive().coords == (1, -2, 3)
@@ -340,15 +342,15 @@ def test_model_reports_a_bad_torus_entry_at_its_path():
 
 def test_preset_lookup_forms():
     assert preset("cp2_blowup(2)").lattice.rank == 3
-    assert preset("elliptic(3)").name == preset("elliptic", 3).name
+    assert preset(" elliptic ( 3 ) ").name == "elliptic(3)"
     with pytest.raises(UnknownPresetError):
         preset("nosuch")
     with pytest.raises(UnknownPresetError):
         preset("cp2_blowup")
     with pytest.raises(UnknownPresetError):
-        preset("elliptic", 0)
+        preset("elliptic(0)")
     with pytest.raises(UnknownPresetError):
-        preset("cp2", 5)
+        preset("cp2(5)")
     with pytest.raises(UnknownPresetError, match="bad preset name"):
         preset("elliptic(\u0663)")  # ARABIC-INDIC DIGIT THREE: ASCII digits only
 
@@ -364,24 +366,23 @@ def test_preset_parameter_limit(monkeypatch):
     assert limit >= 32
     for base in ("cp2_blowup", "elliptic"):
         monkeypatch.setitem(lattice._BUILDERS, base, (never, True))
-        for args in ((f"{base}({limit + 1})",), (base, limit + 1)):
-            with pytest.raises(UnknownPresetError, match=rf"n <= {limit}, got {limit + 1}$"):
-                preset(*args)
+        with pytest.raises(UnknownPresetError, match=rf"n <= {limit}, got {limit + 1}$"):
+            preset(f"{base}({limit + 1})")
 
 
 def test_preset_rejects_huge_parameters_with_its_own_error():
-    # Past 4,300 digits int() of the text, and str() of the int, raise a
-    # bare ValueError; preset reads neither and names no huge number.
+    # Past 4,300 digits int() of the text raises a bare ValueError; preset
+    # does not read it and names no huge number.
     digits = "9" * 5000
-    for args in ((f"cp2_blowup({digits})",), (f"elliptic({digits})",), ("elliptic", 10**5000)):
+    for name in (f"cp2_blowup({digits})", f"elliptic({digits})"):
         with pytest.raises(UnknownPresetError, match=r"n <= \d+, got more than \d+ digits$"):
-            preset(*args)
+            preset(name)
     with pytest.raises(UnknownPresetError, match="takes no parameter"):
         preset(f"cp2({digits})")
 
 
 def test_model_exceptional_validation():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     with pytest.raises(ValueError):
         m.with_exceptional(m.parse("L"))
     twisted = m.with_exceptional(m.parse("L - E1 - E2"))
@@ -394,7 +395,7 @@ def _with_foreign_key():
 
 
 def _with_duplicate_exceptional():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     E1 = m.parse("E1")
     return ManifoldModel(m.lattice, exceptional=(E1, m.parse("E2"), E1))
 
@@ -406,8 +407,6 @@ def _with_duplicate_exceptional():
         (_with_duplicate_exceptional, ModelFileError, "$: duplicate exceptional classes"),
         (lambda: preset("cp2").with_exceptional(), ValueError,
          "a minimal model has no exceptional classes to extend"),
-        (lambda: preset("cp2_blowup(2)", 3), UnknownPresetError,
-         "conflicting parameters for preset 'cp2_blowup(2)'"),
         (lambda: preset(5), UnknownPresetError, "bad preset name 5"),
         # The constructors own every model rule, also those a model file
         # states: a name, a minimal flag, and a class wherever one belongs.
@@ -429,7 +428,7 @@ def _with_duplicate_exceptional():
         (lambda: ManifoldModel(preset("s2xt2").lattice, torus_table={preset("s2xt2").parse("B"): ""}),
          ModelFileError, "$.torus_table[0].tori: expected a list of labels or (label, cover) pairs"),
     ],
-    ids=["foreign-table-key", "duplicate-exceptional", "minimal-with-exceptional", "conflicting-parameters",
+    ids=["foreign-table-key", "duplicate-exceptional", "minimal-with-exceptional",
          "preset-int-name", "lattice-none-name", "lattice-empty-name", "model-minimal-text",
          "exceptional-none", "gr0-text-key", "with-exceptional-none", "torus-list-not-iterable",
          "torus-list-text"],
@@ -447,12 +446,6 @@ def _L():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: preset("cp2_blowup", True), UnknownPresetError,
-         "preset 'cp2_blowup' needs an integer n, got True"),
-        (lambda: preset("elliptic", 2.0), UnknownPresetError,
-         "preset 'elliptic' needs an integer n, got 2.0"),
-        (lambda: preset("cp2_blowup", "2"), UnknownPresetError,
-         "preset 'cp2_blowup' needs an integer n, got '2'"),
         (lambda: Component(_L(), 1.5), ValueError, "component multiplicity must be an integer"),
         (lambda: Component(_L(), True), ValueError, "component multiplicity must be an integer"),
         (lambda: Component(_L(), 1, 0.5), ValueError, "component genus must be an integer"),
@@ -460,6 +453,9 @@ def _L():
         (lambda: moduli_dimension(_L(), 0.5), ValueError, "genus must be an integer"),
         (lambda: k_for(_L(), True), ValueError, "p must be an integer"),
         (lambda: fiber_gr_table("2"), ValueError, "n must be an integer"),
+        # A huge n meets the ledger limit before it is written into a preset name.
+        (lambda: fiber_gr_table(10**5000), DomainError, f"n past the ledger limit {_N_MAX}"),
+        (lambda: fiber_gr_table(_N_MAX + 1), DomainError, f"n past the ledger limit {_N_MAX}"),
         (lambda: preset("cp2").lattice.basis_class(-1), ValueError,
          "basis index -1 is outside 0..0 for rank 1"),
         (lambda: preset("cp2_blowup(2)").lattice.basis_class(3), ValueError,
@@ -467,8 +463,8 @@ def _L():
         (lambda: preset("cp2").lattice.basis_class(0.5), ValueError, "basis index must be an integer"),
         (lambda: preset("cp2").lattice.basis_class(True), ValueError, "basis index must be an integer"),
     ],
-    ids=["preset-bool", "preset-float", "preset-str", "mult-float", "mult-bool", "genus-float",
-         "ell_g-bool", "moduli-float", "k_for-bool", "fiber-table-str", "basis-negative",
+    ids=["mult-float", "mult-bool", "genus-float", "ell_g-bool", "moduli-float", "k_for-bool",
+         "fiber-table-str", "fiber-table-huge", "fiber-table-over", "basis-negative",
          "basis-rank", "basis-float", "basis-bool"],
 )
 def test_integer_parameters_refuse_non_integers(build, error, message):

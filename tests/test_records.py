@@ -100,7 +100,7 @@ RECORDS = {
         _glued,
         "fiber_gr",
         True,
-        "Piece(label='', boundary_count=0, fiber_gr=2, "
+        "Piece(boundary_count=0, fiber_gr=2, "
         "notes=('glue the last two pieces: fiber count 1 + 1 = 2',))",
     ),
     "TruncSeries": (

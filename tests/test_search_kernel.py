@@ -62,8 +62,8 @@ LATTICES = [
     preset("cp2").lattice,
     preset("s2xs2").lattice,
     preset("s2xt2").lattice,
-    preset("cp2_blowup", 2).lattice,
-    preset("elliptic", 3).lattice,
+    preset("cp2_blowup(2)").lattice,
+    preset("elliptic(3)").lattice,
     _s2xs2_blown_up(),
 ]
 
@@ -151,7 +151,7 @@ def test_kernel_on_hand_cases():
     assert kernel(3 * B, ray, [0, None, 1]) == [[(2, 1)]]
     # Four classes that are not pairwise orthogonal, yet A.B = B.B for each
     # of them and for their sum A: only the clash test rejects the sum.
-    b3 = preset("cp2_blowup", 3).lattice
+    b3 = preset("cp2_blowup(3)").lattice
     four = [b3.parse(e) for e in ("2L+E1", "L+E1+E2", "E1-E2+E3", "E2")]
     A = b3.parse("3L+3E1+E2+E3")
     assert kernel(A, four, [None] * 4) == brute_force(A, four, [None] * 4) == []
@@ -175,7 +175,7 @@ def test_a_sign_that_no_row_takes_is_refused_before_the_search(n):
         if event == "call" and frame.f_code is search:
             raise AssertionError("the search was entered")
 
-    m = preset("cp2_blowup", n)
+    m = preset(f"cp2_blowup({n})")
     K = m.canonical_class()
     assert omega_area(K) > 0
     sys.setprofile(profile)
@@ -199,7 +199,7 @@ def test_kernel_rejects_clashing_parts_that_each_fit(data):
     # taken t times, plus disjoint E_j parts: A.B = n * B.B holds for every
     # part, so only the clash test keeps the kernel from summing them.
     n = data.draw(st.integers(3, 6))
-    lat = preset("cp2_blowup", n).lattice
+    lat = preset(f"cp2_blowup({n})").lattice
     moved = data.draw(st.permutations(range(1, n + 1)))
     t = data.draw(st.integers(1, 2))
     classes, caps = [], []
@@ -224,7 +224,7 @@ def test_kernel_rejects_clashing_parts_that_each_fit(data):
 
 
 def test_kernel_pairs_nothing_and_builds_no_class(monkeypatch):
-    m = preset("cp2_blowup", 3)
+    m = preset("cp2_blowup(3)")
     cands = [m.parse(e) for e in ("L", "L-E1", "L-E2", "L-E1-E2", "2L", "E1", "E2", "E3")]
     table = _candidate_table(cands, lambda B, sq: None)
     A = m.parse("2L+E1+E3")
@@ -253,7 +253,7 @@ def test_kernel_pairs_nothing_and_builds_no_class(monkeypatch):
 
 
 def test_sphere_table_is_built_once_per_model():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     assert m._sphere_candidates is None
     assert enumerate_sphere_configs(m, m.parse("-L")) == []  # c1 < 1 builds nothing
     assert m._sphere_candidates is None
@@ -273,7 +273,7 @@ def test_sphere_table_is_built_once_per_model():
     ids=["copy", "deepcopy", "pickle", "with_exceptional"],
 )
 def test_copies_of_a_model_carry_no_sphere_table(rebuild):
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     A = m.parse("L+E1")
     want = [cfg.parts for cfg in enumerate_sphere_configs(m, A)]
     cands = [m.parse(e) for e in ("L", "L-E1", "L-E2", "2L", "E1", "E2")]
@@ -294,7 +294,7 @@ def test_copies_of_a_model_carry_no_sphere_table(rebuild):
 
 
 def test_an_added_exceptional_class_changes_the_copy_cap():
-    m = preset("cp2_blowup", 2)
+    m = preset("cp2_blowup(2)")
     A = m.parse("2L-2E1-2E2")  # twice L-E1-E2, which needs a cap above 1
     assert enumerate_sphere_configs(m, A) == []
     e = m.with_exceptional(m.parse("L-E1-E2"))
@@ -309,10 +309,10 @@ BLOWUP4 = ("L", "L-E1", "L-E2", "L-E3", "L-E4", "2L", "E1", "E2", "E3")
 
 
 def test_a_decomposition_table_is_kept_for_its_candidate_set():
-    m = preset("cp2_blowup", 4)
+    m = preset("cp2_blowup(4)")
     cands = [m.parse(e) for e in BLOWUP4]
     assert m._decomposition_candidates is None
-    want = {d: enumerate_decompositions(preset("cp2_blowup", 4), m.parse(d), cands) for d in ("2L", "3L")}
+    want = {d: enumerate_decompositions(preset("cp2_blowup(4)"), m.parse(d), cands) for d in ("2L", "3L")}
     assert [d.parts for d in want["2L"]] == [(m.parse("2L"),)] and want["3L"] == []
     assert enumerate_decompositions(m, m.parse("2L"), cands) == want["2L"]
     held = m._decomposition_candidates
@@ -355,7 +355,7 @@ def test_every_candidate_is_checked_with_a_table_kept():
 
 
 def test_the_minimal_model_filter_holds_on_a_kept_table():
-    el = preset("elliptic", 3)
+    el = preset("elliptic(3)")
     F, C = el.parse("F"), el.parse("S+3F")
     assert el.minimal and b2_plus(el.lattice) > 1 and k(C) == 1 and pair(C, C) > 0
     # Without the filter C alone decomposes C.

@@ -284,7 +284,7 @@ def test_query_sequences_match_the_series_oracle(pool, steps):
         if step[0] == "switch":
             m = step[1]
             assert gr_torus_class([("+1", m)], m) == 1
-            assert torus_series._last[0] == parse_tori([("+1", m)])
+            assert torus_series._last[1] == parse_tori([("+1", m)])
             continue
         i = step[1] % len(pool)
         if step[0] == "k":
@@ -292,7 +292,7 @@ def test_query_sequences_match_the_series_oracle(pool, steps):
         else:
             ks = sorted(range(step[2] + 1), reverse=step[3])
         assert [gr_torus_class(pool[i], k) for k in ks] == [want[i][k] for k in ks]
-        assert torus_series._last[0] == parse_tori(pool[i])
+        assert torus_series._last[1] == parse_tori(pool[i])
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,7 @@ from oracle import ref_model, refs
 def test_point_budget_for_given_component_count():
     cp2 = preset("cp2")
     assert k_for(cp2.parse("2L"), 1) == 5
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     A = b1.parse("3L + E1")
     assert c1(A) == 10
     assert k_for(A, 2) == 8
@@ -44,9 +44,9 @@ def test_point_budget_for_given_component_count():
 def test_config_enumeration_matches_oracle():
     cases = [
         (preset("cp2"), ["L", "2L", "3L", "4L", "5L", "6L", "-L"]),
-        (preset("cp2_blowup", 1), ["3E1", "L+2E1", "3L+E1", "2L-E1", "L-E1", "5L", "2L+2E1"]),
-        (preset("cp2_blowup", 2), ["L+E1+E2", "3E1", "L-E1+E2", "2L+E1", "2L", "E1-E2"]),
-        (preset("cp2_blowup", 3), ["3E1", "L+E1+E2", "L-E1-E2+E3", "2L-E1", "E1+E2+E3"]),
+        (preset("cp2_blowup(1)"), ["3E1", "L+2E1", "3L+E1", "2L-E1", "L-E1", "5L", "2L+2E1"]),
+        (preset("cp2_blowup(2)"), ["L+E1+E2", "3E1", "L-E1+E2", "2L+E1", "2L", "E1-E2"]),
+        (preset("cp2_blowup(3)"), ["3E1", "L+E1+E2", "L-E1-E2+E3", "2L-E1", "E1+E2+E3"]),
         (preset("s2xs2"), ["A1+A2", "2A1", "3A1+A2", "2A1+2A2", "A1-A2"]),
     ]
     nonempty = 0
@@ -108,7 +108,7 @@ def test_config_enumeration_matches_oracle_on_uneven_areas(data):
 
 
 def test_config_enumeration_blowup():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     A = b1.parse("3L + E1")
     configs = enumerate_sphere_configs(b1, A)
     assert len(configs) == 1
@@ -127,7 +127,7 @@ def test_config_enumeration_rejects_crossing_pair():
 
 
 def test_config_enumeration_three_disjoint_spheres():
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     A = b2.parse("L + E1 + E2")
     configs = enumerate_sphere_configs(b2, A)
     assert len(configs) == 1
@@ -142,7 +142,7 @@ def test_config_enumeration_empty_cases():
 
 
 def test_coinciding_exceptional_images_are_allowed():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     configs = enumerate_sphere_configs(b1, b1.parse("3E1"))
     assert len(configs) == 1
     assert [str(B) for B in configs[0].parts] == ["E1", "E1", "E1"]
@@ -150,14 +150,14 @@ def test_coinciding_exceptional_images_are_allowed():
 
 
 def test_cubics_on_the_triple_blowup():
-    b3 = preset("cp2_blowup", 3)
+    b3 = preset("cp2_blowup(3)")
     configs = enumerate_sphere_configs(b3, b3.parse("3L"))
     assert [([str(B) for B in cfg.parts], cfg.k, cfg.p) for cfg in configs] == [(["3L"], 8, 1)]
     assert gr_s(b3, b3.parse("3L")) == 12
 
 
 def test_config_budgets_identity():
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     for expr in ("L", "2L", "3L + E1", "L + E1 + E2", "L - E1 + E2", "2L + E1"):
         for cfg in enumerate_sphere_configs(b2, b2.parse(expr)):
             assert sum(cfg.budgets()) == cfg.k
@@ -165,7 +165,7 @@ def test_config_budgets_identity():
 
 
 def test_no_two_positive_square_parts_on_low_b2plus():
-    for m in (preset("cp2"), preset("cp2_blowup", 2), preset("s2xs2")):
+    for m in (preset("cp2"), preset("cp2_blowup(2)"), preset("s2xs2")):
         for key in m.sphere_table:
             for other in m.sphere_table:
                 A = key + other
@@ -182,9 +182,9 @@ def test_sphere_counts_on_presets():
     cp2 = preset("cp2")
     assert gr_s(cp2, cp2.parse("2L")) == 1
     assert gr_s(cp2, cp2.parse("3L")) == 12
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     assert gr_s(b1, b1.parse("3L + E1")) == 12
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     assert gr_s(b2, b2.parse("L + E1 + E2")) == 1
     assert gr_s(b2, b2.parse("L - E1 + E2")) == 1
     ruled = preset("s2xt2")
@@ -197,7 +197,7 @@ def test_connected_case_agrees_with_table():
 
 
 def test_repeated_exceptional_parts_cost_nothing():
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     A = b2.parse("L + 2E1")
     configs = enumerate_sphere_configs(b2, A)
     wanted = [cfg for cfg in configs if sorted(map(str, cfg.parts)) == ["E1", "E1", "L"]]
@@ -250,13 +250,13 @@ def test_sphere_config_validation():
 
 
 def test_embedded_sphere_rule():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     assert embedded_sphere_rule(b1, b1.parse("E1")) == 1
     cp2 = preset("cp2")
     assert embedded_sphere_rule(cp2, cp2.parse("L")) == 1
     assert embedded_sphere_rule(cp2, cp2.parse("3L")) is None
     # right genus and square, but not represented in the table
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     assert embedded_sphere_rule(b2, b2.parse("2L - E1 - E2")) is None
     # an entry of 0 is read, and marks the class as not represented
     L = cp2.parse("L")
@@ -274,8 +274,8 @@ def test_orthogonality_filter_keeps_the_oracle_answers():
     # of each part B.B != 0, and a part with B.B = 0 needs A.B = 0.  In each
     # case below that rule drops keys the area bound alone would try.
     cases = [
-        (preset("cp2_blowup", 2), ["L+E1+2E2", "L-E1+2E2", "2L+E1"]),
-        (preset("cp2_blowup", 3), ["L-E1+E2-E3", "L+E1-E2+E3", "L-E1-E2+2E3"]),
+        (preset("cp2_blowup(2)"), ["L+E1+2E2", "L-E1+2E2", "2L+E1"]),
+        (preset("cp2_blowup(3)"), ["L-E1+E2-E3", "L+E1-E2+E3", "L-E1-E2+2E3"]),
     ]
     for model, targets in cases:
         ref = ref_model(model)
@@ -291,7 +291,7 @@ def test_orthogonality_filter_keeps_the_oracle_answers():
 
 
 def test_large_exceptional_set_configuration():
-    b9 = preset("cp2_blowup", 9)
+    b9 = preset("cp2_blowup(9)")
     configs = enumerate_sphere_configs(b9, b9.parse("2L+E1+3E2+2E6+E8"))
     assert [([str(B) for B in cfg.parts], cfg.k, cfg.p) for cfg in configs] == [
         (["E8", "E6", "E6", "E2", "E2", "E2", "E1", "2L"], 5, 8)

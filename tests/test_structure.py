@@ -112,7 +112,7 @@ def test_a_record_of_classes_refuses_parts_that_are_not_classes(build, message):
 
 
 def test_good_configuration_passes():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     cfg = Configuration.of([(b1.parse("L"), 1, 0), (b1.parse("E1"), 1, 0)])
     rep = verify_good_configuration(b1, cfg, 2)
     assert rep.ok
@@ -123,7 +123,7 @@ def test_good_configuration_passes():
 
 
 def test_good_configuration_rejects_covered_exceptional_sphere():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     cfg = Configuration.of([(b1.parse("L"), 1, 0), (b1.parse("E1"), 2, 0)])
     rep = verify_good_configuration(b1, cfg, 2)
     assert not rep.ok
@@ -136,7 +136,7 @@ def test_good_configuration_rejects_covered_exceptional_sphere():
 
 
 def test_good_configuration_rejects_a_negative_non_exceptional_component():
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     D = b2.parse("E1 - E2")
     rep = verify_good_configuration(b2, Configuration.of([(D, 1, 0)]), k(D))
     check = rep.check("negative-exceptional")
@@ -153,7 +153,7 @@ def test_good_configuration_square_zero_torus_may_be_covered():
 
 
 def test_passing_good_configurations_split_the_point_budget():
-    b2 = preset("cp2_blowup", 2)
+    b2 = preset("cp2_blowup(2)")
     pool = [
         (b2.parse(s), mult, g)
         for s in ("L", "2L", "3L", "E1", "E2", "L - E1", "L - E1 - E2")
@@ -171,7 +171,7 @@ def test_passing_good_configurations_split_the_point_budget():
 
 
 def test_kprime_configuration_passes():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     cfg = Configuration.of([(b1.parse("L"), 1, 0), (b1.parse("E1"), 2, 0)])
     rep = verify_kprime_configuration(b1, cfg, 2)
     assert rep.ok
@@ -181,7 +181,7 @@ def test_kprime_configuration_passes():
 
 
 def test_kprime_configuration_flags_intersecting_components():
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     LmE, E = b1.parse("L - E1"), b1.parse("E1")
     cfg = Configuration.of([(LmE, 1, 0), (E, 3, 0)])
     rep = verify_kprime_configuration(b1, cfg)
@@ -199,14 +199,14 @@ def test_kprime_configuration_flags_intersecting_components():
 
 def test_kprime_configuration_whole_cover_passes():
     # mult 3 on E matches m_E(L+3E) = 3, so nothing is out of place
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     cfg = Configuration.of([(b1.parse("L"), 1, 0), (b1.parse("E1"), 3, 0)])
     assert verify_kprime_configuration(b1, cfg).ok
 
 
 def test_kprime_configuration_checks_strip_multiplicity():
     # splitting the E-cover across two components breaks the count
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     cfg = Configuration.of(
         [(b1.parse("L"), 1, 0), (b1.parse("E1"), 2, 0), (b1.parse("E1"), 1, 0)]
     )
@@ -283,7 +283,7 @@ def test_enumeration_rejects_a_candidate_that_is_not_a_class():
 
 
 def test_enumeration_filters_nonzero_budget_candidates_on_minimal_models():
-    el = preset("elliptic", 3)
+    el = preset("elliptic(3)")
     F, S = el.parse("F"), el.parse("S")
     assert k(F) == 0
     assert k(S + F) != 0
@@ -301,7 +301,7 @@ def test_decomposition_objects():
     assert d.satisfies_rules(P + Q)
     assert not d.satisfies_rules(P)
     # Each total below is right, so only the part rules can say no.
-    b1 = preset("cp2_blowup", 1)
+    b1 = preset("cp2_blowup(1)")
     L, E1 = b1.parse("L"), b1.parse("E1")
     assert not Decomposition((L - E1, E1)).satisfies_rules(L)  # E1.E1 < 0
     assert not Decomposition((L, E1)).satisfies_rules(L + E1)  # E1.E1 < 0, L.E1 = 0
@@ -319,8 +319,8 @@ def test_enumeration_matches_oracle():
     A1, A2 = ss.parse("A1"), ss.parse("A2")
     st = preset("s2xt2")
     S, B = st.parse("S"), st.parse("B")
-    b2 = preset("cp2_blowup", 2)
-    el1 = preset("elliptic", 1)
+    b2 = preset("cp2_blowup(2)")
+    el1 = preset("elliptic(1)")
     F, Sec = el1.parse("F"), el1.parse("S")
     cases = [
         (flat, [P, Q, P + Q], [P, Q, P + Q, 2 * P + Q, 3 * P + 3 * Q, 2 * P]),
@@ -372,7 +372,7 @@ _DIFF_CASES = {
         },
     ),
 }
-_DIFF_MODELS = {"flat": _diag11(), "s2xt2": preset("s2xt2"), "cp2_blowup(2)": preset("cp2_blowup", 2)}
+_DIFF_MODELS = {"flat": _diag11(), "s2xt2": preset("s2xt2"), "cp2_blowup(2)": preset("cp2_blowup(2)")}
 _DIFF_REFS = {name: ref_model(model) for name, model in _DIFF_MODELS.items()}
 
 
@@ -414,7 +414,7 @@ def test_empty_answers_of_large_searches():
     ruled = preset("s2xt2")
     S, B = ruled.parse("S"), ruled.parse("B")
     assert enumerate_decompositions(ruled, S + 64 * B, [S, B, 2 * B, S + B]) == []
-    b4 = preset("cp2_blowup", 4)
+    b4 = preset("cp2_blowup(4)")
     cands = [b4.parse(e) for e in ("L", "L-E1", "L-E2", "L-E3", "L-E4", "2L", "E1", "E2", "E3")]
     assert enumerate_decompositions(b4, b4.parse("6L"), cands) == []
 
@@ -474,17 +474,17 @@ def test_gromov_missing_count_is_an_error(bare_model_file):
 
 
 def test_kmin_passes_consistent_tables():
-    el3 = preset("elliptic", 3)
+    el3 = preset("elliptic(3)")
     F = el3.parse("F")
     table = {F: -1, el3.lattice.zero(): 1}
     assert check_kmin_constraints(el3, table).ok
     for n in range(2, 7):
-        el = preset("elliptic", n)
+        el = preset(f"elliptic({n})")
         assert check_kmin_constraints(el, fiber_gr_table(n)).ok
 
 
 def test_kmin_flags_nonzero_budget():
-    el3 = preset("elliptic", 3)
+    el3 = preset("elliptic(3)")
     A = el3.parse("-3F - S")
     assert k(A) == 2
     rep = check_kmin_constraints(el3, {A: 1})
@@ -493,7 +493,7 @@ def test_kmin_flags_nonzero_budget():
 
 
 def test_kmin_flags_duality_mismatch():
-    el3 = preset("elliptic", 3)
+    el3 = preset("elliptic(3)")
     F = el3.parse("F")
     rep = check_kmin_constraints(el3, {el3.lattice.zero(): 1, F: -2})
     assert rep.check("i").passed
@@ -502,7 +502,7 @@ def test_kmin_flags_duality_mismatch():
 
 
 def test_kmin_flags_nonzero_square_when_canonical_is_null():
-    el2 = preset("elliptic", 2)
+    el2 = preset("elliptic(2)")
     F, S = el2.parse("F"), el2.parse("S")
     rep = check_kmin_constraints(el2, {F: 5, S: 1})
     assert not rep.check("iv").passed
@@ -523,6 +523,6 @@ def test_kmin_square_clause_needs_a_null_canonical_class():
 
 def test_kmin_preconditions():
     with pytest.raises(PreconditionError):
-        check_kmin_constraints(preset("cp2_blowup", 1), {})
+        check_kmin_constraints(preset("cp2_blowup(1)"), {})
     with pytest.raises(PreconditionError):
         check_kmin_constraints(preset("cp2"), {})
