@@ -309,8 +309,8 @@ def _cmd_verify(args) -> list[str]:
     if mode == "kmin":
         if args.n is None:
             raise UsageError("verify --mode kmin needs --n (the elliptic parameter)")
-        model = lattice.preset(f"elliptic({args.n})")
-        rep = configurations.check_kmin_constraints(model, fibersum.fiber_gr_table(args.n))
+        table = fibersum.fiber_gr_table(args.n)  # checks n first
+        rep = configurations.check_kmin_constraints(lattice.preset(f"elliptic({args.n})"), table)
         return _report_lines(rep, "verify", args.format)
     if args.manifold is None:
         raise UsageError(f"verify --mode {mode} needs --manifold")

@@ -13,23 +13,21 @@ negative twisted determinants.  The label selects the series
 and a torus lying in class m*B enters the product as f_label(t^m).  The
 count in degree k is the t^k coefficient of the product.
 
-Everything here is exact.  Each f is a ratio of factors 1 + s*t^a (s = +-1;
-a cover m turns a into m*a), so a torus list's product is one integer vector
-c[0..K] built from c = 1: multiplying by a factor is a descending pass
-c[i] += s*c[i-a], dividing by one an ascending pass c[i] -= s*c[i-a].
-gr_torus_class keeps only the vector of the last list asked for, keyed on
-the list as parse_tori returns it, and skips the parse for a list of the
-very entries last parsed, each immutable.  A list's first vector covers a
-fixed minimum degree, enough for the usual degree sweeps, and a k past the
-kept vector rebuilds it at max(k, twice its order); no degree past a fixed
-series-order limit is computed.  A label is its text, "+i" or "-i" for
-(sign, i), so a key is a tuple of text and integers.
+Everything here is exact.  Since 1 + t^a = (1 - t^2a) / (1 - t^a), a torus
+list's product is prod_a (1 - t^a)^e_a for one integer vector e, which fixes
+the series at every degree: a cover m turns a into m*a, and -i negates the e
+of +i, so a born (+i, m), (-i, m) pair leaves e unchanged.  The coefficients
+c[0..K] are built from c = 1 in ascending a by passes that only add or
+subtract c[i-a]: a descending pass multiplies by a factor, an ascending one
+divides by it.  gr_torus_class keeps only the vector of the last list asked
+for, keyed on its e, and skips the parse for a list of the very entries last
+parsed, each immutable.  A label is its text, "+i" or "-i" for (sign, i).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import is_
+from operator import is_, itemgetter
 
 from .errors import DomainError, ModelFileError, _Frozen, _int, _require_int
 
@@ -87,32 +85,47 @@ class TruncSeries(_Frozen):
         return TruncSeries(tuple(out))
 
 
-# f(+,i) as (numerator, denominator) factors (s, a), each meaning 1 + s*t^a;
-# the label -i reads the +i pair backwards.  The keys are the eight labels.
-_PLUS_FACTORS = (
-    ((), ((-1, 1),)),
-    (((1, 1),), ()),
-    (((1, 1),), ((1, 2),)),
-    (((1, 1), (-1, 2)), ((1, 2),)),
-)
-_FACTORS = {f"+{i}": pair for i, pair in enumerate(_PLUS_FACTORS)}
-_FACTORS |= {f"-{i}": pair[::-1] for i, pair in enumerate(_PLUS_FACTORS)}
-ALL_LABELS: tuple[str, ...] = tuple(_FACTORS)
+# Each label's e at cover 1, the sorted (a, e_a) with f = prod (1 - t^a)^e_a, read
+# through 1 + t^a = (1 - t^2a) / (1 - t^a); the label -i negates +i's exponents.
+_EXPONENTS = {f"+{i}": e for i, e in enumerate((
+    ((1, -1),), ((1, -1), (2, 1)), ((1, -1), (2, 2), (4, -1)), ((1, -1), (2, 3), (4, -1))))}
+_EXPONENTS |= {"-" + label[1]: tuple((a, -x) for a, x in e) for label, e in _EXPONENTS.items()}
+ALL_LABELS: tuple[str, ...] = tuple(_EXPONENTS)
 
 
-def _coefficients(tori: Sequence[tuple[str, int]], order: int) -> list[int]:
-    """c[0..order] of the product of f_label(t^m) over checked (label, m) pairs."""
-    c = [1] + [0] * order
+def _exponents(tori: Sequence[tuple[str, int]]) -> tuple[tuple[int, int], ...]:
+    """A parsed list's e: the sorted nonzero (a, e_a), a cover m scaling each a by m."""
+    e: dict[int, int] = {}
     for label, m in tori:
-        num, den = _FACTORS[label]
-        for s, a in num:
-            a *= m
-            for i in range(order, a - 1, -1):
-                c[i] += s * c[i - a]
-        for s, a in den:
-            a *= m
-            for i in range(a, order + 1):
-                c[i] -= s * c[i - a]
+        for a, x in _EXPONENTS[label]:
+            e[a * m] = e.get(a * m, 0) + x
+    return tuple(sorted(filter(itemgetter(1), e.items())))
+
+
+def _coefficients(e: Sequence[tuple[int, int]], order: int) -> list[int]:
+    """c[0..order] of prod (1 - t^a)^e_a, in ascending a; (1 - t^2a)^+-1 (1 - t^a)^-+1 is one (1 + t^a)^+-1 pass."""
+    c = [1] + [0] * order
+    rest = dict(e)
+    for a, _ in e:
+        x, y = rest[a], rest.get(2 * a, 0)
+        plus = (-x if abs(x) < abs(y) else y) if x * y < 0 else 0  # the power of 1 + t^a
+        rest[2 * a], x = y - plus, x + plus
+        if plus > 0:
+            for _ in range(plus):
+                for i in range(order, a - 1, -1):
+                    c[i] += c[i - a]
+        elif plus:
+            for _ in range(-plus):
+                for i in range(a, order + 1):
+                    c[i] -= c[i - a]
+        if x > 0:
+            for _ in range(x):
+                for i in range(order, a - 1, -1):
+                    c[i] -= c[i - a]
+        elif x:
+            for _ in range(-x):
+                for i in range(a, order + 1):
+                    c[i] += c[i - a]
     return c
 
 
@@ -133,7 +146,7 @@ def parse_tori(tori: list | tuple) -> tuple[tuple[str, int], ...]:
     for entry in tori:
         try:
             label, cover = entry if entry.__class__ is tuple else (entry, 1) if entry.__class__ is str else ()
-            if label.__class__ is str and label in _FACTORS and cover.__class__ is int and cover >= 1:
+            if label.__class__ is str and label in _EXPONENTS and cover.__class__ is int and cover >= 1:
                 out.append((label, cover))
                 continue
         except ValueError:  # not a pair
@@ -155,7 +168,7 @@ def _entry(entry, j: int) -> tuple[str, int]:
         raise ModelFileError(f"$[{j}].label", "expected a label string")
     # "−" is the typographic minus; accept it alongside ASCII "-".
     text = label.strip().replace("−", "-")
-    if text not in _FACTORS:
+    if text not in _EXPONENTS:
         message = f"bad torus label {label!r}; expected +0, +1, ... or -3"
         raise ModelFileError(f"$[{j}].label", message)
     if type(cover) is not int:
@@ -179,7 +192,7 @@ _ORDER_MAX = 10_000
 # sweep builds each list once instead of at orders 0, 1, 2, 4, 8 and 16.
 _ORDER_FIRST = 16
 
-# The last list parsed: its entries if each is _immutable (else None), its key and the key's vector.
+# The last list parsed: its entries if each is _immutable (else None), its e and e's vector.
 _last: tuple[tuple | None, tuple | None, list[int]] = (None, None, [])
 
 
@@ -202,7 +215,7 @@ def gr_torus_class(tori: list | tuple, k: int) -> int:
     kept, key, c = _last  # one read, so the entries, key and vector always match
     exact = tori.__class__ is list or tori.__class__ is tuple
     if not (exact and kept is not None and len(tori) == len(kept) and all(map(is_, tori, kept))):
-        new = parse_tori(kept := tuple(tori) if exact else tori)  # the entries kept are those parsed
+        new = _exponents(parse_tori(kept := tuple(tori) if exact else tori))  # the entries kept are those parsed
         kept = kept if exact and all(map(_immutable, kept)) else None
         if new != key:
             key, c = new, []

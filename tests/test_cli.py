@@ -283,6 +283,13 @@ def test_fibersum_golden_records(capsys):
     assert code == 1 and err.startswith("error code=domain")
 
 
+# kmin checks --n as fibersum does before it names the elliptic preset.
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_kmin_checks_n_as_fibersum_does(capsys, n):
+    assert invoke(capsys, "verify", "--mode", "kmin", "--n", n) == (
+        1, "", "error code=domain msg=elliptic surfaces V(n) need n >= 1\n")
+
+
 def test_verify_modes(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--manifold", "cp2_blowup(1)", "--mode", "good",
@@ -403,8 +410,6 @@ def test_parse_error_exit_code(capsys):
         # An empty --candidates is no class, not the default set.
         (("decomp", "--manifold", "s2xt2", "--class", "2B", "--candidates="),
          "--candidates needs at least one class"),
-        # kmin writes --n into the elliptic preset's name, which has no sign.
-        (("verify", "--mode", "kmin", "--n", "-3"), "bad preset name 'elliptic(-3)'"),
     ],
 )
 def test_usage_error_records(capsys, argv, message):

@@ -1,12 +1,13 @@
 """Torus label series: oracle by polynomial long division, then the counting
-laws, parse_tori's exact-type tests against its entry reader, and the one
-kept vector."""
+laws, the exponent vector's laws, parse_tori's exact-type tests against its
+entry reader, and the one kept vector."""
 
 from __future__ import annotations
 
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,6 +259,62 @@ LABEL_TEXTS = sorted(refs.RATIONAL)
 TORUS_LISTS = st.lists(st.tuples(st.sampled_from(LABEL_TEXTS), st.integers(1, 4)), max_size=6)
 
 
+def _key(tori):
+    """The kept vector's key for a torus list: its exponent vector e."""
+    return torus_series._exponents(parse_tori(tori))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(LABEL_TEXTS), st.integers(1, 5)), max_size=8), st.integers(0, 40))
+def test_the_exponent_vector_builds_the_long_division_series(tori, order):
+    assert torus_series._coefficients(_key(tori), order) == refs.torus_counts(tori, order)
+
+
+def _respelled(tori, rng):
+    """tori with its series kept: +1 at cover m as (+0, m), (-0, 2m), +2 as
+    (+1, m), (-1, 2m), a born pair added, and the entries shuffled."""
+    out = []
+    for label, m in tori:
+        if label in ("+1", "+2") and rng.random() < 0.5:
+            out += [(f"+{int(label[1]) - 1}", m), (f"-{int(label[1]) - 1}", 2 * m)]
+        else:
+            out.append((label, m))
+    if rng.random() < 0.5:
+        label, m = rng.choice(LABEL_TEXTS), rng.randint(1, 3)
+        out += [(label, m), ({"+": "-", "-": "+"}[label[0]] + label[1], m)]
+    rng.shuffle(out)
+    return out
+
+
+SHORT_LISTS = st.lists(st.tuples(st.sampled_from(LABEL_TEXTS), st.integers(1, 2)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHORT_LISTS, SHORT_LISTS, st.randoms(use_true_random=False))
+def test_lists_of_one_series_have_one_exponent_vector(tori, other, rng):
+    # A label's largest index is 4, so e lives on a <= 4 * cover, and the
+    # counts through the largest a * m fix e.
+    for second in (other, _respelled(tori, rng)):
+        top = max([4 * m for _, m in tori + second], default=0)
+        same = refs.torus_counts(tori, top) == refs.torus_counts(second, top)
+        assert same == (_key(tori) == _key(second))
+
+
+# Coprime 2 <= p < q <= 7 and n = 2..6: 55 triples.
+FS_TRIPLES = [(n, p, q) for n in range(2, 7) for q in range(3, 8) for p in range(2, q) if gcd(p, q) == 1]
+
+
+def test_fintushel_stern_lists_have_their_exact_exponent_vectors():
+    assert len(FS_TRIPLES) == 55
+    for n, p, q in FS_TRIPLES:
+        # the log transforms E(n)_{p,q}
+        log = [("-0", p * q)] * n + [("+0", p), ("+0", q)]
+        assert _key(log) == tuple(sorted({p * q: n, p: -1, q: -1}.items()))
+        # torus-knot surgery E(n)_{T(p,q)}
+        knot = [("-0", 1)] * (n - 1) + [("-0", p * q), ("+0", p), ("+0", q)]
+        assert _key(knot) == tuple(sorted({1: n - 1, p * q: 1, p: -1, q: -1}.items()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(TORUS_LISTS, st.integers(0, 48))
 def test_counts_match_series_products_and_long_division(tori, k):
@@ -284,7 +341,7 @@ def test_query_sequences_match_the_series_oracle(pool, steps):
         if step[0] == "switch":
             m = step[1]
             assert gr_torus_class([("+1", m)], m) == 1
-            assert torus_series._last[1] == parse_tori([("+1", m)])
+            assert torus_series._last[1] == _key([("+1", m)])
             continue
         i = step[1] % len(pool)
         if step[0] == "k":
@@ -292,7 +349,7 @@ def test_query_sequences_match_the_series_oracle(pool, steps):
         else:
             ks = sorted(range(step[2] + 1), reverse=step[3])
         assert [gr_torus_class(pool[i], k) for k in ks] == [want[i][k] for k in ks]
-        assert torus_series._last[1] == parse_tori(pool[i])
+        assert torus_series._last[1] == _key(pool[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,20 +369,26 @@ def test_only_the_last_list_keeps_a_vector():
     assert len(vector) == limit + 1
     assert gr_torus_class(small, 3) == refs.torus_counts(small, 3)[3]
     entries, key, kept = torus_series._last
-    assert entries == tuple(small) and key == parse_tori(small) and len(kept) == first + 1
+    assert entries == tuple(small) and key == _key(small) and len(kept) == first + 1
     # Nothing but this test's own name still holds the big list's vector.
     assert sys.getrefcount(vector) == 2
 
 
-def test_a_degree_sweep_builds_each_list_once(monkeypatch):
+def _counted_builds(monkeypatch) -> list:
+    """The orders gr_torus_class builds a vector at from now on, in call order."""
     builds, coefficients = [], torus_series._coefficients
 
-    def counted(tori, order):
+    def counted(e, order):
         builds.append(order)
-        return coefficients(tori, order)
+        return coefficients(e, order)
 
     gr_torus_class([], 0)  # the kept vector is another list's
     monkeypatch.setattr(torus_series, "_coefficients", counted)
+    return builds
+
+
+def test_a_degree_sweep_builds_each_list_once(monkeypatch):
+    builds = _counted_builds(monkeypatch)
     tori = [("+3", 1), ("-2", 2)]
     first = torus_series._ORDER_FIRST
     want = refs.torus_counts(tori, 2 * first + 1)
@@ -333,6 +396,20 @@ def test_a_degree_sweep_builds_each_list_once(monkeypatch):
     assert builds == [first]
     assert gr_torus_class(tori, first + 1) == want[first + 1]
     assert builds == [first, 2 * first]
+
+
+def test_lists_of_one_series_share_one_build(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    base = [("+2", 1), ("-0", 3)]
+    born = base + [("+1", 3), ("-1", 3)]  # a twin at an index base lacks
+    want = refs.torus_counts(base, 12)
+    assert [gr_torus_class(tori, k) for tori in (base, born) for k in range(13)] == want * 2
+    assert len(builds) == 1
+    # two spellings of (1 + t) = (1 - t^2) / (1 - t)
+    spellings = [["+1"], [("+0", 1), ("-0", 2)]]
+    assert _key(spellings[0]) == _key(spellings[1]) == ((1, -1), (2, 1))
+    assert [gr_torus_class(tori, k) for tori in spellings for k in range(4)] == [1, 1, 0, 0] * 2
+    assert len(builds) == 2
 
 
 def test_a_bad_entry_is_a_model_file_error_at_its_index():
@@ -439,7 +516,7 @@ def _answer(count, tori, k):
 
 
 def _fresh(tori, k):
-    return torus_series._coefficients(parse_tori(tori), k)[k]
+    return refs.torus_counts(parse_tori(tori), k)[k]
 
 
 @settings(max_examples=300, deadline=None)
@@ -479,13 +556,13 @@ def test_cache_keeps_born_pairs_and_stays_bounded():
     base = [("+2", 1)]
     born = base + [("+1", 2), ("-1", 2)]
     assert gr_torus_class(base, 9) == gr_torus_class(born, 9)
-    # the key is the list as given: the born pair is not cancelled
-    assert torus_series._last[1] == parse_tori(born) != parse_tori(base)
+    # base and twin have one key
+    assert torus_series._last[1] == _key(born) == _key(base)
     for _ in range(300):
         tori = [(rng.choice(LABEL_TEXTS), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
         gr_torus_class(tori, rng.randint(0, 20))
         entries, key, kept = torus_series._last
-        assert entries == tuple(tori) and key == parse_tori(tori)
+        assert entries == tuple(tori) and key == _key(tori)
         assert len(kept) <= 2 * torus_series._ORDER_FIRST + 1
 
 
